@@ -30,11 +30,11 @@ import numpy as np
 from . import __version__
 from .data import PointSet, Seed, check_seed, gen_synthetic, load_csv
 from .errors import InputError, NumericError
-from .knn import build_knn
+from .knn import NeighborTable, build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
-from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, mutualize,
-                     reduce_graph, save_graph, threshold_survivors)
+from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, graph_from_table,
+                     mutualize, save_graph)
 from .scale import LocalScales, build_histogram, compute_scales, fd_bin_width
 from .spectral import spectral_cluster
 
@@ -111,32 +111,37 @@ def _effective_k_max(cfg: RunConfig, ps: PointSet) -> int:
     return cfg.k_max if cfg.k_max is not None else min(ps.n - 1, DEFAULT_K_MAX)
 
 
-def build_reduced(ps: PointSet, k_max: int, seventh_neighbor: bool = False) -> ReducedGraph:
-    """Pipeline graph; optionally with the fixed seventh-neighbor scale.
+def _table_scales(nt: NeighborTable, seventh_neighbor: bool) -> LocalScales:
+    """Adaptive local scales, or the fixed seventh-neighbor distance.
 
     The seventh-neighbor variant replaces the adaptive per-point scale
     with the distance to the 7th neighbor (a legacy heuristic, kept for
     comparison runs only).
     """
     if not seventh_neighbor:
-        return reduce_graph(ps, k_max)
-    nt = build_knn(ps, k_max)
-    col = min(7, k_max) - 1
+        return compute_scales(nt)
+    col = min(7, nt.k_max) - 1
     sigma = nt.distances[:, col].copy()
-    fallback = fd_bin_width(nt.distances)
-    sigma[sigma <= 0] = fallback
-    ls = LocalScales(sigma=sigma, kth=np.full(ps.n, col + 1, dtype=np.int64))
-    a = affinity_rows(nt, ls)
-    return mutualize(ps.n, *threshold_survivors(a, nt))
+    sigma[sigma <= 0] = fd_bin_width(nt.distances)
+    return LocalScales(sigma=sigma, kth=np.full(nt.n, col + 1, dtype=np.int64))
+
+
+def build_reduced(ps: PointSet, k_max: int, seventh_neighbor: bool = False) -> ReducedGraph:
+    """Pipeline graph; optionally with the fixed seventh-neighbor scale."""
+    nt = build_knn(ps, k_max)
+    return graph_from_table(nt, _table_scales(nt, seventh_neighbor))
+
+
+def _mutual_knn(nt: NeighborTable) -> ReducedGraph:
+    src = np.repeat(np.arange(nt.n, dtype=np.int64), nt.k_max)
+    dst = nt.indices.ravel()
+    weight = np.ones(src.size, dtype=np.float64)
+    return mutualize(nt.n, src, dst, weight)
 
 
 def build_baseline_knn(ps: PointSet, k: int) -> ReducedGraph:
     """Mutual unweighted k-NN graph: edge iff each point is in the other's k-NN."""
-    nt = build_knn(ps, k)
-    src = np.repeat(np.arange(ps.n, dtype=np.int64), k)
-    dst = nt.indices.ravel()
-    weight = np.ones(src.size, dtype=np.float64)
-    return mutualize(ps.n, src, dst, weight)
+    return _mutual_knn(build_knn(ps, k))
 
 
 def _fmt(value) -> str:
@@ -260,18 +265,24 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
                 "ari": ari(truth, result.labels),
                 "edge_pct": edge_percentage(graph)}
 
+    # One table at the largest k the sweep needs; every grid point takes
+    # its leading columns, which equal a table built at that k.
     if cfg.param == "k-max":
+        nt = build_knn(ps, max(cfg.grid))
         for k in cfg.grid:
-            graph = build_reduced(ps, int(k), cfg.seventh_neighbor_scale)
+            table = nt.prefix(int(k))
+            graph = graph_from_table(table, _table_scales(table, cfg.seventh_neighbor_scale))
             for i in range(cfg.repeats):
                 rows.append(run(graph, "reduced", int(k), i))
             print(f"k_max={k}: done")
     else:
         k_max = _effective_k_max(cfg, ps)
-        reduced = build_reduced(ps, k_max, cfg.seventh_neighbor_scale)
+        nt = build_knn(ps, max(k_max, *cfg.grid))
+        table = nt.prefix(k_max)
+        reduced = graph_from_table(table, _table_scales(table, cfg.seventh_neighbor_scale))
         reduced_rows = [run(reduced, "reduced", 0, i) for i in range(cfg.repeats)]
         for k in cfg.grid:
-            baseline = build_baseline_knn(ps, int(k))
+            baseline = _mutual_knn(nt.prefix(int(k)))
             for i in range(cfg.repeats):
                 rows.append(run(baseline, "baseline", int(k), i))
             for r in reduced_rows:
@@ -290,7 +301,9 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
     """Build the reduced graph and save it (plus optional diagnostics)."""
     ps = load_dataset(cfg)
     k_max = _effective_k_max(cfg, ps)
-    graph = build_reduced(ps, k_max, cfg.seventh_neighbor_scale)
+    nt = build_knn(ps, k_max)
+    scales = _table_scales(nt, cfg.seventh_neighbor_scale)
+    graph = graph_from_table(nt, scales)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_graph(graph, out / "graph.txt", k_max=k_max, seed=cfg.seed)
@@ -298,8 +311,10 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
           f"e%={edge_percentage(graph):.4f}")
     print(f"wrote {out / 'graph.txt'}")
     if cfg.similarity_histogram:
-        nt = build_knn(ps, k_max)
-        values = affinity_rows(nt, compute_scales(nt)).ravel()
+        # The histogram always shows the adaptive-scale affinities.
+        if cfg.seventh_neighbor_scale:
+            scales = compute_scales(nt)
+        values = affinity_rows(nt, scales).ravel()
         hist = build_histogram(values, fd_bin_width(values))
         with open(out / "similarity_histogram.csv", "w", encoding="utf-8") as fh:
             fh.write("# " + json.dumps(cfg.echo(), sort_keys=True) + "\n")
@@ -315,7 +330,7 @@ def cmd_pairs(cfg: RunConfig):
     ps = load_dataset(cfg)
     k_max = _effective_k_max(cfg, ps)
     nt = build_knn(ps, k_max)
-    graph = build_reduced(ps, k_max, cfg.seventh_neighbor_scale)
+    graph = graph_from_table(nt, _table_scales(nt, cfg.seventh_neighbor_scale))
     pair_set = export_pairs(graph, nt, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

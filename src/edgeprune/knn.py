@@ -34,6 +34,17 @@ class NeighborTable:
     def n(self) -> int:
         return self.distances.shape[0]
 
+    def prefix(self, k: int) -> NeighborTable:
+        """The first k columns of every row, as a table of its own.
+
+        Rows are sorted by (distance, index), so this equals
+        `build_knn(ps, k)` on the points the table was built from.
+        """
+        if not 1 <= k <= self.k_max:
+            raise InputError(f"k must be in [1, {self.k_max}], got {k}")
+        return NeighborTable(distances=np.ascontiguousarray(self.distances[:, :k]),
+                             indices=np.ascontiguousarray(self.indices[:, :k]), k_max=k)
+
 
 def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     """Exact k-NN by brute force, O(N^2 d).

@@ -11,7 +11,6 @@ point's neighbor row has no non-edges left.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -47,45 +46,64 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     """
     if g.n != nt.n:
         raise InputError(f"graph has {g.n} vertices but table has {nt.n} rows")
+    n = g.n
     positives = sorted(g.pairs())
-    degrees = g.degrees()
-    adjacency: list[set[int]] = [set() for _ in range(g.n)]
-    for p, q in zip(g.src.tolist(), g.dst.tolist()):
-        adjacency[p].add(q)
-
-    tie_rank = spawn_rng(seed, 0).permutation(g.n)
-    negatives: list[tuple[int, int]] = []
-    for p in range(g.n):
-        need = int(degrees[p])
-        if need == 0:
+    need = g.degrees()
+    if log.isEnabledFor(logging.DEBUG):
+        for p in np.flatnonzero(need == 0).tolist():
             log.debug("point %d has no mutual edges; contributes no pairs", p)
-            continue
-        row = nt.indices[p]
-        non_edges = [int(q) for q in row.tolist() if q not in adjacency[p]]
-        # Farthest first; the row is ascending by distance, equal distances
-        # fall back to the seeded rank.
-        dist_of = {int(q): float(d) for q, d in zip(row.tolist(), nt.distances[p])}
-        non_edges.sort(key=lambda q: (-dist_of[q], tie_rank[q]))
-        chosen = non_edges[:need]
-        if len(chosen) < need:
-            pool = np.array([q for q in range(g.n)
-                             if q != p and q not in adjacency[p] and q not in set(chosen)],
-                            dtype=np.int64)
-            extra = min(need - len(chosen), pool.size)
+
+    # Farthest first; the row is ascending by distance, equal distances
+    # fall back to the seeded rank. Only non-edges are candidates, and a
+    # point takes as many of them as its degree.
+    tie_rank = spawn_rng(seed, 0).permutation(n)
+    order = np.lexsort((tie_rank[nt.indices], -nt.distances), axis=1)
+    cand = np.take_along_axis(nt.indices, order, axis=1)
+    non_edge = ~np.isin(np.arange(n)[:, None] * n + cand, g.src * n + g.dst)
+    taken = non_edge & (np.cumsum(non_edge, axis=1) <= need[:, None])
+    anchor, col = np.nonzero(taken)
+    other = cand[anchor, col]
+
+    # Exhausted rows: sample the rest from every point that is neither p,
+    # a neighbor in the graph, nor already chosen from the row.
+    short = np.flatnonzero(non_edge.sum(axis=1) < need)
+    if short.size:
+        by_src = np.argsort(g.src, kind="stable")
+        adjacency = g.dst[by_src]
+        indptr = np.searchsorted(g.src[by_src], np.arange(n + 1))
+        blocked = np.zeros(n, dtype=bool)
+        extra_anchor, extra_count, extra_other = [], [], []
+        for p in short.tolist():
+            chosen = cand[p, non_edge[p]]
+            block = np.concatenate(([p], adjacency[indptr[p]:indptr[p + 1]], chosen))
+            blocked[block] = True
+            pool = np.flatnonzero(~blocked)
+            blocked[block] = False
+            missing = int(need[p]) - chosen.size
+            extra = min(missing, pool.size)
             if extra > 0:
                 rng = spawn_rng(seed, 1, p)
-                chosen.extend(int(q) for q in rng.choice(pool, size=extra, replace=False))
-            if len(chosen) < need:
+                extra_other.append(rng.choice(pool, size=extra, replace=False))
+                extra_anchor.append(p)
+                extra_count.append(extra)
+            if extra < missing:
                 log.warning("point %d: only %d of %d negatives available",
-                            p, len(chosen), need)
-        negatives.extend((p, q) for q in chosen)
+                            p, chosen.size + extra, int(need[p]))
+        if extra_anchor:
+            # A stable sort by anchor puts each point's sampled negatives
+            # right after its in-row ones.
+            anchor = np.concatenate([anchor, np.repeat(extra_anchor, extra_count)])
+            other = np.concatenate([other, *extra_other])
+            by_anchor = np.argsort(anchor, kind="stable")
+            anchor, other = anchor[by_anchor], other[by_anchor]
+    negatives = list(zip(anchor.tolist(), other.tolist()))
     return PairSet(positives=positives, negatives=negatives, seed=int(seed))
 
 
 def save_pairs(ps: PairSet, path) -> None:
     """Write pairs as JSON lines: {"p": ..., "q": ..., "label": 1|0}."""
+    # Formatted directly, byte-identical to json.dumps of each record; a
+    # generator keeps no second copy of the file in memory.
     with open(path, "w", encoding="utf-8") as fh:
-        for p, q in ps.positives:
-            fh.write(json.dumps({"p": p, "q": q, "label": 1}) + "\n")
-        for p, q in ps.negatives:
-            fh.write(json.dumps({"p": p, "q": q, "label": 0}) + "\n")
+        fh.writelines(f'{{"p": {p}, "q": {q}, "label": 1}}\n' for p, q in ps.positives)
+        fh.writelines(f'{{"p": {p}, "q": {q}, "label": 0}}\n' for p, q in ps.negatives)

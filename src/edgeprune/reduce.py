@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .data import PointSet
 from .errors import InputError
@@ -117,6 +118,8 @@ def threshold_row(row) -> tuple[np.ndarray, RowThreshold]:
 
     Branch selection is strict (max > mu + sd chooses the high branch);
     retention keeps entries >= cutoff, so the kept set is never empty.
+    This is the per-row reference that `threshold_survivors` reproduces
+    on every row of an affinity table.
     """
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.size == 0:
@@ -161,15 +164,24 @@ def mutualize(n: int, src, dst, weight) -> ReducedGraph:
 
 
 def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):
-    """Directed survivor arrays (src, dst, weight) from per-row thresholding."""
-    src_parts, dst_parts, w_parts = [], [], []
-    for p in range(nt.n):
-        kept, _ = threshold_row(affinities[p])
-        src_parts.append(np.full(kept.size, p, dtype=np.int64))
-        dst_parts.append(nt.indices[p, kept])
-        w_parts.append(affinities[p, kept])
-    return (np.concatenate(src_parts), np.concatenate(dst_parts),
-            np.concatenate(w_parts))
+    """Directed survivor arrays (src, dst, weight) from per-row thresholding.
+
+    All rows are thresholded at once; the survivors of row p are those
+    `threshold_row(affinities[p])` keeps, in row order, with rows in
+    ascending order.
+    """
+    mu = affinities.mean(axis=1)
+    sd = affinities.std(axis=1)
+    high = affinities.max(axis=1) > mu + sd
+    t = np.where(high, mu + sd, mu - sd)
+    src, col = np.nonzero(affinities >= t[:, None])
+    return src, nt.indices[src, col], affinities[src, col]
+
+
+def graph_from_table(nt: NeighborTable, ls: LocalScales) -> ReducedGraph:
+    """Table-to-graph half of the pipeline: affinities -> threshold -> mutual."""
+    a = affinity_rows(nt, ls)
+    return mutualize(nt.n, *threshold_survivors(a, nt))
 
 
 def reduce_graph(ps: PointSet, k_max: int | None = None) -> ReducedGraph:
@@ -181,29 +193,12 @@ def reduce_graph(ps: PointSet, k_max: int | None = None) -> ReducedGraph:
     if k_max is None:
         k_max = min(ps.n - 1, DEFAULT_K_MAX)
     nt = build_knn(ps, k_max)
-    ls = compute_scales(nt)
-    a = affinity_rows(nt, ls)
-    src, dst, w = threshold_survivors(a, nt)
-    return mutualize(ps.n, src, dst, w)
+    return graph_from_table(nt, compute_scales(nt))
 
 
 def component_labels(g: ReducedGraph) -> np.ndarray:
-    """Connected-component label per vertex, by union-find."""
-    parent = np.arange(g.n, dtype=np.int64)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p, q in zip(g.src.tolist(), g.dst.tolist()):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rq] = rp
-    roots = np.array([find(i) for i in range(g.n)], dtype=np.int64)
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
+    """Connected-component label per vertex; isolated vertices get their own."""
+    return connected_components(g.to_sparse(), directed=False)[1]
 
 
 def n_components(g: ReducedGraph) -> int:

@@ -1,4 +1,4 @@
-"""Per-point local scale estimation from neighbor-distance histograms.
+"""Local scale estimation from neighbor-distance histograms.
 
 Each point gets a bandwidth sigma_p describing the density around it:
 the mean distance to its first K neighbors, where K is chosen by looking
@@ -116,6 +116,9 @@ def local_scale_row(row_distances, bin_width: float) -> tuple[float, int]:
     neighbor precedes it, K falls back to the full row. A zero mean
     (duplicate points) falls back to the smallest positive distance in
     the row, or to the bin width when every distance is zero.
+
+    This is the per-row reference that `compute_scales` reproduces
+    bit-for-bit on every row of a table.
     """
     row = np.asarray(row_distances, dtype=np.float64).ravel()
     if row.size == 0:
@@ -138,15 +141,56 @@ def local_scale_row(row_distances, bin_width: float) -> tuple[float, int]:
 
 
 def compute_scales(nt: NeighborTable) -> LocalScales:
-    """Local scales for every point of a neighbor table.
+    """Local scales for every point of a neighbor table, all rows at once.
 
     The Freedman-Diaconis width is computed once over all N * k_max
-    distances and shared by the per-point histograms.
+    distances and shared by the rows; each row keeps its own bin count,
+    ceil(row max / width). Because a row is ascending, its bin indices
+    are non-decreasing, so its occupied bins are the runs of equal bin
+    index. An empty bin can never exceed its non-negative smoothed value,
+    so only runs are tested for a spike. The result equals
+    `local_scale_row(nt.distances[p], width)` for every row p.
     """
-    width = fd_bin_width(nt.distances)
-    n = nt.n
+    d = nt.distances
+    width = fd_bin_width(d)
+    if d.min() < 0:
+        raise InputError("compute_scales: distances must be non-negative")
+    n, k_max = d.shape
+    nbins = np.maximum(np.ceil(d.max(axis=1) / width).astype(np.int64), 1)
+    bins = np.minimum((d // width).astype(np.int64), nbins[:, None] - 1).ravel()
+
+    # Runs of equal bin index within a row, in row-major order.
+    starts = np.ones(bins.size, dtype=bool)
+    starts[1:] = bins[1:] != bins[:-1]
+    starts[::k_max] = True
+    first = np.flatnonzero(starts)
+    row = first // k_max
+    col = first % k_max
+    b = bins[first]
+    count = np.diff(np.append(first, bins.size))
+    # Two consecutive runs share a smoothing window only when they sit in
+    # adjacent bins of the same row. The window's rank sum is b (0 for
+    # the first bin) + (b + 1), plus b + 2 unless b is the row's last bin.
+    adjacent = (row[1:] == row[:-1]) & (b[1:] == b[:-1] + 1)
+    num = count.astype(np.float64)
+    num[1:] += np.where(adjacent, count[:-1], 0)
+    num[:-1] += np.where(adjacent, count[1:], 0)
+    den = 2 * b + 1 + np.where(b + 1 < nbins[row], b + 2, 0)
+    spike = count > num / den
+
+    # K is the position of the first spiking run; a spike in the row's
+    # first run (position 0) or no spike at all keeps the full row.
+    kth = np.full(n, k_max, dtype=np.int64)
+    spike_rows, at = np.unique(row[spike], return_index=True)
+    first_spike = col[spike][at]
+    kth[spike_rows] = np.where(first_spike > 0, first_spike, k_max)
+
     sigma = np.empty(n, dtype=np.float64)
-    kth = np.empty(n, dtype=np.int64)
-    for p in range(n):
-        sigma[p], kth[p] = local_scale_row(nt.distances[p], width)
+    for k in np.unique(kth).tolist():
+        rows = np.flatnonzero(kth == k)
+        sigma[rows] = d[rows, :k].mean(axis=1)
+    zero = np.flatnonzero(sigma == 0.0)
+    if zero.size:
+        smallest = np.where(d[zero] > 0, d[zero], np.inf).min(axis=1)
+        sigma[zero] = np.where(np.isfinite(smallest), smallest, width)
     return LocalScales(sigma=sigma, kth=kth)

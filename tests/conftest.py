@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from edgeprune import gen_synthetic
+from edgeprune import PointSet, build_knn, gen_synthetic
 
 # The three reference datasets the acceptance suite runs on. Parameters
 # are part of the frozen test contract; change them only together with
@@ -35,3 +36,30 @@ def random_labels(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
     labels = rng.integers(0, c, size=n)
     labels[rng.permutation(n)[:c]] = np.arange(c)
     return labels
+
+
+@st.composite
+def tie_heavy_points(draw, max_n=40):
+    """A point set where exact distance ties are common.
+
+    Points are either on a small integer lattice (many equal distances)
+    or a few distinct points repeated many times (zero distances; a
+    point with more than k_max copies has an all-zero k-NN row).
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(3, max_n))
+        coords = draw(st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n))
+        return PointSet(np.asarray(coords, dtype=np.float64).reshape(n, 2))
+    distinct = draw(st.integers(1, 6))
+    copies = draw(st.integers(2, 12))
+    base = draw(st.lists(st.floats(-10, 10, allow_nan=False, width=32),
+                         min_size=2 * distinct, max_size=2 * distinct))
+    return PointSet(np.repeat(np.asarray(base, dtype=np.float64).reshape(distinct, 2),
+                              copies, axis=0))
+
+
+@st.composite
+def tie_heavy_tables(draw, max_n=40):
+    """k-NN table of a `tie_heavy_points` set, at a drawn k_max."""
+    ps = draw(tie_heavy_points(max_n))
+    return build_knn(ps, draw(st.integers(1, ps.n - 1)))

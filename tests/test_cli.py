@@ -3,11 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from edgeprune import InputError, save_csv
+from edgeprune import (InputError, affinity_rows, build_histogram, build_knn,
+                       compute_scales, fd_bin_width, gen_synthetic, save_csv)
+from edgeprune import cli
 from edgeprune.cli import (RunConfig, build_baseline_knn, cmd_cluster, cmd_sweep,
                            main, parse_synthetic_spec)
 
 BLOBS = "blobs:clusters=3,size=40,separation=15,spread=1"
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls the CLI makes to one of the functions it imports."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
 
 
 def read_rows(path):
@@ -141,6 +156,43 @@ class TestSweepCommand:
         assert max(medians["baseline"]) - min(medians["baseline"]) > 0.1
         assert max(medians["reduced"]) - min(medians["reduced"]) == 0.0
 
+    @pytest.mark.parametrize("param,grid", [("k-max", [2, 9, 5, 30]),
+                                            ("baseline-k", [2, 6, 60])])
+    def test_one_table_matches_one_build_per_grid_point(self, tmp_path, param, grid):
+        # A sweep slices one table; sweeps over single grid points build
+        # their tables at that point's k. The CSV bodies must agree byte
+        # for byte (the '# {...}' echo lines differ in the grid).
+        base = ["sweep", "--synthetic", BLOBS, "--seed", "4", "--repeats", "2",
+                "--param", param]
+        whole = tmp_path / "whole"
+        assert main(base + ["--grid", ",".join(map(str, grid)), "--out", str(whole)]) == 0
+        body = (whole / "sweep.csv").read_text().splitlines()[1:]
+        expected = body[:1]
+        for k in grid:
+            one = tmp_path / f"k{k}"
+            extra = ["--k-max", str(k)] if param == "baseline-k" else []
+            assert main(base + ["--grid", str(k), "--out", str(one)] + extra) == 0
+            expected += (one / "sweep.csv").read_text().splitlines()[2:]
+        if param == "baseline-k":
+            # The reduced rows come from the default k_max, not from k.
+            expected = [line for line in expected if not line.startswith("reduced")]
+            body = [line for line in body if not line.startswith("reduced")]
+        assert body == expected
+
+    def test_builds_one_table(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "build_knn")
+        cmd_sweep(RunConfig(command="sweep", synthetic=BLOBS, param="baseline-k",
+                            grid=[2, 4, 70], out_dir=str(tmp_path)))
+        assert [args[1] for args in calls] == [70]
+
+    @pytest.mark.parametrize("param,grid", [("k-max", "2,500"), ("k-max", "0,5"),
+                                            ("k-max", "5,-1"), ("baseline-k", "2,500"),
+                                            ("baseline-k", "0,2")])
+    def test_out_of_range_grid_writes_nothing(self, tmp_path, param, grid):
+        assert main(["sweep", "--synthetic", BLOBS, "--param", param,
+                     "--grid", grid, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", "--synthetic", BLOBS, "--param", "k-max",
                      "--grid", "", "--out", str(tmp_path)]) == 2
@@ -174,6 +226,28 @@ class TestReduceAndPairsCommands:
         assert hist_lines[1] == "bin_lo,bin_hi,count"
         total = sum(int(line.split(",")[2]) for line in hist_lines[2:])
         assert total == 120 * 50
+
+    @pytest.mark.parametrize("seventh", [False, True])
+    def test_histogram_reuses_table_and_scales(self, tmp_path, monkeypatch, seventh):
+        knn_calls = count_calls(monkeypatch, "build_knn")
+        scale_calls = count_calls(monkeypatch, "compute_scales")
+        argv = ["reduce", "--synthetic", BLOBS, "--k-max", "20", "--out", str(tmp_path),
+                "--similarity-histogram"] + (["--seventh-neighbor-scale"] if seventh else [])
+        assert main(argv) == 0
+        assert len(knn_calls) == 1 and len(scale_calls) == 1
+        # The histogram shows the adaptive-scale affinities of a fresh table.
+        nt = build_knn(gen_synthetic("blobs", parse_synthetic_spec(BLOBS)[1], seed=0), 20)
+        values = affinity_rows(nt, compute_scales(nt)).ravel()
+        hist = build_histogram(values, fd_bin_width(values))
+        lines = (tmp_path / "similarity_histogram.csv").read_text().splitlines()[2:]
+        assert lines == [f"{hist.edges[i]!r},{hist.edges[i + 1]!r},{c}"
+                         for i, c in enumerate(hist.counts.tolist())]
+
+    def test_pairs_builds_one_table(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "build_knn")
+        assert main(["pairs", "--synthetic", BLOBS, "--k-max", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_pairs_writes_jsonl(self, tmp_path):
         code = main(["pairs", "--synthetic", BLOBS, "--k-max", "10",

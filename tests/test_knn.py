@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import tie_heavy_points
 from edgeprune import InputError, PointSet, build_knn, gen_synthetic
 
 
@@ -78,3 +81,34 @@ def test_k_max_full_range_allowed():
     ps = PointSet(np.arange(10, dtype=float)[:, None])
     nt = build_knn(ps, 9)
     assert nt.distances.shape == (10, 9)
+
+
+@given(tie_heavy_points(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_prefix_equals_smaller_build(ps, data):
+    # Rows are sorted by (distance, index), so the leading k columns of a
+    # table are the table built at k, ties included.
+    big = data.draw(st.integers(1, ps.n - 1))
+    k = data.draw(st.integers(1, big))
+    small, head = build_knn(ps, k), build_knn(ps, big).prefix(k)
+    assert head.k_max == k
+    assert np.array_equal(head.distances, small.distances)
+    assert np.array_equal(head.indices, small.indices)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 20])
+def test_prefix_equals_build_knn(k):
+    # Integer lattice: many exact distance ties at every column.
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+    ps = PointSet(np.vstack([grid, grid[:7]]))
+    small, full = build_knn(ps, k), build_knn(ps, 29).prefix(k)
+    assert np.array_equal(small.distances, full.distances)
+    assert np.array_equal(small.indices, full.indices)
+    assert small.k_max == full.k_max
+
+
+@pytest.mark.parametrize("bad_k", [0, -1, 6])
+def test_prefix_out_of_range(bad_k):
+    nt = build_knn(PointSet(np.arange(10, dtype=float)[:, None]), 5)
+    with pytest.raises(InputError):
+        nt.prefix(bad_k)

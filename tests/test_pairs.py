@@ -1,10 +1,91 @@
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgeprune import (InputError, PointSet, build_knn, export_pairs,
+from conftest import tie_heavy_tables
+from edgeprune import (InputError, PairSet, PointSet, build_knn, export_pairs,
                        gen_synthetic, mutualize, reduce_graph, save_pairs)
+from edgeprune.data import spawn_rng
+
+
+def export_pairs_loop(g, nt, seed):
+    """Per-point reference for export_pairs; also returns its warnings."""
+    positives = sorted(g.pairs())
+    degrees = g.degrees()
+    adjacency = [set() for _ in range(g.n)]
+    for p, q in zip(g.src.tolist(), g.dst.tolist()):
+        adjacency[p].add(q)
+    tie_rank = spawn_rng(seed, 0).permutation(g.n)
+    negatives, warnings = [], []
+    for p in range(g.n):
+        need = int(degrees[p])
+        if need == 0:
+            continue
+        row = nt.indices[p]
+        non_edges = [int(q) for q in row.tolist() if q not in adjacency[p]]
+        dist_of = {int(q): float(d) for q, d in zip(row.tolist(), nt.distances[p])}
+        non_edges.sort(key=lambda q: (-dist_of[q], tie_rank[q]))
+        chosen = non_edges[:need]
+        if len(chosen) < need:
+            pool = np.array([q for q in range(g.n)
+                             if q != p and q not in adjacency[p] and q not in set(chosen)],
+                            dtype=np.int64)
+            extra = min(need - len(chosen), pool.size)
+            if extra > 0:
+                rng = spawn_rng(seed, 1, p)
+                chosen.extend(int(q) for q in rng.choice(pool, size=extra, replace=False))
+            if len(chosen) < need:
+                warnings.append(f"point {p}: only {len(chosen)} of {need} negatives available")
+        negatives.extend((p, q) for q in chosen)
+    return PairSet(positives=positives, negatives=negatives, seed=int(seed)), warnings
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def assert_matches_loop(g, nt, seed):
+    handler = _Collect()
+    logger = logging.getLogger("edgeprune.pairs")
+    logger.addHandler(handler)
+    try:
+        got = export_pairs(g, nt, seed)
+    finally:
+        logger.removeHandler(handler)
+    want, warnings = export_pairs_loop(g, nt, seed)
+    assert got == want
+    assert handler.messages == warnings
+    return got
+
+
+@st.composite
+def graphs_on_tables(draw):
+    """A table plus a symmetric graph on the same vertices.
+
+    The graph is either the mutual graph of the table's own rows (every
+    row exhausted, so every point with edges falls back) or a random
+    edge set whose density runs from empty (zero degrees) to complete
+    (fallback pools that run out).
+    """
+    nt = draw(tie_heavy_tables(max_n=25))
+    n = nt.n
+    if draw(st.booleans()):
+        src = np.repeat(np.arange(n), nt.k_max)
+        return nt, mutualize(n, src, nt.indices.ravel(), np.ones(src.size))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    p, q = np.nonzero(upper | upper.T)
+    return nt, mutualize(n, p, q, np.ones(p.size))
 
 
 def hexagon():
@@ -108,6 +189,40 @@ class TestExportPairs:
             export_pairs(g, build_knn(other, 5), seed=0)
 
 
+class TestExportPairsMatchesLoop:
+    """The whole-array export against the per-point reference loop."""
+
+    @pytest.mark.parametrize("k_max", [4, 10, 30])
+    def test_fixture(self, dataset_b, k_max):
+        nt = build_knn(dataset_b, k_max)
+        assert_matches_loop(reduce_graph(dataset_b, k_max), nt, seed=3)
+
+    def test_every_point_falls_back(self):
+        # Forty points, ten copies each: every row holds only duplicates,
+        # all of them edges, so every negative is sampled.
+        rng = np.random.default_rng(4)
+        ps = PointSet(np.repeat(rng.normal(size=(40, 2)) * 10, 10, axis=0))
+        nt = build_knn(ps, 9)
+        g = reduce_graph(ps, 9)
+        result = assert_matches_loop(g, nt, seed=11)
+        assert len(result.negatives) == int(g.degrees().sum())
+
+    def test_pool_runs_out(self):
+        # The complete graph on five points leaves no negative at all.
+        n = 5
+        p, q = np.nonzero(~np.eye(n, dtype=bool))
+        g = mutualize(n, p, q, np.ones(p.size))
+        nt = build_knn(PointSet(np.arange(10.0).reshape(n, 2)), 2)
+        result = assert_matches_loop(g, nt, seed=0)
+        assert result.negatives == []
+
+    @given(graphs_on_tables(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz(self, case, seed):
+        nt, g = case
+        assert_matches_loop(g, nt, seed)
+
+
 class TestSavePairs:
     def test_jsonl_format(self, tmp_path):
         ps = hexagon()
@@ -120,3 +235,14 @@ class TestSavePairs:
         assert labels == {0, 1}
         positives = [(r["p"], r["q"]) for r in records if r["label"] == 1]
         assert positives == result.positives
+
+    @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=20),
+           st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, positives, negatives):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
+        save_pairs(PairSet(positives=positives, negatives=negatives, seed=0), path)
+        expected = "".join(
+            [json.dumps({"p": p, "q": q, "label": 1}) + "\n" for p, q in positives]
+            + [json.dumps({"p": p, "q": q, "label": 0}) + "\n" for p, q in negatives])
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeprune import (InputError, PointSet, affinity, affinity_rows, build_knn,
-                       compute_scales, gen_synthetic, load_graph, mutualize,
-                       n_components, reduce_graph, save_graph, threshold_row)
-from edgeprune.reduce import component_labels
+from conftest import tie_heavy_tables
+from edgeprune import (InputError, NeighborTable, PointSet, affinity, affinity_rows,
+                       build_knn, compute_scales, gen_synthetic, graph_from_table,
+                       load_graph, mutualize, n_components, reduce_graph, save_graph,
+                       threshold_row)
+from edgeprune.reduce import component_labels, threshold_survivors
 from edgeprune.scale import LocalScales
 
 
@@ -116,6 +118,57 @@ def graph_from_pairs(n, pairs, weight=0.5):
     src = np.array([p for p, _ in pairs], dtype=np.int64)
     dst = np.array([q for _, q in pairs], dtype=np.int64)
     return mutualize(n, src, dst, np.full(len(pairs), weight))
+
+
+def threshold_by_rows(a, nt):
+    """Per-row reference for threshold_survivors: concatenated threshold_row output."""
+    src, dst, w = [], [], []
+    for p in range(a.shape[0]):
+        kept, _ = threshold_row(a[p])
+        src.append(np.full(kept.size, p, dtype=np.int64))
+        dst.append(nt.indices[p, kept])
+        w.append(a[p, kept])
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(w)
+
+
+def assert_survivors_match_rows(a, nt):
+    for got, want in zip(threshold_survivors(a, nt), threshold_by_rows(a, nt)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestThresholdSurvivors:
+    @pytest.mark.parametrize("fixture", ["dataset_a", "dataset_b", "dataset_c"])
+    def test_fixtures(self, fixture, request):
+        nt = build_knn(request.getfixturevalue(fixture), 50)
+        assert_survivors_match_rows(affinity_rows(nt, compute_scales(nt)), nt)
+
+    @given(tie_heavy_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_tables(self, nt):
+        assert_survivors_match_rows(affinity_rows(nt, compute_scales(nt)), nt)
+
+    @given(st.integers(2, 12), st.integers(1, 11), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_rows(self, n, k, data):
+        # Affinities drawn from a few values, so equal entries, constant
+        # rows and entries exactly on a cutoff all occur.
+        k = min(k, n - 1)
+        values = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-300, 0.3]),
+                                    min_size=n * k, max_size=n * k))
+        a = np.asarray(values).reshape(n, k)
+        indices = np.array([[q for q in range(n) if q != p][:k] for p in range(n)])
+        nt = NeighborTable(distances=np.zeros((n, k)), indices=indices, k_max=k)
+        assert_survivors_match_rows(a, nt)
+
+
+class TestGraphFromTable:
+    def test_equals_reduce_graph(self, dataset_b):
+        nt = build_knn(dataset_b, 20)
+        g = graph_from_table(nt, compute_scales(nt))
+        ref = reduce_graph(dataset_b, 20)
+        for got, want in ((g.src, ref.src), (g.dst, ref.dst), (g.weight, ref.weight)):
+            assert np.array_equal(got, want)
 
 
 class TestMutualize:
@@ -228,6 +281,39 @@ class TestComponents:
         assert labels[2] == labels[3]
         assert len({labels[0], labels[2], labels[4]}) == 3
         assert n_components(g) == 3
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_partition_matches_union_find(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2 * n))
+        g = graph_from_pairs(n, pairs + [(q, p) for p, q in pairs])
+        labels = component_labels(g)
+        assert labels.shape == (n,)
+        assert same_partition(labels, union_find_labels(n, pairs))
+        assert n_components(g) == len(set(union_find_labels(n, pairs).tolist()))
+
+
+def union_find_labels(n, pairs):
+    """Reference components: the root of each vertex after union-find."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for p, q in pairs:
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rq] = rp
+    return np.array([find(i) for i in range(n)])
+
+
+def same_partition(a, b):
+    """Two labelings name the same partition when each maps 1:1 onto the other."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
 class TestSerialization:

@@ -2,12 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgeprune import (InputError, PointSet, build_histogram, build_knn,
+from conftest import tie_heavy_tables
+from edgeprune import (InputError, NeighborTable, PointSet, build_histogram, build_knn,
                        compute_scales, fd_bin_width, gen_synthetic,
                        local_scale_row, mwa_smooth)
+
+
+def assert_matches_rows(nt):
+    """compute_scales equals local_scale_row on every row, bit for bit."""
+    ls = compute_scales(nt)
+    width = fd_bin_width(nt.distances)
+    for p in range(nt.n):
+        sigma, k = local_scale_row(nt.distances[p], width)
+        assert ls.kth[p] == k, p
+        assert ls.sigma[p] == sigma, p
 
 
 class TestFdBinWidth:
@@ -188,3 +199,62 @@ class TestComputeScales:
             scaled = compute_scales(build_knn(PointSet(ps.points * c), 15))
             assert np.array_equal(scaled.kth, base.kth)
             assert np.array_equal(scaled.sigma, base.sigma * c)
+
+
+@st.composite
+def edge_aligned_tables(draw):
+    """Tables whose bin width is exactly 1 and whose row maxima are often
+    whole numbers, i.e. sit exactly on a bin edge.
+
+    At most a fifth of the rows hold multiples of 0.5 up to 4; the rest are 0
+    (duplicate points) apart from one global maximum of ceil(sqrt(N * k)).
+    The IQR is then 0 and the width falls back to (max - min) /
+    ceil(sqrt(N * k)) = 1. Only a per-row bin count puts a row's
+    whole-number maximum in that row's last bin.
+    """
+    n = draw(st.integers(5, 12))
+    k = draw(st.integers(2, 8))
+    top = math.ceil(math.sqrt(n * k))
+    d = np.zeros((n, k))
+    for r in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=n // 5, unique=True)):
+        halves = draw(st.lists(st.integers(0, min(8, 2 * top - 1)), min_size=k, max_size=k))
+        d[r] = np.asarray(halves) / 2
+    d[0, -1] = top
+    d.sort(axis=1)
+    assume(fd_bin_width(d) == 1.0)
+    indices = np.array([[q for q in range(n) if q != p][:k] for p in range(n)])
+    return NeighborTable(distances=d, indices=indices, k_max=k)
+
+
+class TestComputeScalesMatchesRows:
+    """The whole-table path against the per-row reference."""
+
+    @pytest.mark.parametrize("fixture", ["dataset_a", "dataset_b", "dataset_c"])
+    def test_fixtures(self, fixture, request):
+        assert_matches_rows(build_knn(request.getfixturevalue(fixture), 50))
+
+    def test_all_zero_rows(self):
+        # Five copies of each of three points: with k_max = 4 every row is
+        # all zeros and every sigma takes the bin-width fallback.
+        pts = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], 5, axis=0)
+        nt = build_knn(PointSet(pts), 4)
+        assert np.all(nt.distances == 0.0)
+        assert_matches_rows(nt)
+        assert_matches_rows(build_knn(PointSet(pts), 7))
+
+    @given(tie_heavy_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_tables(self, nt):
+        assert_matches_rows(nt)
+
+    @given(edge_aligned_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_row_max_on_a_bin_edge(self, nt):
+        assert fd_bin_width(nt.distances) == 1.0
+        assert_matches_rows(nt)
+
+    def test_negative_distance_rejected(self):
+        d = np.array([[-1.0, 2.0], [1.0, 2.0], [1.0, 3.0]])
+        nt = NeighborTable(distances=d, indices=np.array([[1, 2], [0, 2], [0, 1]]), k_max=2)
+        with pytest.raises(InputError):
+            compute_scales(nt)
