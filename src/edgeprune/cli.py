@@ -34,9 +34,9 @@ from .knn import NeighborTable, build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
 from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, graph_from_table,
-                     mutualize, save_graph)
+                     mutualize, n_components, save_graph)
 from .scale import LocalScales, build_histogram, compute_scales, fd_bin_width
-from .spectral import spectral_cluster
+from .spectral import embed_graph, kmeans
 
 _SEED_MOD = 2**64
 
@@ -168,77 +168,70 @@ def _summary_rows(rows: list[dict], metric_cols: list[str]) -> list[dict]:
     return out
 
 
-def _metric_row(repeat: int, seed: int, labels_true, result, graph) -> dict:
-    return {
-        "repeat": repeat,
-        "seed": seed,
-        "acc": acc(labels_true, result.labels),
-        "ari": ari(labels_true, result.labels),
-        "edge_pct": edge_percentage(graph),
-        "n_components": result.n_components,
-    }
-
-
 _METRIC_COLS = ["acc", "ari", "edge_pct", "n_components"]
+
+
+def _n_clusters(cfg: RunConfig, ps: PointSet) -> int:
+    n_clusters = cfg.clusters if cfg.clusters is not None else ps.n_classes
+    if n_clusters < 2:
+        raise InputError(f"need at least 2 clusters, got {n_clusters}")
+    return n_clusters
+
+
+def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
+                   n_clusters: int):
+    """Yield one metric row per seeded repeat; repeat i uses seed + i.
+
+    The embedding and the component count do not depend on the seed, so
+    they are computed once and only k-means runs per repeat.
+    """
+    emb = embed_graph(graph, n_clusters)
+    shared = {"edge_pct": edge_percentage(graph), "n_components": n_components(graph)}
+    for i in range(cfg.repeats):
+        seed_i = (cfg.seed + i) % _SEED_MOD
+        labels = kmeans(emb, n_clusters, seed_i).labels
+        yield {"repeat": i, "seed": seed_i, "acc": acc(truth, labels),
+               "ari": ari(truth, labels), **shared}
+
+
+def _cluster_and_write(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
+                       n_clusters: int, filename: str) -> list[dict]:
+    """Score every repeat on `graph`, print each, and write the metrics CSV."""
+    rows = []
+    total = tic = time.perf_counter()
+    for row in _score_repeats(cfg, truth, graph, n_clusters):
+        toc = time.perf_counter()
+        print(f"repeat {row['repeat']}: acc={row['acc']:.4f} ari={row['ari']:.4f} "
+              f"e%={row['edge_pct']:.4f} components={row['n_components']} "
+              f"wall={toc - tic:.3f}s")
+        rows.append(row)
+        tic = toc
+    print(f"total wall time: {time.perf_counter() - total:.3f}s")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / filename, cfg, ["repeat", "seed", *_METRIC_COLS],
+               rows + _summary_rows(rows, _METRIC_COLS))
+    print(f"wrote {out / filename}")
+    return rows
 
 
 def cmd_cluster(cfg: RunConfig) -> list[dict]:
     """Reduce, cluster and score `repeats` times with derived seeds."""
     ps = load_dataset(cfg)
     truth = _require_labels(ps)
-    n_clusters = cfg.clusters if cfg.clusters is not None else ps.n_classes
-    if n_clusters < 2:
-        raise InputError(f"need at least 2 clusters, got {n_clusters}")
-    k_max = _effective_k_max(cfg, ps)
+    n_clusters = _n_clusters(cfg, ps)
     # The graph ignores the seed and is identical for every repeat.
-    graph = build_reduced(ps, k_max, cfg.seventh_neighbor_scale)
-    rows = []
-    total = time.perf_counter()
-    for i in range(cfg.repeats):
-        seed_i = (cfg.seed + i) % _SEED_MOD
-        tic = time.perf_counter()
-        result = spectral_cluster(graph, n_clusters, seed_i)
-        wall = time.perf_counter() - tic
-        row = _metric_row(i, seed_i, truth, result, graph)
-        rows.append(row)
-        print(f"repeat {i}: acc={row['acc']:.4f} ari={row['ari']:.4f} "
-              f"e%={row['edge_pct']:.4f} components={row['n_components']} "
-              f"wall={wall:.3f}s")
-    print(f"total wall time: {time.perf_counter() - total:.3f}s")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    all_rows = rows + _summary_rows(rows, _METRIC_COLS)
-    _write_csv(out / "metrics.csv", cfg,
-               ["repeat", "seed", *_METRIC_COLS], all_rows)
-    print(f"wrote {out / 'metrics.csv'}")
-    return rows
+    graph = build_reduced(ps, _effective_k_max(cfg, ps), cfg.seventh_neighbor_scale)
+    return _cluster_and_write(cfg, truth, graph, n_clusters, "metrics.csv")
 
 
 def cmd_baseline_knn(cfg: RunConfig) -> list[dict]:
     """Mutual k-NN comparison foil: same metrics, no reduction step."""
     ps = load_dataset(cfg)
     truth = _require_labels(ps)
-    n_clusters = cfg.clusters if cfg.clusters is not None else ps.n_classes
-    if n_clusters < 2:
-        raise InputError(f"need at least 2 clusters, got {n_clusters}")
+    n_clusters = _n_clusters(cfg, ps)
     graph = build_baseline_knn(ps, cfg.baseline_k)
-    rows = []
-    for i in range(cfg.repeats):
-        seed_i = (cfg.seed + i) % _SEED_MOD
-        tic = time.perf_counter()
-        result = spectral_cluster(graph, n_clusters, seed_i)
-        wall = time.perf_counter() - tic
-        row = _metric_row(i, seed_i, truth, result, graph)
-        rows.append(row)
-        print(f"repeat {i}: acc={row['acc']:.4f} ari={row['ari']:.4f} "
-              f"e%={row['edge_pct']:.4f} wall={wall:.3f}s")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    all_rows = rows + _summary_rows(rows, _METRIC_COLS)
-    _write_csv(out / "baseline_metrics.csv", cfg,
-               ["repeat", "seed", *_METRIC_COLS], all_rows)
-    print(f"wrote {out / 'baseline_metrics.csv'}")
-    return rows
+    return _cluster_and_write(cfg, truth, graph, n_clusters, "baseline_metrics.csv")
 
 
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
@@ -254,16 +247,12 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         raise InputError("--param must be 'k-max' or 'baseline-k'")
     ps = load_dataset(cfg)
     truth = _require_labels(ps)
-    n_clusters = cfg.clusters if cfg.clusters is not None else ps.n_classes
+    n_clusters = _n_clusters(cfg, ps)
     rows: list[dict] = []
 
-    def run(graph, method, param, i):
-        seed_i = (cfg.seed + i) % _SEED_MOD
-        result = spectral_cluster(graph, n_clusters, seed_i)
-        return {"method": method, "param": param, "repeat": i,
-                "acc": acc(truth, result.labels),
-                "ari": ari(truth, result.labels),
-                "edge_pct": edge_percentage(graph)}
+    def run(graph, method, param):
+        return [{**r, "method": method, "param": param}
+                for r in _score_repeats(cfg, truth, graph, n_clusters)]
 
     # One table at the largest k the sweep needs; every grid point takes
     # its leading columns, which equal a table built at that k.
@@ -272,19 +261,17 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         for k in cfg.grid:
             table = nt.prefix(int(k))
             graph = graph_from_table(table, _table_scales(table, cfg.seventh_neighbor_scale))
-            for i in range(cfg.repeats):
-                rows.append(run(graph, "reduced", int(k), i))
+            rows.extend(run(graph, "reduced", int(k)))
             print(f"k_max={k}: done")
     else:
         k_max = _effective_k_max(cfg, ps)
         nt = build_knn(ps, max(k_max, *cfg.grid))
         table = nt.prefix(k_max)
         reduced = graph_from_table(table, _table_scales(table, cfg.seventh_neighbor_scale))
-        reduced_rows = [run(reduced, "reduced", 0, i) for i in range(cfg.repeats)]
+        reduced_rows = run(reduced, "reduced", 0)
         for k in cfg.grid:
             baseline = _mutual_knn(nt.prefix(int(k)))
-            for i in range(cfg.repeats):
-                rows.append(run(baseline, "baseline", int(k), i))
+            rows.extend(run(baseline, "baseline", int(k)))
             for r in reduced_rows:
                 rows.append({**r, "param": int(k)})
             print(f"baseline k={k}: done")
@@ -375,7 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", parents=[common],
                        help="build and save the reduced graph")
     p.add_argument("--similarity-histogram", action="store_true",
-                   help="also write the FD-binned histogram of all affinities")
+                   help="also write the FD-binned histogram of all affinities; "
+                        "these are the adaptive-scale affinities, also under "
+                        "--seventh-neighbor-scale")
 
     sub.add_parser("cluster", parents=[common, metric],
                    help="cluster the reduced graph and report ACC/ARI/E%")

@@ -1,9 +1,24 @@
-"""Exact brute-force k-nearest-neighbor tables.
+"""Exact k-nearest-neighbor tables: a Gram-identity screen, then exact re-ranking.
 
-Distances are Euclidean and computed from coordinate differences (not the
-expanded dot-product identity), so duplicate points get a distance of
-exactly zero. Ties are broken by the smaller point index, which makes the
-table deterministic.
+A table row is the k_max points closest to the row's point, sorted by
+(distance, index), with distances from the coordinate-difference form
+`sqrt(sum((x_p - x_q)**2))`. That form gives duplicate points a distance
+of exactly zero, and breaking ties by the smaller index makes the table
+deterministic.
+
+Computing that form for every pair costs an N x N x d difference tensor.
+Instead, `build_knn` screens each row with squared distances from the
+Gram identity (one matrix product per chunk of rows), keeps every point
+the screen cannot rule out, and evaluates the exact form on those
+candidates only. The screen's error bound is derived in `build_knn`; it
+guarantees the candidates contain the true first k_max, ties included,
+so the table is bit-for-bit the one the exact form gives on every pair.
+
+The product runs in numpy's own einsum loop, on the calling thread. A
+threaded BLAS product leaves its worker threads spinning on the other
+cores for about 0.1 s after each call, longer than the whole k-NN stage
+at a few thousand points, so the stages after it would run beside
+busy cores and their time would depend on what else the machine runs.
 """
 
 from __future__ import annotations
@@ -47,27 +62,90 @@ class NeighborTable:
 
 
 def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
-    """Exact k-NN by brute force, O(N^2 d).
+    """Exact k-NN: screen each row with Gram-identity distances, re-rank the survivors.
 
     Requires 1 <= k_max <= N - 1. Each row is sorted by (distance, index),
-    so equal distances keep the lower-index neighbor first.
+    so equal distances keep the lower-index neighbor first. The result is
+    bit-for-bit the table of the exact difference form over all pairs;
+    the cost is one (chunk x d) by (d x N) product per chunk of rows plus
+    the exact form on each row's candidates, which is the whole row only
+    when the screen's rounding bound swamps the row's distance gaps.
+
+    Exactness. Write u = 2**-53 (unit roundoff), c = x - mean(x) for the
+    centred coordinates, q_i = |c_i|^2, r_ij = |x_i - x_j|^2 in real
+    arithmetic, s_ij = fl(q_i + q_j - 2 c_i.c_j) for the screened value and
+    e_ij for the exact form's sum before its square root. With the
+    standard model fl(a op b) = (a op b)(1 + delta), |delta| <= u, and any
+    summation order (so any product kernel):
+      * screen: the norms and the dot product carry gamma_d (q_i + q_j),
+        each; the sum and the subtraction at most 3u (q_i + q_j), using
+        |c_i - c_j|^2 <= 2 (q_i + q_j); centring moves each coordinate
+        difference by at most u (|c_i| + |c_j|), which moves the squared
+        distance by at most 4u (q_i + q_j). So
+        |s_ij - r_ij| <= (2d + 7) u (q_i + q_j).
+      * exact form: one rounding each for the difference, the square and
+        the d - 1 additions of non-negative terms, so
+        |e_ij - r_ij| <= (d + 2) u r_ij <= (2d + 4) u (q_i + q_j).
+      * square root: it is correctly rounded and monotone, so
+        e_p > (1 + 4u + 8u^2) e_j implies sqrt(e_p) > sqrt(e_j) after
+        rounding; the 4u e_j margin is at most 8u (q_i + q_j).
+      * the threshold tests below add two roundings of values at most
+        about 2 (q_i + q_j): at most 4u (q_i + q_j) more.
+    The total is (4d + 23) u (q_i + q_j); the slack used is
+    E_ij = 4 (d + 6) u (Q_i + Q_j) with Q the computed norms (one extra u
+    covers Q against q and the second-order terms), plus (d + 4) times the
+    smallest normal number for gradual underflow, which the relative model
+    does not cover.
+    Let T be the k_max-th smallest value of s_ij + E_ij in row i, self
+    excluded. The k_max points j at or below T have exact sums below T
+    with room left for the square-root margin, and a point p with
+    s_ip - E_ip > T has an exact sum above T, so its rounded distance is
+    strictly above theirs: it cannot be among the first k_max, not even
+    through a tie broken by index. Every other point is a candidate. A
+    non-finite value (only from coordinates near the float range limit)
+    fails the test `s - E > T`, which makes the point, or the whole row, a
+    candidate. The bound assumes no finite intermediate overflows.
     """
     x = ps.points
-    n = x.shape[0]
+    n, dim = x.shape
     if not 1 <= k_max <= n - 1:
         raise InputError(f"k_max must be in [1, {n - 1}], got {k_max}")
 
+    c = x - x.mean(axis=0)
+    sq = (c * c).sum(axis=1)
+    ct = np.ascontiguousarray(c.T)  # (d, N): einsum's inner loop runs along N
+    coef = 4 * (dim + 6) * 2.0 ** -53
+    floor = (dim + 4) * np.finfo(np.float64).tiny
     distances = np.empty((n, k_max), dtype=np.float64)
     indices = np.empty((n, k_max), dtype=np.int64)
-    ids = np.arange(n)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        diff = x[start:stop, None, :] - x[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
         rows = np.arange(start, stop)
-        dist[rows - start, rows] = np.inf  # exclude self
-        order = np.lexsort((np.broadcast_to(ids, dist.shape), dist), axis=1)
-        take = order[:, :k_max]
-        indices[start:stop] = take
-        distances[start:stop] = np.take_along_axis(dist, take, axis=1)
+
+        # Screen: Gram-identity squared distances and their per-pair slack.
+        # einsum without `optimize` never calls BLAS (see the module docstring).
+        gram = np.einsum("ki,kj->ij", ct[:, start:stop], ct)
+        screen = sq[rows, None] + sq - 2.0 * gram
+        screen[rows - start, rows] = np.inf  # exclude self
+        slack = coef * (sq[rows, None] + sq) + floor
+        upper = screen + slack
+        upper.partition(k_max - 1, axis=1)
+        screen -= slack
+        keep = ~(screen > upper[:, k_max - 1, None])
+
+        # Pack each row's candidates left-aligned; pad with index n, which
+        # sorts after every real candidate, and there are at least k_max.
+        count = np.count_nonzero(keep, axis=1)
+        cand = np.full((stop - start, int(count.max())), n, dtype=np.int64)
+        cand[np.arange(cand.shape[1]) < count[:, None]] = np.flatnonzero(keep) % n
+
+        # Re-rank: the exact form over the contiguous last axis, as on all pairs.
+        diff = x.take(np.minimum(cand, n - 1), axis=0)
+        np.subtract(x[start:stop, None, :], diff, out=diff)
+        diff *= diff
+        dist = np.sqrt(diff.sum(axis=2))
+        dist[(cand == rows[:, None]) | (cand == n)] = np.inf
+        order = np.lexsort((cand, dist), axis=1)[:, :k_max]
+        indices[start:stop] = np.take_along_axis(cand, order, axis=1)
+        distances[start:stop] = np.take_along_axis(dist, order, axis=1)
     return NeighborTable(distances=distances, indices=indices, k_max=k_max)

@@ -24,8 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .knn import NeighborTable
+
+# Most bins a histogram may have. More come only from a bin width tiny
+# next to the values, and the histogram's arrays take about 32 bytes a
+# bin, so the count could exhaust memory.
+MAX_BINS = 2**24
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,11 @@ def fd_bin_width(values) -> float:
 
 def build_histogram(values, bin_width: float) -> Histogram:
     """Bin non-negative values into [0, w), [w, 2w), ... with the last bin
-    closed on the right."""
+    closed on the right.
+
+    Raises NumericError, before allocating any bin, when the values would
+    need more than MAX_BINS bins.
+    """
     if bin_width <= 0 or not math.isfinite(bin_width):
         raise InputError(f"bin width must be positive, got {bin_width}")
     v = np.asarray(values, dtype=np.float64).ravel()
@@ -82,7 +91,11 @@ def build_histogram(values, bin_width: float) -> Histogram:
         raise InputError("histogram needs at least one value")
     if np.any(v < 0):
         raise InputError("histogram values must be non-negative")
-    nbins = max(1, math.ceil(float(v.max()) / bin_width))
+    span = float(v.max()) / bin_width
+    if not span <= MAX_BINS:
+        raise NumericError(f"histogram would need {span:.3g} bins of width {bin_width:.3g}, "
+                           f"more than {MAX_BINS}")
+    nbins = max(1, math.ceil(span))
     idx = np.minimum((v // bin_width).astype(np.int64), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)
     edges = np.arange(nbins + 1, dtype=np.float64) * bin_width
@@ -118,7 +131,8 @@ def local_scale_row(row_distances, bin_width: float) -> tuple[float, int]:
     the row, or to the bin width when every distance is zero.
 
     This is the per-row reference that `compute_scales` reproduces
-    bit-for-bit on every row of a table.
+    bit-for-bit on every row of a table. A row that would need more than
+    MAX_BINS bins raises NumericError here.
     """
     row = np.asarray(row_distances, dtype=np.float64).ravel()
     if row.size == 0:
@@ -149,7 +163,9 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
     are non-decreasing, so its occupied bins are the runs of equal bin
     index. An empty bin can never exceed its non-negative smoothed value,
     so only runs are tested for a spike. The result equals
-    `local_scale_row(nt.distances[p], width)` for every row p.
+    `local_scale_row(nt.distances[p], width)` for every row p that the
+    reference can histogram; no bins are allocated here, so rows above
+    MAX_BINS bins are scaled too.
     """
     d = nt.distances
     width = fd_bin_width(d)

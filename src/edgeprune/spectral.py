@@ -10,7 +10,7 @@ picked by strict inertia comparison.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +19,7 @@ import scipy.sparse.linalg
 
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
-from .reduce import ReducedGraph, component_labels
+from .reduce import ReducedGraph, n_components
 
 # Above this size the dense symmetric solver gives way to an iterative
 # smallest-eigenpair method.
@@ -191,12 +191,18 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed, restarts: int = 10) -> Clu
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
+def embed_graph(g: ReducedGraph, n_clusters: int) -> Embedding:
+    """Spectral coordinates of a reduced graph: its Laplacian, embedded.
+
+    This is the seed-independent half of `spectral_cluster`; callers that
+    cluster one graph under several seeds embed it once and run `kmeans`
+    per seed.
+    """
+    return embed(laplacian(g, sparse=g.n > DENSE_EIG_LIMIT), n_clusters)
+
+
 def spectral_cluster(g: ReducedGraph, n_clusters: int, seed: Seed,
                      restarts: int = 10) -> ClusterResult:
     """Cluster a reduced graph: Laplacian -> embedding -> seeded k-means."""
-    lap = laplacian(g, sparse=g.n > DENSE_EIG_LIMIT)
-    emb = embed(lap, n_clusters)
-    result = kmeans(emb, n_clusters, seed, restarts)
-    comps = int(component_labels(g).max()) + 1
-    return ClusterResult(labels=result.labels, inertia=result.inertia,
-                         n_components=comps, collapsed=result.collapsed)
+    result = kmeans(embed_graph(g, n_clusters), n_clusters, seed, restarts)
+    return replace(result, n_components=n_components(g))

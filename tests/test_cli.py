@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeprune import (InputError, affinity_rows, build_histogram, build_knn,
-                       compute_scales, fd_bin_width, gen_synthetic, save_csv)
+from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
+                       build_histogram, build_knn, compute_scales, fd_bin_width,
+                       gen_synthetic, save_csv, spectral_cluster)
 from edgeprune import cli
-from edgeprune.cli import (RunConfig, build_baseline_knn, cmd_cluster, cmd_sweep,
-                           main, parse_synthetic_spec)
+from edgeprune.cli import (RunConfig, build_baseline_knn, build_reduced, cmd_cluster,
+                           cmd_sweep, main, parse_synthetic_spec)
 
 BLOBS = "blobs:clusters=3,size=40,separation=15,spread=1"
 
@@ -109,6 +114,21 @@ class TestClusterCommand:
         rows = cmd_cluster(cfg)
         assert rows[0]["acc"] == 1.0
 
+
+    def test_embeds_once_and_matches_spectral_cluster(self, tmp_path, monkeypatch):
+        embeds = count_calls(monkeypatch, "embed_graph")
+        kmeans = count_calls(monkeypatch, "kmeans")
+        assert main(["cluster", "--synthetic", BLOBS, "--seed", "7", "--repeats", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert len(embeds) == 1 and len(kmeans) == 3
+        # Each repeat equals a full spectral_cluster run at its seed.
+        ps = gen_synthetic("blobs", parse_synthetic_spec(BLOBS)[1], seed=7)
+        graph = build_reduced(ps, 50)
+        for i, row in enumerate(read_rows(tmp_path / "metrics.csv")[:3]):
+            result = spectral_cluster(graph, 3, 7 + i)
+            assert row["acc"] == repr(acc(ps.labels, result.labels))
+            assert row["ari"] == repr(ari(ps.labels, result.labels))
+            assert row["n_components"] == str(result.n_components)
 
 class TestSweepCommand:
     def test_grid_of_one_matches_cluster(self, tmp_path):
@@ -214,6 +234,13 @@ class TestBaselineCommand:
         assert np.all(g.weight == 1.0)
 
 
+    def test_embeds_once(self, tmp_path, monkeypatch):
+        embeds = count_calls(monkeypatch, "embed_graph")
+        assert main(["baseline-knn", "--synthetic", BLOBS, "--repeats", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert len(embeds) == 1
+        assert len(read_rows(tmp_path / "baseline_metrics.csv")) == 4 + 2
+
 class TestReduceAndPairsCommands:
     def test_reduce_writes_graph_and_histogram(self, tmp_path):
         code = main(["reduce", "--synthetic", BLOBS, "--out", str(tmp_path),
@@ -243,6 +270,17 @@ class TestReduceAndPairsCommands:
         assert lines == [f"{hist.edges[i]!r},{hist.edges[i + 1]!r},{c}"
                          for i, c in enumerate(hist.counts.tolist())]
 
+    def test_histogram_bin_limit_exits_3(self, tmp_path):
+        # A near-regular simplex: every affinity is exp(-1) to within 1e-12,
+        # so the Freedman-Diaconis width asks for about 1e12 bins.
+        rng = np.random.default_rng(0)
+        save_csv(PointSet(np.eye(12) + 1e-12 * rng.standard_normal((12, 12))),
+                 tmp_path / "simplex.csv")
+        assert main(["reduce", "--input", str(tmp_path / "simplex.csv"),
+                     "--similarity-histogram", "--out", str(tmp_path)]) == 3
+        assert (tmp_path / "graph.txt").exists()
+        assert not (tmp_path / "similarity_histogram.csv").exists()
+
     def test_pairs_builds_one_table(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, "build_knn")
         assert main(["pairs", "--synthetic", BLOBS, "--k-max", "10",
@@ -261,3 +299,13 @@ class TestReduceAndPairsCommands:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def test_module_entry_point():
+    # `python -m edgeprune` from a source checkout, without installing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "edgeprune", "--version"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"edgeprune {__version__}"

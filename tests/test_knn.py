@@ -1,3 +1,6 @@
+import resource
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,62 @@ def allpairs_oracle(points, k):
     np.fill_diagonal(dist, np.inf)
     idx = np.lexsort((np.tile(np.arange(n), (n, 1)), dist), axis=1)[:, :k]
     return np.take_along_axis(dist, idx, axis=1), idx
+
+
+def assert_matches_oracle(ps, k):
+    """build_knn equals the all-pairs oracle bit for bit: indices and distance bytes."""
+    nt = build_knn(ps, k)
+    dist, idx = allpairs_oracle(ps.points, k)
+    assert nt.indices.tobytes() == idx.tobytes()
+    assert nt.distances.tobytes() == dist.tobytes()
+
+
+@st.composite
+def screen_hard_points(draw):
+    """Point sets where the distance screen's rounding is large next to the
+    distance gaps it has to resolve.
+
+    Either tie-heavy 2-D sets (exact ties, duplicates), a common offset of
+    1e8 plus unit noise (the Gram identity on raw coordinates would cancel
+    away every digit), or a 1e-6 cluster beside 1e6 outliers (the cluster
+    sits far from the mean, so its screened values are pure rounding);
+    dimension 1 to 64.
+    """
+    kind = draw(st.sampled_from(["ties", "offset", "mixed"]))
+    if kind == "ties":
+        return draw(tie_heavy_points())
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "offset":
+        return PointSet(1e8 + rng.standard_normal((n, d)))
+    outliers = 1e6 * rng.standard_normal((draw(st.integers(1, 4)), d))
+    return PointSet(np.vstack([1e-6 * rng.standard_normal((n, d)), outliers]))
+
+
+@given(screen_hard_points(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_matches_oracle_bit_for_bit(ps, data):
+    assert_matches_oracle(ps, data.draw(st.integers(1, ps.n - 1)))
+
+
+@pytest.mark.parametrize("k", [1, 12, 299])
+def test_matches_oracle_across_chunks(k):
+    # N = 700 spans three chunks of rows; duplicates and a lattice give
+    # exact ties, and the far block makes the screen coarse for the rest.
+    rng = np.random.default_rng(5)
+    lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+    points = np.vstack([lattice, lattice[:40], 1e-3 * rng.standard_normal((300, 3)),
+                        1e5 + rng.standard_normal((144, 3))])
+    assert_matches_oracle(PointSet(points), k)
+
+
+def test_matches_oracle_when_squares_overflow():
+    # Squared norms overflow, so every screened value is non-finite and each
+    # row falls back to all its points; the near pairs still rank exactly.
+    points = np.array([[0.0], [1.0], [3.0], [1e200], [-1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_oracle(PointSet(points), 3)
 
 
 def test_collinear_hand_case():
@@ -44,10 +103,7 @@ def test_tie_broken_by_smaller_index():
 
 def test_matches_allpairs_oracle_on_blobs():
     ps = gen_synthetic("blobs", {"clusters": 3, "size": 50, "separation": 8.0}, seed=7)
-    nt = build_knn(ps, 20)
-    dist, idx = allpairs_oracle(ps.points, 20)
-    assert np.array_equal(nt.indices, idx)
-    assert np.array_equal(nt.distances, dist)
+    assert_matches_oracle(ps, 20)
 
 
 def test_row_invariants():
@@ -68,6 +124,21 @@ def test_determinism():
     b = build_knn(ps, 10)
     assert np.array_equal(a.distances, b.distances)
     assert np.array_equal(a.indices, b.indices)
+
+
+def test_leaves_no_threads_busy_after_return():
+    # A threaded BLAS product keeps its worker threads spinning for about
+    # 0.1 s after each call; the screen must leave the process idle.
+    def cpu_s():
+        r = resource.getrusage(resource.RUSAGE_SELF)
+        return r.ru_utime + r.ru_stime
+
+    points = np.random.default_rng(2).standard_normal((1200, 8))
+    time.sleep(0.5)  # let threads started by earlier tests go idle
+    build_knn(PointSet(points), 50)
+    before = cpu_s()
+    time.sleep(0.3)
+    assert cpu_s() - before < 0.05
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, 100])

@@ -6,16 +6,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import tie_heavy_tables
-from edgeprune import (InputError, NeighborTable, PointSet, build_histogram, build_knn,
-                       compute_scales, fd_bin_width, gen_synthetic,
+from edgeprune import (InputError, NeighborTable, NumericError, PointSet, build_histogram,
+                       build_knn, compute_scales, fd_bin_width, gen_synthetic,
                        local_scale_row, mwa_smooth)
+from edgeprune import scale
 
 
 def assert_matches_rows(nt):
-    """compute_scales equals local_scale_row on every row, bit for bit."""
+    """compute_scales equals local_scale_row on every row, bit for bit.
+
+    A row whose histogram would need more than MAX_BINS bins is refused by
+    the per-row reference with NumericError; compute_scales never builds
+    the empty bins and still scales it.
+    """
     ls = compute_scales(nt)
     width = fd_bin_width(nt.distances)
     for p in range(nt.n):
+        if nt.distances[p].max() / width > scale.MAX_BINS:
+            with pytest.raises(NumericError):
+                local_scale_row(nt.distances[p], width)
+            continue
         sigma, k = local_scale_row(nt.distances[p], width)
         assert ls.kth[p] == k, p
         assert ls.sigma[p] == sigma, p
@@ -67,6 +77,17 @@ class TestHistogram:
     def test_bad_width_rejected(self):
         with pytest.raises(InputError):
             build_histogram([1.0], 0.0)
+
+    def test_bin_limit_is_checked_before_allocating(self):
+        # 1e12 bins of 8 bytes would not fit in memory.
+        with pytest.raises(NumericError):
+            build_histogram([0.0, 1.0], 1e-12)
+
+    def test_bin_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(scale, "MAX_BINS", 4)
+        assert build_histogram([4.0], 1.0).counts.tolist() == [0, 0, 0, 1]
+        with pytest.raises(NumericError):
+            build_histogram([4.5], 1.0)
 
 
 class TestMwa:
