@@ -8,6 +8,11 @@ Subcommands:
   sweep         re-run the pipeline over a parameter grid (long-format CSV)
   baseline-knn  mutual unweighted k-NN graph as a comparison foil
 
+The reducing commands share one table-to-graph step, `_reduced`, which
+also makes the one choice between the adaptive and the seventh-neighbor
+scale. `baseline-knn` is `cluster` on the mutual k-NN graph, written to
+its own file.
+
 Every command is deterministic for a fixed configuration; repeat i uses
 seed + i. Output CSVs start with a '# {...}' config echo line so a
 result file identifies the run that produced it. Wall-clock timings go
@@ -111,25 +116,25 @@ def _effective_k_max(cfg: RunConfig, ps: PointSet) -> int:
     return cfg.k_max if cfg.k_max is not None else min(ps.n - 1, DEFAULT_K_MAX)
 
 
-def _table_scales(nt: NeighborTable, seventh_neighbor: bool) -> LocalScales:
-    """Adaptive local scales, or the fixed seventh-neighbor distance.
+def _reduced(nt: NeighborTable, seventh_neighbor: bool) -> tuple[ReducedGraph, LocalScales]:
+    """The reduced graph of a table, and the local scales it was built with.
 
-    The seventh-neighbor variant replaces the adaptive per-point scale
-    with the distance to the 7th neighbor (a legacy heuristic, kept for
-    comparison runs only).
+    The scales are adaptive, or with `seventh_neighbor` the distance to
+    the 7th neighbor (a legacy heuristic, kept for comparison runs only).
     """
-    if not seventh_neighbor:
-        return compute_scales(nt)
-    col = min(7, nt.k_max) - 1
-    sigma = nt.distances[:, col].copy()
-    sigma[sigma <= 0] = fd_bin_width(nt.distances)
-    return LocalScales(sigma=sigma, kth=np.full(nt.n, col + 1, dtype=np.int64))
+    if seventh_neighbor:
+        col = min(7, nt.k_max) - 1
+        sigma = nt.distances[:, col].copy()
+        sigma[sigma <= 0] = fd_bin_width(nt.distances)
+        scales = LocalScales(sigma=sigma, kth=np.full(nt.n, col + 1, dtype=np.int64))
+    else:
+        scales = compute_scales(nt)
+    return graph_from_table(nt, scales), scales
 
 
 def build_reduced(ps: PointSet, k_max: int, seventh_neighbor: bool = False) -> ReducedGraph:
     """Pipeline graph; optionally with the fixed seventh-neighbor scale."""
-    nt = build_knn(ps, k_max)
-    return graph_from_table(nt, _table_scales(nt, seventh_neighbor))
+    return _reduced(build_knn(ps, k_max), seventh_neighbor)[0]
 
 
 def _mutual_knn(nt: NeighborTable) -> ReducedGraph:
@@ -194,9 +199,21 @@ def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
                "ari": ari(truth, labels), **shared}
 
 
-def _cluster_and_write(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
-                       n_clusters: int, filename: str) -> list[dict]:
-    """Score every repeat on `graph`, print each, and write the metrics CSV."""
+def cmd_cluster(cfg: RunConfig) -> list[dict]:
+    """Cluster and score `repeats` times with derived seeds.
+
+    `cluster` scores the reduced graph; `baseline-knn` scores the mutual
+    k-NN comparison foil with the same metrics and no reduction step.
+    """
+    ps = load_dataset(cfg)
+    truth = _require_labels(ps)
+    n_clusters = _n_clusters(cfg, ps)
+    # The graph ignores the seed and is identical for every repeat.
+    if cfg.command == "baseline-knn":
+        graph, filename = build_baseline_knn(ps, cfg.baseline_k), "baseline_metrics.csv"
+    else:
+        graph = build_reduced(ps, _effective_k_max(cfg, ps), cfg.seventh_neighbor_scale)
+        filename = "metrics.csv"
     rows = []
     total = tic = time.perf_counter()
     for row in _score_repeats(cfg, truth, graph, n_clusters):
@@ -213,25 +230,6 @@ def _cluster_and_write(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
                rows + _summary_rows(rows, _METRIC_COLS))
     print(f"wrote {out / filename}")
     return rows
-
-
-def cmd_cluster(cfg: RunConfig) -> list[dict]:
-    """Reduce, cluster and score `repeats` times with derived seeds."""
-    ps = load_dataset(cfg)
-    truth = _require_labels(ps)
-    n_clusters = _n_clusters(cfg, ps)
-    # The graph ignores the seed and is identical for every repeat.
-    graph = build_reduced(ps, _effective_k_max(cfg, ps), cfg.seventh_neighbor_scale)
-    return _cluster_and_write(cfg, truth, graph, n_clusters, "metrics.csv")
-
-
-def cmd_baseline_knn(cfg: RunConfig) -> list[dict]:
-    """Mutual k-NN comparison foil: same metrics, no reduction step."""
-    ps = load_dataset(cfg)
-    truth = _require_labels(ps)
-    n_clusters = _n_clusters(cfg, ps)
-    graph = build_baseline_knn(ps, cfg.baseline_k)
-    return _cluster_and_write(cfg, truth, graph, n_clusters, "baseline_metrics.csv")
 
 
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
@@ -259,15 +257,13 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     if cfg.param == "k-max":
         nt = build_knn(ps, max(cfg.grid))
         for k in cfg.grid:
-            table = nt.prefix(int(k))
-            graph = graph_from_table(table, _table_scales(table, cfg.seventh_neighbor_scale))
+            graph, _ = _reduced(nt.prefix(int(k)), cfg.seventh_neighbor_scale)
             rows.extend(run(graph, "reduced", int(k)))
             print(f"k_max={k}: done")
     else:
         k_max = _effective_k_max(cfg, ps)
         nt = build_knn(ps, max(k_max, *cfg.grid))
-        table = nt.prefix(k_max)
-        reduced = graph_from_table(table, _table_scales(table, cfg.seventh_neighbor_scale))
+        reduced, _ = _reduced(nt.prefix(k_max), cfg.seventh_neighbor_scale)
         reduced_rows = run(reduced, "reduced", 0)
         for k in cfg.grid:
             baseline = _mutual_knn(nt.prefix(int(k)))
@@ -289,8 +285,7 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
     ps = load_dataset(cfg)
     k_max = _effective_k_max(cfg, ps)
     nt = build_knn(ps, k_max)
-    scales = _table_scales(nt, cfg.seventh_neighbor_scale)
-    graph = graph_from_table(nt, scales)
+    graph, scales = _reduced(nt, cfg.seventh_neighbor_scale)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_graph(graph, out / "graph.txt", k_max=k_max, seed=cfg.seed)
@@ -303,11 +298,10 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
             scales = compute_scales(nt)
         values = affinity_rows(nt, scales).ravel()
         hist = build_histogram(values, fd_bin_width(values))
-        with open(out / "similarity_histogram.csv", "w", encoding="utf-8") as fh:
-            fh.write("# " + json.dumps(cfg.echo(), sort_keys=True) + "\n")
-            fh.write("bin_lo,bin_hi,count\n")
-            for i, count in enumerate(hist.counts.tolist()):
-                fh.write(f"{hist.edges[i]!r},{hist.edges[i + 1]!r},{count}\n")
+        edges = hist.edges.tolist()
+        _write_csv(out / "similarity_histogram.csv", cfg, ["bin_lo", "bin_hi", "count"],
+                   [{"bin_lo": lo, "bin_hi": hi, "count": count}
+                    for lo, hi, count in zip(edges, edges[1:], hist.counts.tolist())])
         print(f"wrote {out / 'similarity_histogram.csv'}")
     return graph
 
@@ -315,9 +309,8 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
 def cmd_pairs(cfg: RunConfig):
     """Export positive/negative pairs from the reduced graph."""
     ps = load_dataset(cfg)
-    k_max = _effective_k_max(cfg, ps)
-    nt = build_knn(ps, k_max)
-    graph = graph_from_table(nt, _table_scales(nt, cfg.seventh_neighbor_scale))
+    nt = build_knn(ps, _effective_k_max(cfg, ps))
+    graph, _ = _reduced(nt, cfg.seventh_neighbor_scale)
     pair_set = export_pairs(graph, nt, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -336,30 +329,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    # An option left off the command line is left off the namespace too,
+    # so RunConfig's field defaults are the only defaults.
+    unset = {"argument_default": argparse.SUPPRESS}
+    common = argparse.ArgumentParser(add_help=False, **unset)
     src = common.add_argument_group("input")
-    src.add_argument("--input", help="CSV file of points (one row per point)")
+    src.add_argument("--input", dest="input_path", metavar="INPUT",
+                     help="CSV file of points (one row per point)")
     src.add_argument("--synthetic",
                      help="synthetic spec, e.g. blobs or circles:radii=1+3,size=200")
-    src.add_argument("--label-column", type=int, default=None,
+    src.add_argument("--label-column", type=int,
                      help="0-based CSV column holding class labels")
-    common.add_argument("--k-max", type=int, default=None,
+    common.add_argument("--k-max", type=int,
                         help="neighbors per point fed to the reduction "
                              "(default min(N-1, 50))")
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--seed", type=int, help="base random seed")
+    common.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     common.add_argument("--seventh-neighbor-scale", action="store_true",
                         help="comparison mode: use the fixed 7th-neighbor "
                              "distance as each point's scale instead of the "
                              "adaptive estimate")
 
-    metric = argparse.ArgumentParser(add_help=False)
-    metric.add_argument("--clusters", type=int, default=None,
+    metric = argparse.ArgumentParser(add_help=False, **unset)
+    metric.add_argument("--clusters", type=int,
                         help="number of clusters (default: class count of input)")
-    metric.add_argument("--repeats", type=int, default=1,
+    metric.add_argument("--repeats", type=int,
                         help="number of seeded repeats (default 1)")
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[common], **unset,
                        help="build and save the reduced graph")
     p.add_argument("--similarity-histogram", action="store_true",
                    help="also write the FD-binned histogram of all affinities; "
@@ -367,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "--seventh-neighbor-scale")
 
     sub.add_parser("cluster", parents=[common, metric],
-                   help="cluster the reduced graph and report ACC/ARI/E%")
+                   help="cluster the reduced graph and report ACC/ARI/E%%")
 
     sub.add_parser("pairs", parents=[common],
                    help="export positive/negative pairs as JSON lines")
@@ -378,39 +375,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help="comma-separated integer grid, e.g. 2,4,8,16")
 
-    p = sub.add_parser("baseline-knn", parents=[common, metric],
+    p = sub.add_parser("baseline-knn", parents=[common, metric], **unset,
                        help="mutual unweighted k-NN comparison run")
-    p.add_argument("--baseline-k", type=int, default=2,
+    p.add_argument("--baseline-k", type=int,
                    help="k of the mutual k-NN baseline graph (default 2)")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    grid: list[int] = []
-    if getattr(args, "grid", None):
+    """RunConfig from the parsed options; every option's dest is a field."""
+    values = dict(vars(args))
+    if "grid" in values:
         try:
-            grid = [int(v) for v in str(args.grid).split(",") if v.strip()]
+            values["grid"] = [int(v) for v in args.grid.split(",") if v.strip()]
         except ValueError as exc:
             raise InputError(f"bad --grid {args.grid!r}: {exc}") from exc
-    repeats = getattr(args, "repeats", 1)
-    if repeats < 1:
+    cfg = RunConfig(**values)
+    if cfg.repeats < 1:
         raise InputError("--repeats must be >= 1")
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        synthetic=args.synthetic,
-        label_column=args.label_column,
-        k_max=args.k_max,
-        clusters=getattr(args, "clusters", None),
-        seed=check_seed(args.seed),
-        repeats=repeats,
-        out_dir=args.out,
-        baseline_k=getattr(args, "baseline_k", 2),
-        param=getattr(args, "param", None),
-        grid=grid,
-        seventh_neighbor_scale=args.seventh_neighbor_scale,
-        similarity_histogram=getattr(args, "similarity_histogram", False),
-    )
+    cfg.seed = check_seed(cfg.seed)
+    return cfg
 
 
 _DISPATCH = {
@@ -418,7 +402,7 @@ _DISPATCH = {
     "cluster": cmd_cluster,
     "pairs": cmd_pairs,
     "sweep": cmd_sweep,
-    "baseline-knn": cmd_baseline_knn,
+    "baseline-knn": cmd_cluster,
 }
 
 

@@ -82,11 +82,6 @@ class ReducedGraph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n)
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        a[self.src, self.dst] = self.weight
-        return a
-
     def to_sparse(self):
         from scipy.sparse import csr_matrix
 
@@ -134,11 +129,6 @@ def threshold_row(row) -> tuple[np.ndarray, RowThreshold]:
     return kept, RowThreshold(mu=mu, sd=sd, t=t, branch=branch)
 
 
-def _lexsorted(src, dst, weight):
-    order = np.lexsort((dst, src))
-    return src[order], dst[order], weight[order]
-
-
 def mutualize(n: int, src, dst, weight) -> ReducedGraph:
     """Keep a directed survivor (p, q) only when (q, p) also survived.
 
@@ -153,14 +143,14 @@ def mutualize(n: int, src, dst, weight) -> ReducedGraph:
         raise InputError("mutualize: survivor arrays must have equal length")
     if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise InputError("mutualize: vertex id out of range")
-    keep = src != dst  # drop self-loops defensively
-    src, dst, weight = src[keep], dst[keep], weight[keep]
-    key = src * n + dst
-    mutual = np.isin(key, dst * n + src)
-    m_src, m_dst, m_w = _lexsorted(src[mutual], dst[mutual], weight[mutual])
-    d_src, d_dst, d_w = _lexsorted(src, dst, weight)
-    return ReducedGraph(n=n, src=m_src, dst=m_dst, weight=m_w,
-                        directed_src=d_src, directed_dst=d_dst, directed_weight=d_w)
+    keep = np.flatnonzero(src != dst)  # drop self-loops defensively
+    # One stable sort of the directed survivors; the mutual edges are a
+    # subset of them and so come out sorted too.
+    order = keep[np.lexsort((dst[keep], src[keep]))]
+    src, dst, weight = src[order], dst[order], weight[order]
+    mutual = np.isin(src * n + dst, dst * n + src)
+    return ReducedGraph(n=n, src=src[mutual], dst=dst[mutual], weight=weight[mutual],
+                        directed_src=src, directed_dst=dst, directed_weight=weight)
 
 
 def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):

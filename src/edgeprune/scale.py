@@ -165,14 +165,20 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
     so only runs are tested for a spike. The result equals
     `local_scale_row(nt.distances[p], width)` for every row p that the
     reference can histogram; no bins are allocated here, so rows above
-    MAX_BINS bins are scaled too.
+    MAX_BINS bins are scaled too. A row whose bin count does not fit in
+    int64 (a width below 2**-63 of the row maximum) raises NumericError.
     """
     d = nt.distances
     width = fd_bin_width(d)
     if d.min() < 0:
         raise InputError("compute_scales: distances must be non-negative")
     n, k_max = d.shape
-    nbins = np.maximum(np.ceil(d.max(axis=1) / width).astype(np.int64), 1)
+    with np.errstate(over="ignore"):  # an infinite span is refused below
+        span = d.max(axis=1) / width
+    if not np.all(span < 2.0**63):
+        raise NumericError(f"compute_scales: a row spans {span.max():.3g} bins of width "
+                           f"{width:.3g}, more than int64 can count")
+    nbins = np.maximum(np.ceil(span).astype(np.int64), 1)
     bins = np.minimum((d // width).astype(np.int64), nbins[:, None] - 1).ravel()
 
     # Runs of equal bin index within a row, in row-major order.

@@ -53,7 +53,9 @@ def laplacian(g: ReducedGraph, sparse: bool = False):
     that keeps the zero-eigenvalue multiplicity equal to the number of
     connected components, singletons included. The matrix is exactly
     symmetric: the scaling factor for the (p, q) entry is the product
-    d_p * d_q, identical in both orders.
+    d_p * d_q, identical in both orders. It is built as CSR, where
+    repeated ordered pairs add up as they do in the degrees; sparse=False
+    returns that matrix densified.
     """
     deg = np.zeros(g.n, dtype=np.float64)
     np.add.at(deg, g.src, g.weight)
@@ -61,29 +63,24 @@ def laplacian(g: ReducedGraph, sparse: bool = False):
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     scale = inv_sqrt[g.src] * inv_sqrt[g.dst]
-    diag = np.where(nz, 1.0, 0.0)
-    if sparse:
-        n = g.n
-        off = scipy.sparse.csr_matrix((scale * g.weight, (g.src, g.dst)), shape=(n, n))
-        return scipy.sparse.diags(diag, format="csr") - off
-    lap = np.diag(diag)
-    lap[g.src, g.dst] -= scale * g.weight
-    return lap
+    off = scipy.sparse.csr_matrix((scale * g.weight, (g.src, g.dst)), shape=(g.n, g.n))
+    lap = scipy.sparse.diags(np.where(nz, 1.0, 0.0), format="csr") - off
+    return lap if sparse else lap.toarray()
 
 
 def embed(lap, n_clusters: int) -> Embedding:
     """Eigenvectors of the C smallest eigenvalues, rows normalized to unit length.
 
     Rows whose norm is numerically zero (isolated vertices) are left zero
-    and reported in `zero_rows`.
+    and reported in `zero_rows`. `lap` may be dense or sparse: up to
+    DENSE_EIG_LIMIT vertices it is solved densely, above it by LOBPCG.
     """
     n = lap.shape[0]
     if not 2 <= n_clusters <= n:
         raise InputError(f"cluster count must be in [2, {n}], got {n_clusters}")
-    if scipy.sparse.issparse(lap) and n <= DENSE_EIG_LIMIT:
-        lap = lap.toarray()
     if n <= DENSE_EIG_LIMIT:
-        vals, vecs = scipy.linalg.eigh(np.asarray(lap), subset_by_index=[0, n_clusters - 1])
+        dense = lap.toarray() if scipy.sparse.issparse(lap) else np.asarray(lap)
+        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, n_clusters - 1])
     else:
         vals, vecs = _iterative_smallest(lap, n_clusters)
     if vals[0] < -1e-9:
@@ -198,7 +195,7 @@ def embed_graph(g: ReducedGraph, n_clusters: int) -> Embedding:
     cluster one graph under several seeds embed it once and run `kmeans`
     per seed.
     """
-    return embed(laplacian(g, sparse=g.n > DENSE_EIG_LIMIT), n_clusters)
+    return embed(laplacian(g, sparse=True), n_clusters)
 
 
 def spectral_cluster(g: ReducedGraph, n_clusters: int, seed: Seed,

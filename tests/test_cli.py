@@ -267,8 +267,11 @@ class TestReduceAndPairsCommands:
         values = affinity_rows(nt, compute_scales(nt)).ravel()
         hist = build_histogram(values, fd_bin_width(values))
         lines = (tmp_path / "similarity_histogram.csv").read_text().splitlines()[2:]
-        assert lines == [f"{hist.edges[i]!r},{hist.edges[i + 1]!r},{c}"
-                         for i, c in enumerate(hist.counts.tolist())]
+        edges = hist.edges.tolist()
+        assert lines == [f"{lo!r},{hi!r},{c}"
+                         for lo, hi, c in zip(edges, edges[1:], hist.counts.tolist())]
+        # Plain numbers, not numpy scalar reprs such as 'np.float64(0.1)'.
+        assert all(float(v) >= 0 for line in lines for v in line.split(","))
 
     def test_histogram_bin_limit_exits_3(self, tmp_path):
         # A near-regular simplex: every affinity is exp(-1) to within 1e-12,
@@ -299,6 +302,20 @@ class TestReduceAndPairsCommands:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_help_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "report ACC/ARI/E%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["reduce"], ["cluster"], ["pairs"], ["baseline-knn"],
+                                  ["sweep", "--param", "k-max", "--grid", "2,4"]])
+def test_unset_options_take_the_config_defaults(argv):
+    args = cli._build_parser().parse_args(argv + ["--synthetic", BLOBS])
+    extra = {"param": "k-max", "grid": [2, 4]} if argv[0] == "sweep" else {}
+    assert cli._config_from_args(args) == RunConfig(command=argv[0], synthetic=BLOBS, **extra)
 
 
 def test_module_entry_point():

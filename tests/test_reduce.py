@@ -171,7 +171,41 @@ class TestGraphFromTable:
             assert np.array_equal(got, want)
 
 
+def mutualize_two_sorts(n, src, dst, weight):
+    """Reference: the mutual edges and the directed survivors, each sorted
+    on its own (mutualize before it sorted once and took a subset)."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight, dtype=np.float64)
+    keep = src != dst
+    src, dst, weight = src[keep], dst[keep], weight[keep]
+    mutual = np.isin(src * n + dst, dst * n + src)
+
+    def lexsorted(s, d, w):
+        order = np.lexsort((d, s))
+        return s[order], d[order], w[order]
+
+    return lexsorted(src[mutual], dst[mutual], weight[mutual]), lexsorted(src, dst, weight)
+
+
 class TestMutualize:
+    @given(st.integers(1, 25), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_sort_reference(self, n, data):
+        # Few vertices and many edges give duplicate directed edges with
+        # different weights and self-loops; many vertices leave some isolated.
+        m = data.draw(st.integers(0, 60))
+        ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+        src = np.array(data.draw(ids), dtype=np.int64)
+        dst = np.array(data.draw(ids), dtype=np.int64)
+        weight = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        g = mutualize(n, src, dst, weight)
+        mutual, directed = mutualize_two_sorts(n, src, dst, weight)
+        got = ((g.src, g.dst, g.weight), (g.directed_src, g.directed_dst, g.directed_weight))
+        for got_arrays, want_arrays in zip(got, (mutual, directed)):
+            for a, b in zip(got_arrays, want_arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_symmetric_input_is_idempotent(self):
         pairs = [(0, 1), (1, 0), (1, 2), (2, 1)]
         g = graph_from_pairs(3, pairs)

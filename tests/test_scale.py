@@ -17,18 +17,27 @@ def assert_matches_rows(nt):
 
     A row whose histogram would need more than MAX_BINS bins is refused by
     the per-row reference with NumericError; compute_scales never builds
-    the empty bins and still scales it.
+    the empty bins and still scales it. Only a row whose bin count does
+    not fit in int64 makes compute_scales refuse the table with
+    NumericError, and the reference refuses that row too.
     """
-    ls = compute_scales(nt)
     width = fd_bin_width(nt.distances)
+    spans = nt.distances.max(axis=1) / width
+    ls = None
+    if np.all(spans < 2.0**63):
+        ls = compute_scales(nt)
+    else:
+        with pytest.raises(NumericError):
+            compute_scales(nt)
     for p in range(nt.n):
-        if nt.distances[p].max() / width > scale.MAX_BINS:
+        if spans[p] > scale.MAX_BINS:
             with pytest.raises(NumericError):
                 local_scale_row(nt.distances[p], width)
             continue
         sigma, k = local_scale_row(nt.distances[p], width)
-        assert ls.kth[p] == k, p
-        assert ls.sigma[p] == sigma, p
+        if ls is not None:
+            assert ls.kth[p] == k, p
+            assert ls.sigma[p] == sigma, p
 
 
 class TestFdBinWidth:
@@ -272,6 +281,20 @@ class TestComputeScalesMatchesRows:
     @settings(max_examples=300, deadline=None)
     def test_row_max_on_a_bin_edge(self, nt):
         assert fd_bin_width(nt.distances) == 1.0
+        assert_matches_rows(nt)
+
+    def test_bin_count_beyond_int64_is_numeric_error(self):
+        # The Freedman-Diaconis width is 3.3e-301, so row 0's maximum of 1
+        # would need 3e300 bins: more than int64 can count, where a cast
+        # would give garbage bins without raising.
+        rng = np.random.default_rng(0)
+        d = np.sort(rng.uniform(1e-300, 2e-300, (8, 4)), axis=1)
+        d[0, 3] = 1.0
+        indices = np.array([[q for q in range(8) if q != p][:4] for p in range(8)])
+        nt = NeighborTable(distances=d, indices=indices, k_max=4)
+        assert 2.0**63 <= 1.0 / fd_bin_width(d) < np.inf
+        with pytest.raises(NumericError):
+            compute_scales(nt)
         assert_matches_rows(nt)
 
     def test_negative_distance_rejected(self):

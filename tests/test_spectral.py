@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from edgeprune import (InputError, PointSet, ari, embed, gen_synthetic, kmeans,
-                       laplacian, mutualize, reduce_graph, spectral_cluster)
+from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, gen_synthetic,
+                       kmeans, laplacian, mutualize, n_components, reduce_graph,
+                       spectral_cluster)
 from edgeprune.spectral import Embedding
 
 
@@ -56,6 +57,30 @@ class TestLaplacian:
         dense = laplacian(g)
         sparse = laplacian(g, sparse=True).toarray()
         assert np.array_equal(dense, sparse)
+
+    def test_many_components_and_isolated_vertices(self):
+        ps = gen_synthetic("blobs", {"clusters": 6, "size": 15, "separation": 50.0},
+                           seed=2)
+        g = reduce_graph(ps, 10)
+        g = mutualize(ps.n + 3, g.src, g.dst, g.weight)  # three isolated vertices
+        lap = laplacian(g)
+        assert np.array_equal(lap, laplacian(g, sparse=True).toarray())
+        assert n_components(g) >= 6 + 3
+        assert not lap[ps.n:].any()
+        vals = np.linalg.eigvalsh(lap)
+        assert int((vals < 1e-8).sum()) == n_components(g)
+
+    def test_duplicate_ordered_pair_adds_up(self):
+        # (0, 1) twice and (1, 0) once: both sides carry weight 1 in total,
+        # so both degrees are 1 and L[0, 1] = L[1, 0] = -1. A builder that
+        # counted the pair twice in the degree but subtracted it once gave
+        # L[0, 1] = -0.5, which is not a Laplacian.
+        src, dst, w = np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([0.5, 0.5, 1.0])
+        g = ReducedGraph(n=3, src=src, dst=dst, weight=w,
+                         directed_src=src, directed_dst=dst, directed_weight=w)
+        expected = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+        assert np.array_equal(laplacian(g), expected)
+        assert np.array_equal(laplacian(g, sparse=True).toarray(), expected)
 
 
 class TestEmbed:
