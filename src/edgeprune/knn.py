@@ -10,7 +10,8 @@ Computing that form for every pair costs an N x N x d difference tensor.
 Instead, `build_knn` screens each row with squared distances from the
 Gram identity (one matrix product per chunk of rows), keeps every point
 the screen cannot rule out, and evaluates the exact form on those
-candidates only. The screen's error bound is derived in `build_knn`; it
+candidates only. The screen's error bound is derived in `_screen_slack`
+(k-means' assignment uses it too) and applied in `build_knn`; it
 guarantees the candidates contain the true first k_max, ties included,
 so the table is bit-for-bit the one the exact form gives on every pair.
 
@@ -61,6 +62,36 @@ class NeighborTable:
                              indices=np.ascontiguousarray(self.indices[:, :k]), k_max=k)
 
 
+def _screen_slack(norm_sums: np.ndarray, dim: int) -> np.ndarray:
+    """Bound on the gap between a Gram-identity screen and the exact form.
+
+    For points a, b in d dimensions write u = 2**-53 (unit roundoff),
+    q = |a|^2 + |b|^2, r = |a - b|^2 in real arithmetic,
+    s = fl(Q_a + Q_b - 2 a.b) for the screened value, with Q the computed
+    squared norms, and e = fl(sum((a - b)**2)) for the exact form. With
+    the standard model fl(x op y) = (x op y)(1 + delta), |delta| <= u, and
+    any summation order (so any product kernel):
+      * screen: the norms and the dot product carry gamma_d q each
+        (|a.b| <= q / 2 before the factor 2); the sum and the subtraction
+        at most 3u q, using r <= 2q. So |s - r| <= (2d + 3) u q.
+      * exact form: one rounding each for the difference, the square and
+        the d - 1 additions of non-negative terms, so
+        |e - r| <= (d + 2) u r <= (2d + 4) u q.
+    Together |s - e| <= (4d + 7) u q. The bound returned is
+    4 (d + 6) u (Q_a + Q_b), which leaves 17u q for what a caller adds:
+    one u covers Q against q and the second-order terms; centring the
+    coordinates first (as `build_knn` does) moves each difference by at
+    most u (|a| + |b|), so the squared distance by at most 4u q; comparing
+    square roots needs a 4u relative margin, at most 8u q; and two
+    threshold tests round values of at most about 2q, at most 4u q. The
+    relative model does not cover gradual underflow, so (d + 4) times the
+    smallest normal number is added.
+
+    `norm_sums` holds Q_a + Q_b for every screened pair.
+    """
+    return 4 * (dim + 6) * 2.0 ** -53 * norm_sums + (dim + 4) * np.finfo(np.float64).tiny
+
+
 def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     """Exact k-NN: screen each row with Gram-identity distances, re-rank the survivors.
 
@@ -71,31 +102,12 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     the exact form on each row's candidates, which is the whole row only
     when the screen's rounding bound swamps the row's distance gaps.
 
-    Exactness. Write u = 2**-53 (unit roundoff), c = x - mean(x) for the
-    centred coordinates, q_i = |c_i|^2, r_ij = |x_i - x_j|^2 in real
-    arithmetic, s_ij = fl(q_i + q_j - 2 c_i.c_j) for the screened value and
-    e_ij for the exact form's sum before its square root. With the
-    standard model fl(a op b) = (a op b)(1 + delta), |delta| <= u, and any
-    summation order (so any product kernel):
-      * screen: the norms and the dot product carry gamma_d (q_i + q_j),
-        each; the sum and the subtraction at most 3u (q_i + q_j), using
-        |c_i - c_j|^2 <= 2 (q_i + q_j); centring moves each coordinate
-        difference by at most u (|c_i| + |c_j|), which moves the squared
-        distance by at most 4u (q_i + q_j). So
-        |s_ij - r_ij| <= (2d + 7) u (q_i + q_j).
-      * exact form: one rounding each for the difference, the square and
-        the d - 1 additions of non-negative terms, so
-        |e_ij - r_ij| <= (d + 2) u r_ij <= (2d + 4) u (q_i + q_j).
-      * square root: it is correctly rounded and monotone, so
-        e_p > (1 + 4u + 8u^2) e_j implies sqrt(e_p) > sqrt(e_j) after
-        rounding; the 4u e_j margin is at most 8u (q_i + q_j).
-      * the threshold tests below add two roundings of values at most
-        about 2 (q_i + q_j): at most 4u (q_i + q_j) more.
-    The total is (4d + 23) u (q_i + q_j); the slack used is
-    E_ij = 4 (d + 6) u (Q_i + Q_j) with Q the computed norms (one extra u
-    covers Q against q and the second-order terms), plus (d + 4) times the
-    smallest normal number for gradual underflow, which the relative model
-    does not cover.
+    Exactness. Write s_ij for the screened squared distance from the
+    centred coordinates, e_ij for the exact form's sum before its square
+    root and E_ij = `_screen_slack(Q_i + Q_j, d)` with Q the computed
+    squared norms of the centred points; `_screen_slack` derives
+    |s_ij - e_ij| <= E_ij, with room left for centring, the square root
+    and the two threshold tests below.
     Let T be the k_max-th smallest value of s_ij + E_ij in row i, self
     excluded. The k_max points j at or below T have exact sums below T
     with room left for the square-root margin, and a point p with
@@ -114,8 +126,6 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     c = x - x.mean(axis=0)
     sq = (c * c).sum(axis=1)
     ct = np.ascontiguousarray(c.T)  # (d, N): einsum's inner loop runs along N
-    coef = 4 * (dim + 6) * 2.0 ** -53
-    floor = (dim + 4) * np.finfo(np.float64).tiny
     distances = np.empty((n, k_max), dtype=np.float64)
     indices = np.empty((n, k_max), dtype=np.int64)
     for start in range(0, n, _CHUNK):
@@ -127,7 +137,7 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         gram = np.einsum("ki,kj->ij", ct[:, start:stop], ct)
         screen = sq[rows, None] + sq - 2.0 * gram
         screen[rows - start, rows] = np.inf  # exclude self
-        slack = coef * (sq[rows, None] + sq) + floor
+        slack = _screen_slack(sq[rows, None] + sq, dim)
         upper = screen + slack
         upper.partition(k_max - 1, axis=1)
         screen -= slack

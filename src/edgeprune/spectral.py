@@ -5,6 +5,13 @@ eigenvalues with row normalization, then seeded k-means with restarts.
 Everything is deterministic for a fixed seed: restarts draw from
 generators derived from (seed, restart index), and the best restart is
 picked by strict inertia comparison.
+
+The dense solve hands LAPACK a Fortran-ordered matrix it may overwrite,
+so no second N x N copy is made. k-means assigns points to centers the
+way `build_knn` ranks neighbors: a Gram-identity screen on the calling
+thread, then the exact difference form on the pairs the screen's
+rounding bound cannot rule out. Labels, inertia and collapse are bit
+for bit those of the exact form on every (point, center) pair.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import scipy.sparse.linalg
 
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
+from .knn import _screen_slack
 from .reduce import ReducedGraph, n_components
 
 # Above this size the dense symmetric solver gives way to an iterative
@@ -79,8 +87,12 @@ def embed(lap, n_clusters: int) -> Embedding:
     if not 2 <= n_clusters <= n:
         raise InputError(f"cluster count must be in [2, {n}], got {n_clusters}")
     if n <= DENSE_EIG_LIMIT:
-        dense = lap.toarray() if scipy.sparse.issparse(lap) else np.asarray(lap)
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, n_clusters - 1])
+        # In Fortran order eigh works on the array itself rather than on a
+        # hidden copy; a caller's dense matrix is copied, never overwritten.
+        dense = (lap.toarray(order="F") if scipy.sparse.issparse(lap)
+                 else np.array(lap, order="F"))
+        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, n_clusters - 1],
+                                       overwrite_a=True)
     else:
         vals, vecs = _iterative_smallest(lap, n_clusters)
     if vals[0] < -1e-9:
@@ -120,9 +132,51 @@ def _iterative_smallest(lap, k: int):
 
 
 def _assign(x: np.ndarray, centers: np.ndarray):
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """Nearest center of every point, and the point's squared distance to it.
+
+    Returns the labels, ties going to the lower center index, and for each
+    point the exact form `sum((x - c)**2)` at its label. Both are bit for
+    bit those of evaluating the exact form on every (point, center) pair,
+    at the cost of one (N x d) by (d x C) product plus the exact form on
+    each row's candidates.
+
+    Exactness. Let s_ij be the Gram-identity value |x_i|^2 + |c_j|^2 -
+    2 x_i.c_j, e_ij the exact form and E_ij = `_screen_slack` of the
+    computed squared norms, which bounds |s_ij - e_ij| with room left for
+    the two threshold tests below; without centring or a square root, the
+    terms the slack reserves for them are spare. Let T be the row's
+    minimum of s_ij + E_ij, reached at center l. Then e_il <= T, and a
+    center p with s_ip - E_ip > T has e_ip > T >= e_il: it is not the
+    minimum, not even through a tie broken by index. Every other center is
+    a candidate, and its exact value is summed in the same order as on all
+    pairs, so it has the same bits. The rest are set to inf, so `argmin`
+    picks the same label. A non-finite value (only from coordinates near
+    the float range limit) fails the test `s - E > T`, which makes the
+    center, or the whole row, a candidate.
+    """
+    n, dim = x.shape
+    # Screened values are laid out (C, N), so the minimum over centers runs
+    # as C - 1 passes along contiguous rows, not N reductions of length C.
+    norm_sums = (centers * centers).sum(axis=1)[:, None] + (x * x).sum(axis=1)
+    # einsum without `optimize` never calls BLAS, so no worker threads are
+    # left spinning (see the knn module docstring).
+    screen = norm_sums - 2.0 * np.einsum("jk,ik->ji", centers, x)
+    slack = _screen_slack(norm_sums, dim)
+    bound = (screen + slack).min(axis=0)
+    screen -= slack
+    cols, rows = np.divmod(np.flatnonzero(~(screen > bound)), n)
+    # The exact form adds up each pair's squares in the order the (N, C, d)
+    # all-pairs tensor did. numpy lays that tensor out after x: by rows, each
+    # pair's d squares are contiguous and get numpy's pairwise summation; by
+    # columns, as both eigensolvers return their vectors, they are added one
+    # coordinate at a time.
+    diff = x.take(rows, axis=0) - centers.take(cols, axis=0)
+    if abs(x.strides[0]) < abs(x.strides[1]):
+        diff = np.asfortranarray(diff)
+    d2 = np.full((n, len(centers)), np.inf)
+    d2[rows, cols] = (diff ** 2).sum(axis=1)
     labels = np.argmin(d2, axis=1)
-    return labels, d2
+    return labels, d2[np.arange(n), labels]
 
 
 def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -151,8 +205,7 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator):
             empty = np.nonzero(counts == 0)[0]
             if empty.size == 0:
                 break
-            point_d2 = d2[np.arange(x.shape[0]), labels]
-            centers[empty[0]] = x[np.argmax(point_d2)]
+            centers[empty[0]] = x[np.argmax(d2)]
             labels, d2 = _assign(x, centers)
         for j in range(k):
             members = labels == j
@@ -162,7 +215,7 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    inertia = float(d2[np.arange(x.shape[0]), labels].sum())
+    inertia = float(d2.sum())
     return labels, inertia
 
 

@@ -1,10 +1,18 @@
+import resource
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, gen_synthetic,
-                       kmeans, laplacian, mutualize, n_components, reduce_graph,
-                       spectral_cluster)
-from edgeprune.spectral import Embedding
+from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, embed_graph,
+                       gen_synthetic, kmeans, laplacian, mutualize, n_components,
+                       reduce_graph, spectral_cluster)
+from edgeprune.data import spawn_rng
+from edgeprune.spectral import KMEANS_MAX_ITER, Embedding, _assign
 
 
 def complete_block_graph(blocks, weight=1.0):
@@ -231,3 +239,217 @@ class TestSpectralCluster:
         a = spectral_cluster(g, 2, seed=77)
         b = spectral_cluster(g, 2, seed=77)
         assert np.array_equal(a.labels, b.labels)
+
+
+# -- the screened k-means assignment against the all-pairs form ---------------
+
+def tensor_assign(x, centers):
+    """Reference assignment: the exact form on every (point, center) pair,
+    through an (N, C, d) difference tensor."""
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2
+
+
+def reference_kmeans(x, n_clusters, seed, restarts=10):
+    """k-means++ and Lloyd on `tensor_assign`; returns (labels, inertia, collapsed)."""
+    def plus_plus_init(k, rng):
+        n = x.shape[0]
+        centers = np.empty((k, x.shape[1]))
+        centers[0] = x[rng.integers(n)]
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            idx = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+            centers[j] = x[idx]
+            d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        return centers
+
+    def lloyd(k, rng):
+        centers = plus_plus_init(k, rng)
+        labels, d2 = tensor_assign(x, centers)
+        for _ in range(KMEANS_MAX_ITER):
+            for _ in range(k):
+                counts = np.bincount(labels, minlength=k)
+                empty = np.nonzero(counts == 0)[0]
+                if empty.size == 0:
+                    break
+                point_d2 = d2[np.arange(x.shape[0]), labels]
+                centers[empty[0]] = x[np.argmax(point_d2)]
+                labels, d2 = tensor_assign(x, centers)
+            for j in range(k):
+                members = labels == j
+                if members.any():
+                    centers[j] = x[members].mean(axis=0)
+            new_labels, d2 = tensor_assign(x, centers)
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        return labels, float(d2[np.arange(x.shape[0]), labels].sum())
+
+    best_labels, best_inertia = None, np.inf
+    for r in range(restarts):
+        labels, inertia = lloyd(n_clusters, spawn_rng(seed, r))
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia, np.unique(best_labels).size < n_clusters
+
+
+@st.composite
+def assignment_cases(draw):
+    """Points and centers where the screen's rounding is large next to the
+    distance gaps it has to resolve.
+
+    Integer lattices (exact ties), a few distinct rows repeated (duplicate
+    points and duplicate centers), a common offset of 1e8 plus unit noise,
+    a 1e-6 cloud with 1e6 outliers, or near-duplicate rows at 1e-160,
+    whose squares are subnormal and whose gaps underflow; optionally zero
+    rows, as isolated vertices embed, and centers placed on points.
+    d = 1..64, C = 1..45. The points are stored by rows or by columns, as
+    both eigensolvers return them; the layout decides how the tensor form
+    adds up each pair's squares.
+    """
+    kind = draw(st.sampled_from(["lattice", "duplicates", "offset", "mixed", "subnormal"]))
+    n = draw(st.integers(1, 60))
+    c = draw(st.integers(1, 45))
+    d = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        pool = rng.integers(0, 3, (n + c, d)).astype(np.float64)
+    elif kind == "duplicates":
+        base = rng.standard_normal((draw(st.integers(1, 4)), d))
+        pool = base[rng.integers(0, len(base), n + c)]
+    elif kind == "offset":
+        pool = 1e8 + rng.standard_normal((n + c, d))
+    elif kind == "subnormal":
+        base = 1e-160 * rng.standard_normal((draw(st.integers(1, 4)), d))
+        pool = base[rng.integers(0, len(base), n + c)] + 1e-163 * rng.integers(0, 2, (n + c, d))
+    else:
+        pool = 1e-6 * rng.standard_normal((n + c, d))
+        pool[rng.random(n + c) < 0.2] *= 1e12
+    x, centers = pool[:n], pool[n:]
+    if draw(st.booleans()):
+        x[rng.random(n) < 0.3] = 0.0
+    if draw(st.booleans()):
+        centers = x[rng.integers(0, n, c)]
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    return x, centers
+
+
+def assert_assign_matches(x, centers):
+    labels, d2 = _assign(x, centers)
+    ref_labels, ref_d2 = tensor_assign(x, centers)
+    assert labels.tobytes() == ref_labels.tobytes()
+    assert d2.tobytes() == ref_d2[np.arange(len(x)), ref_labels].tobytes()
+
+
+class TestAssign:
+    @given(assignment_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_tensor_form_bit_for_bit(self, case):
+        assert_assign_matches(*case)
+
+    def test_duplicate_centers_go_to_the_lower_index(self):
+        x = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
+        centers = np.array([[5.0, 5.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        labels, d2 = _assign(x, centers)
+        assert labels.tolist() == [1, 1, 1]  # (0, 0) and (1, 1) tie 1 against 3
+        assert d2.tolist() == [1.0, 2.0, 1.0]
+        assert_assign_matches(x, centers)
+
+    def test_allocates_no_point_center_coordinate_tensor(self):
+        # The all-pairs form allocates N * C * d doubles, 25.6 MB here;
+        # the screen needs a few (N, C) arrays of 0.64 MB.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2000, 40))
+        centers = x[rng.choice(2000, 40, replace=False)]
+        tracemalloc.start()
+        try:
+            _assign(x, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.shape[0] * len(centers) * x.shape[1] * 8 / 4
+
+
+def manyclust_embedding(seed):
+    """Embedding of a 40 x 6 toy of the benchmark's many-cluster workload."""
+    ps = gen_synthetic("blobs", {"clusters": 40, "size": 6, "separation": 60}, seed=seed)
+    return embed_graph(reduce_graph(ps), 40)
+
+
+def assert_kmeans_matches(x, n_clusters, seed):
+    emb = Embedding(vectors=x, eigenvalues=np.zeros(n_clusters),
+                    zero_rows=np.array([], dtype=np.int64))
+    result = kmeans(emb, n_clusters, seed)
+    labels, inertia, collapsed = reference_kmeans(x, n_clusters, seed)
+    assert result.labels.tobytes() == labels.tobytes()
+    assert np.float64(result.inertia).tobytes() == np.float64(inertia).tobytes()
+    assert result.collapsed == collapsed
+    return result
+
+
+class TestKmeansMatchesTensorForm:
+    @pytest.mark.parametrize("name,clusters", [("dataset_a", 3), ("dataset_b", 2),
+                                               ("dataset_c", 2)])
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_fixture_embeddings(self, request, name, clusters, seed):
+        ps = request.getfixturevalue(name)
+        emb = embed_graph(reduce_graph(ps), clusters)
+        assert_kmeans_matches(emb.vectors, clusters, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 21])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_many_cluster_embedding(self, seed, order):
+        # embed returns its vectors by columns; seed 21 is an input where
+        # summing each pair's squares in the wrong order changes the labels.
+        x = np.asarray(manyclust_embedding(seed).vectors, order=order)
+        assert_kmeans_matches(x, 40, seed)
+
+    def test_more_clusters_than_distinct_rows(self):
+        # Five distinct rows, eight clusters: empty clusters are re-seeded
+        # from the farthest point until none can be, and the run collapses.
+        base = np.random.default_rng(6).standard_normal((5, 3))
+        x = np.repeat(base, 4, axis=0)
+        assert assert_kmeans_matches(x, 8, seed=2).collapsed
+
+    def test_leaves_no_threads_busy_after_return(self):
+        # Same guard as build_knn's: a threaded BLAS product in the
+        # assignment would leave worker threads spinning after kmeans returns.
+        def cpu_s():
+            r = resource.getrusage(resource.RUSAGE_SELF)
+            return r.ru_utime + r.ru_stime
+
+        rng = np.random.default_rng(3)
+        x = np.repeat(np.eye(40), 50, axis=0) + 0.05 * rng.standard_normal((2000, 40))
+        emb = Embedding(vectors=x / np.linalg.norm(x, axis=1, keepdims=True),
+                        eigenvalues=np.zeros(40), zero_rows=np.array([], dtype=np.int64))
+        time.sleep(0.5)  # let threads started by earlier tests go idle
+        kmeans(emb, 40, seed=0, restarts=2)
+        before = cpu_s()
+        time.sleep(0.3)
+        assert cpu_s() - before < 0.05
+
+
+class TestEmbedSolve:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_input_left_unmodified(self, dataset_a, order):
+        lap = np.array(laplacian(reduce_graph(dataset_a)), order=order)
+        before = lap.tobytes(order="A")
+        embed(lap, 3)
+        assert lap.tobytes(order="A") == before
+
+    @pytest.mark.parametrize("name,clusters", [("dataset_a", 3), ("dataset_b", 2),
+                                               ("dataset_c", 2)])
+    def test_equals_eigh_of_the_c_ordered_matrix(self, request, name, clusters):
+        lap = laplacian(reduce_graph(request.getfixturevalue(name)), sparse=True)
+        vals, vecs = scipy.linalg.eigh(lap.toarray(), subset_by_index=[0, clusters - 1])
+        norms = np.linalg.norm(vecs, axis=1)
+        zero = norms <= 1e-12
+        expected = vecs / np.where(zero, 1.0, norms)[:, None]
+        expected[zero] = 0.0
+        emb = embed(lap, clusters)
+        assert emb.eigenvalues.tobytes() == vals.tobytes()
+        assert emb.vectors.tobytes() == expected.tobytes()
+        assert emb.zero_rows.tolist() == np.nonzero(zero)[0].tolist()
