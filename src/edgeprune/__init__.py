@@ -18,8 +18,8 @@ from .reduce import (ReducedGraph, RowThreshold, affinity, affinity_rows,
                      reduce_graph, save_graph, threshold_row)
 from .scale import (Histogram, LocalScales, build_histogram, compute_scales,
                     fd_bin_width, local_scale_row, mwa_smooth)
-from .spectral import (ClusterResult, Embedding, embed, embed_graph, kmeans,
-                       laplacian, spectral_cluster)
+from .spectral import (ClusterResult, Embedding, embed, kmeans, laplacian,
+                       spectral_cluster)
 
 __all__ = [
     "PointSet", "Seed", "gen_synthetic", "load_csv", "save_csv",
@@ -31,7 +31,7 @@ __all__ = [
     "threshold_row", "mutualize", "graph_from_table", "reduce_graph",
     "n_components",
     "save_graph", "load_graph",
-    "Embedding", "ClusterResult", "laplacian", "embed", "embed_graph", "kmeans",
+    "Embedding", "ClusterResult", "laplacian", "embed", "kmeans",
     "spectral_cluster",
     "PairCounts", "acc", "ari", "edge_percentage",
     "PairSet", "export_pairs", "save_pairs",

@@ -41,7 +41,7 @@ from .pairs import export_pairs, save_pairs
 from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, graph_from_table,
                      mutualize, n_components, save_graph)
 from .scale import LocalScales, build_histogram, compute_scales, fd_bin_width
-from .spectral import embed_graph, kmeans
+from .spectral import embed, kmeans, laplacian
 
 _SEED_MOD = 2**64
 
@@ -190,7 +190,7 @@ def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
     The embedding and the component count do not depend on the seed, so
     they are computed once and only k-means runs per repeat.
     """
-    emb = embed_graph(graph, n_clusters)
+    emb = embed(laplacian(graph), n_clusters)
     shared = {"edge_pct": edge_percentage(graph), "n_components": n_components(graph)}
     for i in range(cfg.repeats):
         seed_i = (cfg.seed + i) % _SEED_MOD

@@ -40,7 +40,6 @@ class NeighborTable:
 
     distances: np.ndarray  # (N, k_max), ascending per row
     indices: np.ndarray    # (N, k_max), neighbor ids, never the row id itself
-    k_max: int
 
     def __post_init__(self):
         self.distances.setflags(write=False)
@@ -49,6 +48,10 @@ class NeighborTable:
     @property
     def n(self) -> int:
         return self.distances.shape[0]
+
+    @property
+    def k_max(self) -> int:
+        return self.distances.shape[1]
 
     def prefix(self, k: int) -> NeighborTable:
         """The first k columns of every row, as a table of its own.
@@ -59,7 +62,7 @@ class NeighborTable:
         if not 1 <= k <= self.k_max:
             raise InputError(f"k must be in [1, {self.k_max}], got {k}")
         return NeighborTable(distances=np.ascontiguousarray(self.distances[:, :k]),
-                             indices=np.ascontiguousarray(self.indices[:, :k]), k_max=k)
+                             indices=np.ascontiguousarray(self.indices[:, :k]))
 
 
 def _screen_slack(norm_sums: np.ndarray, dim: int) -> np.ndarray:
@@ -158,4 +161,4 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         order = np.lexsort((cand, dist), axis=1)[:, :k_max]
         indices[start:stop] = np.take_along_axis(cand, order, axis=1)
         distances[start:stop] = np.take_along_axis(dist, order, axis=1)
-    return NeighborTable(distances=distances, indices=indices, k_max=k_max)
+    return NeighborTable(distances=distances, indices=indices)

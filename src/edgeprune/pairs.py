@@ -28,7 +28,6 @@ log = logging.getLogger(__name__)
 class PairSet:
     positives: list[tuple[int, int]]  # unordered mutual edges, each once
     negatives: list[tuple[int, int]]  # (anchor, other); anchor's degree many
-    seed: int
 
     @property
     def total(self) -> int:
@@ -68,9 +67,8 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     # a neighbor in the graph, nor already chosen from the row.
     short = np.flatnonzero(non_edge.sum(axis=1) < need)
     if short.size:
-        by_src = np.argsort(g.src, kind="stable")
-        adjacency = g.dst[by_src]
-        indptr = np.searchsorted(g.src[by_src], np.arange(n + 1))
+        csr = g.to_sparse()
+        indptr, adjacency = csr.indptr, csr.indices
         blocked = np.zeros(n, dtype=bool)
         extra_anchor, extra_count, extra_other = [], [], []
         for p in short.tolist():
@@ -97,7 +95,7 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
             by_anchor = np.argsort(anchor, kind="stable")
             anchor, other = anchor[by_anchor], other[by_anchor]
     negatives = list(zip(anchor.tolist(), other.tolist()))
-    return PairSet(positives=positives, negatives=negatives, seed=int(seed))
+    return PairSet(positives=positives, negatives=negatives)
 
 
 def save_pairs(ps: PairSet, path) -> None:

@@ -212,30 +212,45 @@ def save_graph(g: ReducedGraph, path, k_max: int | None = None,
 def load_graph(path) -> tuple[ReducedGraph, dict]:
     """Read a graph written by save_graph; returns (graph, header).
 
-    The loaded graph's directed survivor set is set equal to its edge
-    set, which preserves every stored invariant.
+    Raises InputError unless the header is a JSON object with an integer
+    vertex count "n" >= 0, every edge id is an integer in [0, n) and
+    every weight is finite and positive. The loaded graph's directed
+    survivor set is set equal to its edge set, which preserves every
+    stored invariant.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: missing JSON header line") from exc
+        if not isinstance(header, dict):
+            raise InputError(f"{path}: header line is not a JSON object")
+        n = header.get("n")
+        if type(n) is not int or n < 0:
+            raise InputError(f"{path}: header vertex count 'n' must be an integer >= 0, "
+                             f"got {n!r}")
         src, dst, weight = [], [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InputError(f"{path}: line {lineno}: expected 'p q w'")
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-            weight.append(float(parts[2]))
+            try:
+                p, q, w = line.split()
+                src.append(int(p))
+                dst.append(int(q))
+                weight.append(float(w))
+            except ValueError as exc:
+                raise InputError(f"{path}: line {lineno}: expected 'p q w' with integer "
+                                 f"ids and a numeric weight") from exc
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     weight = np.asarray(weight, dtype=np.float64)
     if header.get("edges") != len(src):
         raise InputError(f"{path}: header edge count {header.get('edges')} "
                          f"does not match {len(src)} edge lines")
-    g = ReducedGraph(n=int(header["n"]), src=src, dst=dst, weight=weight,
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise InputError(f"{path}: vertex id outside [0, {n})")
+    if not np.all(np.isfinite(weight) & (weight > 0)):
+        raise InputError(f"{path}: edge weights must be finite and positive")
+    g = ReducedGraph(n=n, src=src, dst=dst, weight=weight,
                      directed_src=src, directed_dst=dst, directed_weight=weight)
     return g, header

@@ -35,12 +35,10 @@ MAX_BINS = 2**24
 
 @dataclass(frozen=True)
 class Histogram:
-    """Fixed-width histogram anchored at 0, with 1-based bin ranks."""
+    """Fixed-width histogram anchored at 0."""
 
-    bin_width: float
     edges: np.ndarray   # nbins + 1 ascending boundaries, edges[0] == 0
     counts: np.ndarray  # per-bin value counts
-    ranks: np.ndarray   # 1..nbins; rank 1 holds the closest values
 
 
 @dataclass(frozen=True)
@@ -99,18 +97,18 @@ def build_histogram(values, bin_width: float) -> Histogram:
     idx = np.minimum((v // bin_width).astype(np.int64), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)
     edges = np.arange(nbins + 1, dtype=np.float64) * bin_width
-    ranks = np.arange(1, nbins + 1, dtype=np.int64)
-    return Histogram(bin_width=float(bin_width), edges=edges, counts=counts, ranks=ranks)
+    return Histogram(edges=edges, counts=counts)
 
 
 def mwa_smooth(h: Histogram) -> np.ndarray:
     """Rank-weighted moving average of bin counts.
 
-    MWA_i = (v_{i-1} + v_i + v_{i+1}) / (r_{i-1} + r_i + r_{i+1}); at the
-    boundaries the missing neighbor terms drop out of both sums.
+    MWA_i = (v_{i-1} + v_i + v_{i+1}) / (r_{i-1} + r_i + r_{i+1}) with the
+    1-based bin ranks r_i = i; at the boundaries the missing neighbor
+    terms drop out of both sums.
     """
     v = np.asarray(h.counts, dtype=np.float64)
-    r = np.asarray(h.ranks, dtype=np.float64)
+    r = np.arange(1, v.size + 1, dtype=np.float64)
     num = v.copy()
     den = r.copy()
     num[1:] += v[:-1]

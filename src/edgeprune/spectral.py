@@ -1,10 +1,10 @@
 """Spectral clustering on a reduced graph.
 
-Symmetric normalized Laplacian, eigenvectors of the smallest C
-eigenvalues with row normalization, then seeded k-means with restarts.
-Everything is deterministic for a fixed seed: restarts draw from
-generators derived from (seed, restart index), and the best restart is
-picked by strict inertia comparison.
+Symmetric normalized Laplacian (a CSR matrix), eigenvectors of the
+smallest C eigenvalues with row normalization, then seeded k-means with
+KMEANS_RESTARTS restarts. Everything is deterministic for a fixed seed:
+restarts draw from generators derived from (seed, restart index), and
+the best restart is picked by strict inertia comparison.
 
 The dense solve hands LAPACK a Fortran-ordered matrix it may overwrite,
 so no second N x N copy is made. k-means assigns points to centers the
@@ -17,7 +17,7 @@ for bit those of the exact form on every (point, center) pair.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +27,7 @@ import scipy.sparse.linalg
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
 from .knn import _screen_slack
-from .reduce import ReducedGraph, n_components
+from .reduce import ReducedGraph
 
 # Above this size the dense symmetric solver gives way to an iterative
 # smallest-eigenpair method.
@@ -35,6 +35,7 @@ DENSE_EIG_LIMIT = 3000
 
 _ZERO_ROW_TOL = 1e-12
 KMEANS_MAX_ITER = 300
+KMEANS_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,18 @@ class Embedding:
 class ClusterResult:
     labels: np.ndarray
     inertia: float
-    n_components: int | None = None
     collapsed: bool = False
 
 
-def laplacian(g: ReducedGraph, sparse: bool = False):
+def laplacian(g: ReducedGraph) -> scipy.sparse.csr_matrix:
     """Symmetric normalized Laplacian I - D^(-1/2) A D^(-1/2).
 
     Isolated vertices (zero degree) get an all-zero row, the convention
     that keeps the zero-eigenvalue multiplicity equal to the number of
     connected components, singletons included. The matrix is exactly
     symmetric: the scaling factor for the (p, q) entry is the product
-    d_p * d_q, identical in both orders. It is built as CSR, where
-    repeated ordered pairs add up as they do in the degrees; sparse=False
-    returns that matrix densified.
+    d_p * d_q, identical in both orders. Repeated ordered pairs add up in
+    the CSR matrix as they do in the degrees.
     """
     deg = np.zeros(g.n, dtype=np.float64)
     np.add.at(deg, g.src, g.weight)
@@ -72,27 +71,26 @@ def laplacian(g: ReducedGraph, sparse: bool = False):
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     scale = inv_sqrt[g.src] * inv_sqrt[g.dst]
     off = scipy.sparse.csr_matrix((scale * g.weight, (g.src, g.dst)), shape=(g.n, g.n))
-    lap = scipy.sparse.diags(np.where(nz, 1.0, 0.0), format="csr") - off
-    return lap if sparse else lap.toarray()
+    return scipy.sparse.diags(np.where(nz, 1.0, 0.0), format="csr") - off
 
 
 def embed(lap, n_clusters: int) -> Embedding:
     """Eigenvectors of the C smallest eigenvalues, rows normalized to unit length.
 
     Rows whose norm is numerically zero (isolated vertices) are left zero
-    and reported in `zero_rows`. `lap` may be dense or sparse: up to
-    DENSE_EIG_LIMIT vertices it is solved densely, above it by LOBPCG.
+    and reported in `zero_rows`. `lap` may be dense or sparse; it is read
+    as CSR, and a dense array is never modified. Up to DENSE_EIG_LIMIT
+    vertices it is solved densely, above it by LOBPCG.
     """
+    lap = scipy.sparse.csr_matrix(lap)
     n = lap.shape[0]
     if not 2 <= n_clusters <= n:
         raise InputError(f"cluster count must be in [2, {n}], got {n_clusters}")
     if n <= DENSE_EIG_LIMIT:
         # In Fortran order eigh works on the array itself rather than on a
-        # hidden copy; a caller's dense matrix is copied, never overwritten.
-        dense = (lap.toarray(order="F") if scipy.sparse.issparse(lap)
-                 else np.array(lap, order="F"))
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, n_clusters - 1],
-                                       overwrite_a=True)
+        # hidden copy.
+        vals, vecs = scipy.linalg.eigh(lap.toarray(order="F"),
+                                       subset_by_index=[0, n_clusters - 1], overwrite_a=True)
     else:
         vals, vecs = _iterative_smallest(lap, n_clusters)
     if vals[0] < -1e-9:
@@ -116,8 +114,6 @@ def _iterative_smallest(lap, k: int):
     reproducible.
     """
     n = lap.shape[0]
-    if not scipy.sparse.issparse(lap):
-        lap = scipy.sparse.csr_matrix(lap)
     x0 = np.random.default_rng(np.random.SeedSequence(0x5EED)).standard_normal((n, k))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # convergence is checked via residuals
@@ -219,8 +215,8 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator):
     return labels, inertia
 
 
-def kmeans(e: Embedding, n_clusters: int, seed: Seed, restarts: int = 10) -> ClusterResult:
-    """Seeded k-means++ with best-of-restarts by inertia.
+def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
+    """Seeded k-means++ with the best of KMEANS_RESTARTS restarts by inertia.
 
     Restart r uses a generator derived from (seed, r), so results equal
     sequential execution no matter how restarts are scheduled. Empty
@@ -230,10 +226,8 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed, restarts: int = 10) -> Clu
     x = e.vectors
     if n_clusters > x.shape[0]:
         raise InputError("more clusters than points")
-    if restarts < 1:
-        raise InputError("restarts must be >= 1")
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         labels, inertia = _lloyd(x, n_clusters, spawn_rng(seed, r))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
@@ -241,18 +235,6 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed, restarts: int = 10) -> Clu
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
-def embed_graph(g: ReducedGraph, n_clusters: int) -> Embedding:
-    """Spectral coordinates of a reduced graph: its Laplacian, embedded.
-
-    This is the seed-independent half of `spectral_cluster`; callers that
-    cluster one graph under several seeds embed it once and run `kmeans`
-    per seed.
-    """
-    return embed(laplacian(g, sparse=True), n_clusters)
-
-
-def spectral_cluster(g: ReducedGraph, n_clusters: int, seed: Seed,
-                     restarts: int = 10) -> ClusterResult:
+def spectral_cluster(g: ReducedGraph, n_clusters: int, seed: Seed) -> ClusterResult:
     """Cluster a reduced graph: Laplacian -> embedding -> seeded k-means."""
-    result = kmeans(embed_graph(g, n_clusters), n_clusters, seed, restarts)
-    return replace(result, n_components=n_components(g))
+    return kmeans(embed(laplacian(g), n_clusters), n_clusters, seed)

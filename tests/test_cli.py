@@ -9,7 +9,7 @@ import pytest
 
 from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
                        build_histogram, build_knn, compute_scales, fd_bin_width,
-                       gen_synthetic, save_csv, spectral_cluster)
+                       gen_synthetic, n_components, save_csv, spectral_cluster)
 from edgeprune import cli
 from edgeprune.cli import (RunConfig, build_baseline_knn, build_reduced, cmd_cluster,
                            cmd_sweep, main, parse_synthetic_spec)
@@ -116,7 +116,7 @@ class TestClusterCommand:
 
 
     def test_embeds_once_and_matches_spectral_cluster(self, tmp_path, monkeypatch):
-        embeds = count_calls(monkeypatch, "embed_graph")
+        embeds = count_calls(monkeypatch, "embed")
         kmeans = count_calls(monkeypatch, "kmeans")
         assert main(["cluster", "--synthetic", BLOBS, "--seed", "7", "--repeats", "3",
                      "--out", str(tmp_path)]) == 0
@@ -128,7 +128,7 @@ class TestClusterCommand:
             result = spectral_cluster(graph, 3, 7 + i)
             assert row["acc"] == repr(acc(ps.labels, result.labels))
             assert row["ari"] == repr(ari(ps.labels, result.labels))
-            assert row["n_components"] == str(result.n_components)
+            assert row["n_components"] == str(n_components(graph))
 
 class TestSweepCommand:
     def test_grid_of_one_matches_cluster(self, tmp_path):
@@ -235,7 +235,7 @@ class TestBaselineCommand:
 
 
     def test_embeds_once(self, tmp_path, monkeypatch):
-        embeds = count_calls(monkeypatch, "embed_graph")
+        embeds = count_calls(monkeypatch, "embed")
         assert main(["baseline-knn", "--synthetic", BLOBS, "--repeats", "4",
                      "--out", str(tmp_path)]) == 0
         assert len(embeds) == 1

@@ -41,7 +41,7 @@ def export_pairs_loop(g, nt, seed):
             if len(chosen) < need:
                 warnings.append(f"point {p}: only {len(chosen)} of {need} negatives available")
         negatives.extend((p, q) for q in chosen)
-    return PairSet(positives=positives, negatives=negatives, seed=int(seed)), warnings
+    return PairSet(positives=positives, negatives=negatives), warnings
 
 
 class _Collect(logging.Handler):
@@ -241,7 +241,7 @@ class TestSavePairs:
     @settings(max_examples=100, deadline=None)
     def test_bytes_equal_json_dumps(self, tmp_path_factory, positives, negatives):
         path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
-        save_pairs(PairSet(positives=positives, negatives=negatives, seed=0), path)
+        save_pairs(PairSet(positives=positives, negatives=negatives), path)
         expected = "".join(
             [json.dumps({"p": p, "q": q, "label": 1}) + "\n" for p, q in positives]
             + [json.dumps({"p": p, "q": q, "label": 0}) + "\n" for p, q in negatives])

@@ -58,7 +58,7 @@ class TestAffinityRows:
         dist = np.full((4, 3), 0.5)
         idx = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
         from edgeprune import NeighborTable
-        nt = NeighborTable(distances=dist, indices=idx, k_max=3)
+        nt = NeighborTable(distances=dist, indices=idx)
         ls = LocalScales(sigma=np.full(4, 1.3), kth=np.full(4, 3))
         a = affinity_rows(nt, ls)
         assert np.unique(a).size == 1
@@ -168,7 +168,7 @@ class TestThresholdSurvivors:
                                     min_size=n * k, max_size=n * k))
         a = np.asarray(values).reshape(n, k)
         indices = np.array([[q for q in range(n) if q != p][:k] for p in range(n)])
-        nt = NeighborTable(distances=np.zeros((n, k)), indices=indices, k_max=k)
+        nt = NeighborTable(distances=np.zeros((n, k)), indices=indices)
         assert_survivors_match_rows(a, nt)
 
 
@@ -382,5 +382,25 @@ class TestSerialization:
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text('{"n": 2, "edges": 3, "k_max": null, "seed": null}\n0 1 0.5\n')
+        with pytest.raises(InputError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "edges": 1}\n0 2 0.5\n',           # id >= n
+        '{"n": 2, "edges": 1}\n-1 0 0.5\n',          # negative id
+        '{"n": 2, "edges": 1}\n0 1.0 0.5\n',         # non-integer id
+        '{"edges": 1}\n0 1 0.5\n',                   # no vertex count
+        '{"n": "2", "edges": 1}\n0 1 0.5\n',         # vertex count not an integer
+        '{"n": -1, "edges": 0}\n',                    # negative vertex count
+        '[2, 1]\n0 1 0.5\n',                         # header not an object
+        '{"n": 2, "edges": 1}\n0 1 nan\n',           # nan weight
+        '{"n": 2, "edges": 1}\n0 1 inf\n',           # infinite weight
+        '{"n": 2, "edges": 1}\n0 1 0\n',             # zero weight
+        '{"n": 2, "edges": 1}\n0 1 -0.5\n',          # negative weight
+        '{"n": 2, "edges": 1}\n0 1 0.5 7\n',         # extra field
+    ])
+    def test_invalid_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
         with pytest.raises(InputError):
             load_graph(path)

@@ -76,7 +76,6 @@ class TestHistogram:
         assert h.counts.sum() == 4
         assert np.array_equal(h.counts, [2, 1, 1])
         assert np.array_equal(h.edges, [0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(h.ranks, [1, 2, 3])
 
     def test_value_on_top_edge_in_last_bin(self):
         h = build_histogram([0.5, 2.0], 1.0)
@@ -114,8 +113,7 @@ class TestMwa:
 
     def test_zero_counts_give_zero(self):
         from edgeprune import Histogram
-        h = Histogram(bin_width=1.0, edges=np.arange(4.0),
-                      counts=np.zeros(3, dtype=np.int64), ranks=np.arange(1, 4))
+        h = Histogram(edges=np.arange(4.0), counts=np.zeros(3, dtype=np.int64))
         assert np.array_equal(mwa_smooth(h), [0.0, 0.0, 0.0])
 
 
@@ -253,7 +251,7 @@ def edge_aligned_tables(draw):
     d.sort(axis=1)
     assume(fd_bin_width(d) == 1.0)
     indices = np.array([[q for q in range(n) if q != p][:k] for p in range(n)])
-    return NeighborTable(distances=d, indices=indices, k_max=k)
+    return NeighborTable(distances=d, indices=indices)
 
 
 class TestComputeScalesMatchesRows:
@@ -291,7 +289,7 @@ class TestComputeScalesMatchesRows:
         d = np.sort(rng.uniform(1e-300, 2e-300, (8, 4)), axis=1)
         d[0, 3] = 1.0
         indices = np.array([[q for q in range(8) if q != p][:4] for p in range(8)])
-        nt = NeighborTable(distances=d, indices=indices, k_max=4)
+        nt = NeighborTable(distances=d, indices=indices)
         assert 2.0**63 <= 1.0 / fd_bin_width(d) < np.inf
         with pytest.raises(NumericError):
             compute_scales(nt)
@@ -299,6 +297,6 @@ class TestComputeScalesMatchesRows:
 
     def test_negative_distance_rejected(self):
         d = np.array([[-1.0, 2.0], [1.0, 2.0], [1.0, 3.0]])
-        nt = NeighborTable(distances=d, indices=np.array([[1, 2], [0, 2], [0, 1]]), k_max=2)
+        nt = NeighborTable(distances=d, indices=np.array([[1, 2], [0, 2], [0, 1]]))
         with pytest.raises(InputError):
             compute_scales(nt)

@@ -8,11 +8,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, embed_graph,
-                       gen_synthetic, kmeans, laplacian, mutualize, n_components,
-                       reduce_graph, spectral_cluster)
+from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, gen_synthetic,
+                       kmeans, laplacian, mutualize, n_components, reduce_graph,
+                       spectral_cluster)
 from edgeprune.data import spawn_rng
-from edgeprune.spectral import KMEANS_MAX_ITER, Embedding, _assign
+from edgeprune.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, Embedding, _assign
 
 
 def complete_block_graph(blocks, weight=1.0):
@@ -31,20 +31,20 @@ def complete_block_graph(blocks, weight=1.0):
 class TestLaplacian:
     def test_two_vertex_single_edge(self):
         g = complete_block_graph([[0, 1]])
-        lap = laplacian(g)
+        lap = laplacian(g).toarray()
         assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
         vals = np.linalg.eigvalsh(lap)
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
 
     def test_zero_multiplicity_counts_components(self):
         g = complete_block_graph([[0, 1, 2], [3, 4], [5, 6, 7, 8]])
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(laplacian(g).toarray())
         assert int((vals < 1e-8).sum()) == 3
 
     def test_isolated_vertex_row_is_zero(self):
         g = complete_block_graph([[0, 1]])
         g = mutualize(3, g.src, g.dst, g.weight)  # vertex 2 isolated
-        lap = laplacian(g)
+        lap = laplacian(g).toarray()
         assert np.array_equal(lap[2], [0.0, 0.0, 0.0])
         vals = np.linalg.eigvalsh(lap)
         assert int((vals < 1e-8).sum()) == 2  # the edge component and the singleton
@@ -53,26 +53,18 @@ class TestLaplacian:
         rng = np.random.default_rng(8)
         ps = PointSet(rng.normal(size=(10, 2)))
         g = reduce_graph(ps, 5)
-        lap = laplacian(g)
+        lap = laplacian(g).toarray()
         assert np.array_equal(lap, lap.T)  # exactly symmetric by construction
         vals = np.linalg.eigvalsh(lap)
         assert vals[0] >= -1e-9
         assert vals[-1] <= 2.0 + 1e-9
-
-    def test_sparse_matches_dense(self):
-        ps = gen_synthetic("moons", {"size": 30, "noise": 0.05}, seed=4)
-        g = reduce_graph(ps, 10)
-        dense = laplacian(g)
-        sparse = laplacian(g, sparse=True).toarray()
-        assert np.array_equal(dense, sparse)
 
     def test_many_components_and_isolated_vertices(self):
         ps = gen_synthetic("blobs", {"clusters": 6, "size": 15, "separation": 50.0},
                            seed=2)
         g = reduce_graph(ps, 10)
         g = mutualize(ps.n + 3, g.src, g.dst, g.weight)  # three isolated vertices
-        lap = laplacian(g)
-        assert np.array_equal(lap, laplacian(g, sparse=True).toarray())
+        lap = laplacian(g).toarray()
         assert n_components(g) >= 6 + 3
         assert not lap[ps.n:].any()
         vals = np.linalg.eigvalsh(lap)
@@ -87,8 +79,7 @@ class TestLaplacian:
         g = ReducedGraph(n=3, src=src, dst=dst, weight=w,
                          directed_src=src, directed_dst=dst, directed_weight=w)
         expected = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
-        assert np.array_equal(laplacian(g), expected)
-        assert np.array_equal(laplacian(g, sparse=True).toarray(), expected)
+        assert np.array_equal(laplacian(g).toarray(), expected)
 
 
 class TestEmbed:
@@ -114,13 +105,13 @@ class TestEmbed:
         g = reduce_graph(ps, 8)
         lap = laplacian(g)
         emb = embed(lap, 4)
-        oracle = np.linalg.eigvalsh(lap)[:4]
+        oracle = np.linalg.eigvalsh(lap.toarray())[:4]
         assert emb.eigenvalues == pytest.approx(oracle, abs=1e-8)
 
     def test_eigenpair_residuals(self):
         ps = gen_synthetic("moons", {"size": 20, "noise": 0.05}, seed=6)
         g = reduce_graph(ps, 10)
-        lap = laplacian(g)
+        lap = laplacian(g).toarray()
         vals, vecs = np.linalg.eigh(lap)
         for i in range(3):
             residual = lap @ vecs[:, i] - vals[i] * vecs[:, i]
@@ -149,7 +140,7 @@ class TestEmbed:
         g = reduce_graph(ps, 15)
         dense = embed(laplacian(g), 3)
         from edgeprune.spectral import _iterative_smallest
-        vals, _ = _iterative_smallest(laplacian(g, sparse=True), 3)
+        vals, _ = _iterative_smallest(laplacian(g), 3)
         assert vals == pytest.approx(dense.eigenvalues, abs=1e-7)
 
 
@@ -202,11 +193,6 @@ class TestKmeans:
         result = kmeans(emb, 3, seed=0)
         assert result.collapsed
 
-    def test_restart_count_validated(self):
-        emb, _ = separable_embedding(np.random.default_rng(3))
-        with pytest.raises(InputError):
-            kmeans(emb, 2, seed=0, restarts=0)
-
 
 class TestSpectralCluster:
     def test_disconnected_blocks_recovered_exactly(self):
@@ -214,18 +200,18 @@ class TestSpectralCluster:
         truth = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
         result = spectral_cluster(g, 3, seed=3)
         assert ari(truth, result.labels) == 1.0
-        assert result.n_components == 3
+        assert n_components(g) == 3
 
     def test_blobs_end_to_end(self, dataset_a):
         g = reduce_graph(dataset_a)
         result = spectral_cluster(g, 3, seed=0)
         assert ari(dataset_a.labels, result.labels) == 1.0
-        assert result.n_components == 3
+        assert n_components(g) == 3
 
     def test_permutation_equivariance(self, dataset_a):
         g = reduce_graph(dataset_a)
         result = spectral_cluster(g, 3, seed=9)
-        assert result.n_components == 3
+        assert n_components(g) == 3
         rng = np.random.default_rng(11)
         perm = rng.permutation(dataset_a.n)
         permuted = PointSet(dataset_a.points[perm])
@@ -251,7 +237,7 @@ def tensor_assign(x, centers):
     return labels, d2
 
 
-def reference_kmeans(x, n_clusters, seed, restarts=10):
+def reference_kmeans(x, n_clusters, seed):
     """k-means++ and Lloyd on `tensor_assign`; returns (labels, inertia, collapsed)."""
     def plus_plus_init(k, rng):
         n = x.shape[0]
@@ -288,7 +274,7 @@ def reference_kmeans(x, n_clusters, seed, restarts=10):
         return labels, float(d2[np.arange(x.shape[0]), labels].sum())
 
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         labels, inertia = lloyd(n_clusters, spawn_rng(seed, r))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
@@ -376,7 +362,7 @@ class TestAssign:
 def manyclust_embedding(seed):
     """Embedding of a 40 x 6 toy of the benchmark's many-cluster workload."""
     ps = gen_synthetic("blobs", {"clusters": 40, "size": 6, "separation": 60}, seed=seed)
-    return embed_graph(reduce_graph(ps), 40)
+    return embed(laplacian(reduce_graph(ps)), 40)
 
 
 def assert_kmeans_matches(x, n_clusters, seed):
@@ -396,7 +382,7 @@ class TestKmeansMatchesTensorForm:
     @pytest.mark.parametrize("seed", [0, 31])
     def test_fixture_embeddings(self, request, name, clusters, seed):
         ps = request.getfixturevalue(name)
-        emb = embed_graph(reduce_graph(ps), clusters)
+        emb = embed(laplacian(reduce_graph(ps)), clusters)
         assert_kmeans_matches(emb.vectors, clusters, seed)
 
     @pytest.mark.parametrize("seed", [0, 5, 21])
@@ -426,7 +412,7 @@ class TestKmeansMatchesTensorForm:
         emb = Embedding(vectors=x / np.linalg.norm(x, axis=1, keepdims=True),
                         eigenvalues=np.zeros(40), zero_rows=np.array([], dtype=np.int64))
         time.sleep(0.5)  # let threads started by earlier tests go idle
-        kmeans(emb, 40, seed=0, restarts=2)
+        kmeans(emb, 40, seed=0)
         before = cpu_s()
         time.sleep(0.3)
         assert cpu_s() - before < 0.05
@@ -435,7 +421,7 @@ class TestKmeansMatchesTensorForm:
 class TestEmbedSolve:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_dense_input_left_unmodified(self, dataset_a, order):
-        lap = np.array(laplacian(reduce_graph(dataset_a)), order=order)
+        lap = np.array(laplacian(reduce_graph(dataset_a)).toarray(), order=order)
         before = lap.tobytes(order="A")
         embed(lap, 3)
         assert lap.tobytes(order="A") == before
@@ -443,13 +429,15 @@ class TestEmbedSolve:
     @pytest.mark.parametrize("name,clusters", [("dataset_a", 3), ("dataset_b", 2),
                                                ("dataset_c", 2)])
     def test_equals_eigh_of_the_c_ordered_matrix(self, request, name, clusters):
-        lap = laplacian(reduce_graph(request.getfixturevalue(name)), sparse=True)
+        lap = laplacian(reduce_graph(request.getfixturevalue(name)))
         vals, vecs = scipy.linalg.eigh(lap.toarray(), subset_by_index=[0, clusters - 1])
         norms = np.linalg.norm(vecs, axis=1)
         zero = norms <= 1e-12
         expected = vecs / np.where(zero, 1.0, norms)[:, None]
         expected[zero] = 0.0
-        emb = embed(lap, clusters)
-        assert emb.eigenvalues.tobytes() == vals.tobytes()
-        assert emb.vectors.tobytes() == expected.tobytes()
-        assert emb.zero_rows.tolist() == np.nonzero(zero)[0].tolist()
+        # embed reads a dense input as CSR, so both forms give the same bits.
+        for form in (lap, lap.toarray()):
+            emb = embed(form, clusters)
+            assert emb.eigenvalues.tobytes() == vals.tobytes()
+            assert emb.vectors.tobytes() == expected.tobytes()
+            assert emb.zero_rows.tolist() == np.nonzero(zero)[0].tolist()
