@@ -213,8 +213,9 @@ def load_graph(path) -> tuple[ReducedGraph, dict]:
     """Read a graph written by save_graph; returns (graph, header).
 
     Raises InputError unless the header is a JSON object with an integer
-    vertex count "n" >= 0, every edge id is an integer in [0, n) and
-    every weight is finite and positive. The loaded graph's directed
+    vertex count "n" >= 0, every edge id is an integer in [0, n), every
+    weight is finite and positive, and every edge (p, q, w) has its
+    reverse (q, p, w), as save_graph writes it. The loaded graph's directed
     survivor set is set equal to its edge set, which preserves every
     stored invariant.
     """
@@ -251,6 +252,11 @@ def load_graph(path) -> tuple[ReducedGraph, dict]:
         raise InputError(f"{path}: vertex id outside [0, {n})")
     if not np.all(np.isfinite(weight) & (weight > 0)):
         raise InputError(f"{path}: edge weights must be finite and positive")
+    fwd, rev = np.lexsort((weight, dst, src)), np.lexsort((weight, src, dst))
+    if not (np.array_equal(src[fwd], dst[rev]) and np.array_equal(dst[fwd], src[rev])
+            and np.array_equal(weight[fwd], weight[rev])):
+        raise InputError(f"{path}: graph is not symmetric: some edge (p, q, w) "
+                         f"has no reverse edge (q, p, w)")
     g = ReducedGraph(n=n, src=src, dst=dst, weight=weight,
                      directed_src=src, directed_dst=dst, directed_weight=weight)
     return g, header

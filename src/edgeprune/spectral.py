@@ -224,8 +224,8 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     support n_clusters distinct groups the result is flagged as collapsed.
     """
     x = e.vectors
-    if n_clusters > x.shape[0]:
-        raise InputError("more clusters than points")
+    if not 1 <= n_clusters <= x.shape[0]:
+        raise InputError(f"cluster count must be in [1, {x.shape[0]}], got {n_clusters}")
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
         labels, inertia = _lloyd(x, n_clusters, spawn_rng(seed, r))

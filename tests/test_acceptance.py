@@ -70,7 +70,7 @@ def test_c02_knn_oracle_equivalence():
         assert np.array_equal(nt.distances, dist)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    pass_line(2, f"brute-force k-NN matches all-pairs oracle on 50 point sets "
+    pass_line(2, f"screened k-NN matches all-pairs oracle on 50 point sets "
                  f"({elapsed:.1f}s)")
 
 

@@ -326,3 +326,25 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"edgeprune {__version__}"
+
+
+def test_commands_leave_scipy_optimize_unimported(tmp_path):
+    # scipy.optimize costs about 0.3 s of every process's start; no
+    # command may import it, directly or through a scipy module it uses.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = f"""
+import sys
+from edgeprune import cli
+spec = "blobs:clusters=2,size=20,separation=15,spread=1"
+for argv in (["cluster", "--clusters", "2"], ["pairs"], ["reduce"],
+             ["baseline-knn", "--clusters", "2"],
+             ["sweep", "--clusters", "2", "--param", "k-max", "--grid", "5,10"]):
+    assert cli.main([*argv, "--synthetic", spec, "--k-max", "10",
+                     "--out", {str(tmp_path)!r}]) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

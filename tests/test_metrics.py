@@ -89,6 +89,35 @@ class TestAcc:
     def test_rectangular_contingency(self):
         assert acc([0, 0, 1, 1], [0, 1, 2, 3]) == 0.5
 
+    def test_independent_class_counts_match_exhaustive_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            ct, cp = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            n = int(rng.integers(max(ct, cp), 40))
+            truth = random_labels(rng, n, ct)
+            pred = random_labels(rng, n, cp)
+            assert acc(truth, pred) == acc_exhaustive(truth, pred)
+
+    def test_gapped_pred_ids_match_exhaustive_oracle(self):
+        # Unused predicted ids are all-zero columns of the contingency matrix.
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            used = np.sort(rng.choice(6, size=int(rng.integers(1, 5)), replace=False))
+            ct = int(rng.integers(1, 5))
+            n = int(rng.integers(max(ct, used.size), 30))
+            truth = random_labels(rng, n, ct)
+            pred = used[random_labels(rng, n, used.size)]
+            assert acc(truth, pred) == acc_exhaustive(truth, pred)
+
+    @pytest.mark.parametrize("c", [1, 2, 6])
+    def test_single_class_side_matches_exhaustive_oracle(self, c):
+        rng = np.random.default_rng(7 + c)
+        labels = random_labels(rng, 25, c)
+        one = np.zeros(25, dtype=np.int64)
+        assert acc(one, labels) == acc_exhaustive(one, labels)
+        assert acc(labels, one) == acc_exhaustive(labels, one)
+        assert acc(one, labels) == np.bincount(labels).max() / 25
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             acc([0, 1], [0, 1, 1])

@@ -373,6 +373,14 @@ class TestSerialization:
         assert np.array_equal(back.dst, g.dst)
         assert np.array_equal(back.weight, g.weight)  # bit-exact weights
 
+    @pytest.mark.parametrize("name", ["dataset_a", "dataset_b", "dataset_c"])
+    def test_fixture_roundtrip_bit_exact(self, request, tmp_path, name):
+        g = reduce_graph(request.getfixturevalue(name))
+        save_graph(g, tmp_path / "graph.txt")
+        back, _ = load_graph(tmp_path / "graph.txt")
+        for field in ("src", "dst", "weight"):
+            assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1 0.5\n")
@@ -398,6 +406,8 @@ class TestSerialization:
         '{"n": 2, "edges": 1}\n0 1 0\n',             # zero weight
         '{"n": 2, "edges": 1}\n0 1 -0.5\n',          # negative weight
         '{"n": 2, "edges": 1}\n0 1 0.5 7\n',         # extra field
+        '{"n": 4, "edges": 3}\n0 1 0.5\n1 2 0.5\n2 3 0.5\n',  # no reverse edges
+        '{"n": 2, "edges": 2}\n0 1 0.5\n1 0 0.25\n',   # reverse weight differs
     ])
     def test_invalid_file_rejected(self, tmp_path, text):
         path = tmp_path / "bad.txt"

@@ -193,6 +193,13 @@ class TestKmeans:
         result = kmeans(emb, 3, seed=0)
         assert result.collapsed
 
+    @pytest.mark.parametrize("n_clusters", [0, -1, 5])
+    def test_cluster_count_outside_one_to_n_rejected(self, n_clusters):
+        emb = Embedding(vectors=np.arange(8.0).reshape(4, 2), eigenvalues=np.zeros(2),
+                        zero_rows=np.array([], dtype=np.int64))
+        with pytest.raises(InputError):
+            kmeans(emb, n_clusters, seed=0)
+
 
 class TestSpectralCluster:
     def test_disconnected_blocks_recovered_exactly(self):
