@@ -27,13 +27,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import PointSet, Seed, check_seed, gen_synthetic, load_csv
+from .data import SEED_RANGE, PointSet, Seed, check_seed, gen_synthetic, load_csv
 from .errors import InputError, NumericError
 from .knn import NeighborTable, build_knn
 from .metrics import acc, ari, edge_percentage
@@ -42,9 +42,6 @@ from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, graph_from_tabl
                      mutualize, n_components, save_graph)
 from .scale import LocalScales, build_histogram, compute_scales, fd_bin_width
 from .spectral import embed, kmeans, laplacian
-
-_SEED_MOD = 2**64
-
 
 @dataclass
 class RunConfig:
@@ -64,10 +61,9 @@ class RunConfig:
     similarity_histogram: bool = False
 
     def echo(self) -> dict:
-        keys = ("command", "input_path", "synthetic", "label_column", "k_max",
-                "clusters", "seed", "repeats", "baseline_k", "param", "grid",
-                "seventh_neighbor_scale")
-        return {k: getattr(self, k) for k in keys}
+        """The config echoed atop each result file: all but the output options."""
+        skip = ("out_dir", "similarity_histogram")
+        return {k: v for k, v in asdict(self).items() if k not in skip}
 
 
 def _parse_value(text: str):
@@ -105,11 +101,16 @@ def load_dataset(cfg: RunConfig) -> PointSet:
     return gen_synthetic(kind, params, seed=cfg.seed)
 
 
-def _require_labels(ps: PointSet) -> np.ndarray:
+def _labeled_dataset(cfg: RunConfig) -> tuple[PointSet, int]:
+    """The labeled input of a metric command, and its cluster count."""
+    ps = load_dataset(cfg)
     if ps.labels is None:
         raise InputError("this command computes metrics and needs labeled input; "
                          "pass --label-column or use --synthetic")
-    return ps.labels
+    n_clusters = cfg.clusters if cfg.clusters is not None else ps.n_classes
+    if n_clusters < 2:
+        raise InputError(f"need at least 2 clusters, got {n_clusters}")
+    return ps, n_clusters
 
 
 def _effective_k_max(cfg: RunConfig, ps: PointSet) -> int:
@@ -155,12 +156,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
+def _output(cfg: RunConfig, name: str) -> Path:
+    """Path of the output file `name`; creates the output directory."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[dict]) -> None:
+    path = _output(cfg, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(cfg.echo(), sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+    print(f"wrote {path}")
 
 
 def _summary_rows(rows: list[dict], metric_cols: list[str]) -> list[dict]:
@@ -176,13 +186,6 @@ def _summary_rows(rows: list[dict], metric_cols: list[str]) -> list[dict]:
 _METRIC_COLS = ["acc", "ari", "edge_pct", "n_components"]
 
 
-def _n_clusters(cfg: RunConfig, ps: PointSet) -> int:
-    n_clusters = cfg.clusters if cfg.clusters is not None else ps.n_classes
-    if n_clusters < 2:
-        raise InputError(f"need at least 2 clusters, got {n_clusters}")
-    return n_clusters
-
-
 def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
                    n_clusters: int):
     """Yield one metric row per seeded repeat; repeat i uses seed + i.
@@ -193,7 +196,7 @@ def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
     emb = embed(laplacian(graph), n_clusters)
     shared = {"edge_pct": edge_percentage(graph), "n_components": n_components(graph)}
     for i in range(cfg.repeats):
-        seed_i = (cfg.seed + i) % _SEED_MOD
+        seed_i = (cfg.seed + i) % SEED_RANGE
         labels = kmeans(emb, n_clusters, seed_i).labels
         yield {"repeat": i, "seed": seed_i, "acc": acc(truth, labels),
                "ari": ari(truth, labels), **shared}
@@ -205,9 +208,7 @@ def cmd_cluster(cfg: RunConfig) -> list[dict]:
     `cluster` scores the reduced graph; `baseline-knn` scores the mutual
     k-NN comparison foil with the same metrics and no reduction step.
     """
-    ps = load_dataset(cfg)
-    truth = _require_labels(ps)
-    n_clusters = _n_clusters(cfg, ps)
+    ps, n_clusters = _labeled_dataset(cfg)
     # The graph ignores the seed and is identical for every repeat.
     if cfg.command == "baseline-knn":
         graph, filename = build_baseline_knn(ps, cfg.baseline_k), "baseline_metrics.csv"
@@ -216,7 +217,7 @@ def cmd_cluster(cfg: RunConfig) -> list[dict]:
         filename = "metrics.csv"
     rows = []
     total = tic = time.perf_counter()
-    for row in _score_repeats(cfg, truth, graph, n_clusters):
+    for row in _score_repeats(cfg, ps.labels, graph, n_clusters):
         toc = time.perf_counter()
         print(f"repeat {row['repeat']}: acc={row['acc']:.4f} ari={row['ari']:.4f} "
               f"e%={row['edge_pct']:.4f} components={row['n_components']} "
@@ -224,11 +225,8 @@ def cmd_cluster(cfg: RunConfig) -> list[dict]:
         rows.append(row)
         tic = toc
     print(f"total wall time: {time.perf_counter() - total:.3f}s")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / filename, cfg, ["repeat", "seed", *_METRIC_COLS],
+    _write_csv(cfg, filename, ["repeat", "seed", *_METRIC_COLS],
                rows + _summary_rows(rows, _METRIC_COLS))
-    print(f"wrote {out / filename}")
     return rows
 
 
@@ -243,22 +241,20 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         raise InputError("sweep needs a non-empty --grid")
     if cfg.param not in ("k-max", "baseline-k"):
         raise InputError("--param must be 'k-max' or 'baseline-k'")
-    ps = load_dataset(cfg)
-    truth = _require_labels(ps)
-    n_clusters = _n_clusters(cfg, ps)
+    ps, n_clusters = _labeled_dataset(cfg)
     rows: list[dict] = []
 
     def run(graph, method, param):
         return [{**r, "method": method, "param": param}
-                for r in _score_repeats(cfg, truth, graph, n_clusters)]
+                for r in _score_repeats(cfg, ps.labels, graph, n_clusters)]
 
     # One table at the largest k the sweep needs; every grid point takes
     # its leading columns, which equal a table built at that k.
     if cfg.param == "k-max":
         nt = build_knn(ps, max(cfg.grid))
         for k in cfg.grid:
-            graph, _ = _reduced(nt.prefix(int(k)), cfg.seventh_neighbor_scale)
-            rows.extend(run(graph, "reduced", int(k)))
+            graph, _ = _reduced(nt.prefix(k), cfg.seventh_neighbor_scale)
+            rows.extend(run(graph, "reduced", k))
             print(f"k_max={k}: done")
     else:
         k_max = _effective_k_max(cfg, ps)
@@ -266,17 +262,13 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         reduced, _ = _reduced(nt.prefix(k_max), cfg.seventh_neighbor_scale)
         reduced_rows = run(reduced, "reduced", 0)
         for k in cfg.grid:
-            baseline = _mutual_knn(nt.prefix(int(k)))
-            rows.extend(run(baseline, "baseline", int(k)))
+            baseline = _mutual_knn(nt.prefix(k))
+            rows.extend(run(baseline, "baseline", k))
             for r in reduced_rows:
-                rows.append({**r, "param": int(k)})
+                rows.append({**r, "param": k})
             print(f"baseline k={k}: done")
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", cfg,
-               ["method", "param", "repeat", "acc", "ari", "edge_pct"], rows)
-    print(f"wrote {out / 'sweep.csv'}")
+    _write_csv(cfg, "sweep.csv", ["method", "param", "repeat", "acc", "ari", "edge_pct"], rows)
     return rows
 
 
@@ -286,12 +278,11 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
     k_max = _effective_k_max(cfg, ps)
     nt = build_knn(ps, k_max)
     graph, scales = _reduced(nt, cfg.seventh_neighbor_scale)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_graph(graph, out / "graph.txt", k_max=k_max, seed=cfg.seed)
+    path = _output(cfg, "graph.txt")
+    save_graph(graph, path, k_max=k_max, seed=cfg.seed)
     print(f"n={graph.n} ordered_edges={graph.edge_count} "
           f"e%={edge_percentage(graph):.4f}")
-    print(f"wrote {out / 'graph.txt'}")
+    print(f"wrote {path}")
     if cfg.similarity_histogram:
         # The histogram always shows the adaptive-scale affinities.
         if cfg.seventh_neighbor_scale:
@@ -299,10 +290,9 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
         values = affinity_rows(nt, scales).ravel()
         hist = build_histogram(values, fd_bin_width(values))
         edges = hist.edges.tolist()
-        _write_csv(out / "similarity_histogram.csv", cfg, ["bin_lo", "bin_hi", "count"],
+        _write_csv(cfg, "similarity_histogram.csv", ["bin_lo", "bin_hi", "count"],
                    [{"bin_lo": lo, "bin_hi": hi, "count": count}
                     for lo, hi, count in zip(edges, edges[1:], hist.counts.tolist())])
-        print(f"wrote {out / 'similarity_histogram.csv'}")
     return graph
 
 
@@ -312,12 +302,11 @@ def cmd_pairs(cfg: RunConfig):
     nt = build_knn(ps, _effective_k_max(cfg, ps))
     graph, _ = _reduced(nt, cfg.seventh_neighbor_scale)
     pair_set = export_pairs(graph, nt, cfg.seed)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_pairs(pair_set, out / "pairs.jsonl")
+    path = _output(cfg, "pairs.jsonl")
+    save_pairs(pair_set, path)
     print(f"positives={len(pair_set.positives)} negatives={len(pair_set.negatives)} "
           f"total={pair_set.total}")
-    print(f"wrote {out / 'pairs.jsonl'}")
+    print(f"wrote {path}")
     return pair_set
 
 
@@ -411,7 +400,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         _DISPATCH[cfg.command](cfg)
-    except (InputError, FileNotFoundError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -21,13 +21,14 @@ from .errors import InputError
 # bit-identical results everywhere downstream.
 Seed = int
 
-_SEED_MAX = 2**64
+# Seeds lie in [0, SEED_RANGE); derived seeds wrap around at it.
+SEED_RANGE = 2**64
 
 
 def check_seed(seed: Seed) -> int:
     if not isinstance(seed, (int, np.integer)):
         raise InputError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= int(seed) < _SEED_MAX:
+    if not 0 <= int(seed) < SEED_RANGE:
         raise InputError(f"seed must be in [0, 2**64), got {seed}")
     return int(seed)
 

@@ -35,12 +35,17 @@ def _check_labels(truth, pred) -> tuple[np.ndarray, np.ndarray]:
 
 
 def contingency(truth, pred) -> np.ndarray:
-    """Count matrix M[i, j] = |{points with truth i and pred j}|."""
+    """Count matrix M[i, j] = |{points with the i-th truth id and the j-th pred id}|.
+
+    Rows and columns are the ids that occur, in ascending order; an id
+    that does not occur would only add a zero row or column, which
+    changes neither ACC nor ARI.
+    """
     t, p = _check_labels(truth, pred)
-    rows, cols = int(t.max()) + 1, int(p.max()) + 1
-    m = np.zeros((rows, cols), dtype=np.int64)
-    np.add.at(m, (t, p), 1)
-    return m
+    t_ids, t = np.unique(t, return_inverse=True)
+    p_ids, p = np.unique(p, return_inverse=True)
+    cells = np.bincount(t * p_ids.size + p, minlength=t_ids.size * p_ids.size)
+    return cells.reshape(t_ids.size, p_ids.size)
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,10 @@ class PairCounts:
     def from_labels(cls, truth, pred) -> "PairCounts":
         m = contingency(truth, pred)
         n = int(m.sum())
-        same_both = sum(math.comb(int(c), 2) for c in m.ravel())
-        same_truth = sum(math.comb(int(c), 2) for c in m.sum(axis=1))
-        same_pred = sum(math.comb(int(c), 2) for c in m.sum(axis=0))
+        # Pairs within each cell, truth class and predicted cluster; Python
+        # ints from here on, so the products in `ari` cannot overflow.
+        same_both, same_truth, same_pred = (int((c * (c - 1) // 2).sum())
+                                            for c in (m, m.sum(axis=1), m.sum(axis=0)))
         n11 = same_both
         n01 = same_truth - same_both
         n10 = same_pred - same_both
@@ -85,30 +91,22 @@ def acc(truth, pred) -> float:
     return float(m[rows, cols].sum()) / float(m.sum())
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    """Relabel by first occurrence, so equal partitions compare equal."""
-    first_seen: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, v in enumerate(labels.tolist()):
-        out[i] = first_seen.setdefault(v, len(first_seen))
-    return out
-
-
 def ari(truth, pred) -> float:
     """Adjusted Rand index from pair counts:
     2(n00*n11 - n01*n10) / ((n00+n01)(n01+n11) + (n00+n10)(n10+n11)).
 
-    A zero denominator (e.g. both labelings put everything in one
-    cluster) yields 1 when the labelings are identical as partitions,
-    else 0.
+    The denominator is (pairs split by pred)(pairs joined by truth) +
+    (pairs split by truth)(pairs joined by pred), so it is 0 only when
+    both labelings are the same trivial partition: one cluster, all
+    singletons, or N < 2. The index is then 1, as for any two equal
+    partitions (Hubert & Arabie 1985).
     """
-    t, p = _check_labels(truth, pred)
-    pc = PairCounts.from_labels(t, p)
+    pc = PairCounts.from_labels(truth, pred)
     numer = 2 * (pc.n00 * pc.n11 - pc.n01 * pc.n10)
     denom = ((pc.n00 + pc.n01) * (pc.n01 + pc.n11)
              + (pc.n00 + pc.n10) * (pc.n10 + pc.n11))
     if denom == 0:
-        return 1.0 if np.array_equal(_canonical(t), _canonical(p)) else 0.0
+        return 1.0
     return numer / denom
 
 

@@ -46,7 +46,7 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     if g.n != nt.n:
         raise InputError(f"graph has {g.n} vertices but table has {nt.n} rows")
     n = g.n
-    positives = sorted(g.pairs())
+    positives = g.pairs()
     need = g.degrees()
     if log.isEnabledFor(logging.DEBUG):
         for p in np.flatnonzero(need == 0).tolist():

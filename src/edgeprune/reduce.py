@@ -75,7 +75,7 @@ class ReducedGraph:
         return set(zip(self.src.tolist(), self.dst.tolist()))
 
     def pairs(self) -> list[tuple[int, int]]:
-        """Unordered mutual edges, each once, as sorted (p, q) with p < q."""
+        """Unordered mutual edges, each once, as (p, q) with p < q, in edge order."""
         mask = self.src < self.dst
         return list(zip(self.src[mask].tolist(), self.dst[mask].tolist()))
 
@@ -215,9 +215,10 @@ def load_graph(path) -> tuple[ReducedGraph, dict]:
     Raises InputError unless the header is a JSON object with an integer
     vertex count "n" >= 0, every edge id is an integer in [0, n), every
     weight is finite and positive, and every edge (p, q, w) has its
-    reverse (q, p, w), as save_graph writes it. The loaded graph's directed
-    survivor set is set equal to its edge set, which preserves every
-    stored invariant.
+    reverse (q, p, w), as save_graph writes it. The edges come back
+    sorted by (p, q, w), whatever the line order of the file. The loaded
+    graph's directed survivor set is set equal to its edge set, which
+    preserves every stored invariant.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -257,6 +258,7 @@ def load_graph(path) -> tuple[ReducedGraph, dict]:
             and np.array_equal(weight[fwd], weight[rev])):
         raise InputError(f"{path}: graph is not symmetric: some edge (p, q, w) "
                          f"has no reverse edge (q, p, w)")
+    src, dst, weight = src[fwd], dst[fwd], weight[fwd]
     g = ReducedGraph(n=n, src=src, dst=dst, weight=weight,
                      directed_src=src, directed_dst=dst, directed_weight=weight)
     return g, header

@@ -64,8 +64,7 @@ def laplacian(g: ReducedGraph) -> scipy.sparse.csr_matrix:
     d_p * d_q, identical in both orders. Repeated ordered pairs add up in
     the CSR matrix as they do in the degrees.
     """
-    deg = np.zeros(g.n, dtype=np.float64)
-    np.add.at(deg, g.src, g.weight)
+    deg = np.bincount(g.src, weights=g.weight, minlength=g.n)
     inv_sqrt = np.zeros(g.n, dtype=np.float64)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])

@@ -82,6 +82,13 @@ class TestClusterCommand:
         echo = json.loads(first[2:])
         assert echo["seed"] == 1 and echo["command"] == "cluster"
 
+    def test_config_echo_keys(self):
+        assert RunConfig(command="cluster").echo() == {
+            "command": "cluster", "input_path": None, "synthetic": None,
+            "label_column": None, "k_max": None, "clusters": None, "seed": 0,
+            "repeats": 1, "baseline_k": 2, "param": None, "grid": [],
+            "seventh_neighbor_scale": False}
+
     def test_per_repeat_seeds_derived(self, tmp_path):
         cfg = RunConfig(command="cluster", synthetic=BLOBS, seed=10, repeats=3,
                         out_dir=str(tmp_path))

@@ -43,6 +43,12 @@ def pair_counts_enumerated(truth, pred):
     return PairCounts(n11=n11, n00=n00, n01=n01, n10=n10)
 
 
+def first_occurrence(labels):
+    """Relabel by order of first appearance: equal partitions give equal lists."""
+    seen = {}
+    return [seen.setdefault(v, len(seen)) for v in labels]
+
+
 def ari_contingency_oracle(truth, pred):
     """Adjusted Rand index via the standard contingency-table formula."""
     m = contingency(truth, pred)
@@ -99,7 +105,7 @@ class TestAcc:
             assert acc(truth, pred) == acc_exhaustive(truth, pred)
 
     def test_gapped_pred_ids_match_exhaustive_oracle(self):
-        # Unused predicted ids are all-zero columns of the contingency matrix.
+        # Unused predicted ids: gaps between the ids that occur.
         rng = np.random.default_rng(6)
         for _ in range(40):
             used = np.sort(rng.choice(6, size=int(rng.integers(1, 5)), replace=False))
@@ -117,6 +123,18 @@ class TestAcc:
         assert acc(one, labels) == acc_exhaustive(one, labels)
         assert acc(labels, one) == acc_exhaustive(labels, one)
         assert acc(one, labels) == np.bincount(labels).max() / 25
+
+    def test_sparse_ids_match_compacted_relabelling(self):
+        # The table has a row and a column per id that occurs; counting up
+        # to the largest id would ask for 8 TiB here.
+        assert acc([0, 0], [0, 2**40]) == 0.5
+        rng = np.random.default_rng(8)
+        t_ids, p_ids = np.array([3, 2**20, 2**40]), np.array([0, 7, 2**33, 2**62])
+        truth, pred = random_labels(rng, 50, 3), random_labels(rng, 50, 4)
+        sparse_t, sparse_p = t_ids[truth], p_ids[pred]
+        assert np.array_equal(contingency(sparse_t, sparse_p), contingency(truth, pred))
+        assert acc(sparse_t, sparse_p) == acc(truth, pred)
+        assert ari(sparse_t, sparse_p) == ari(truth, pred)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
@@ -143,6 +161,11 @@ class TestAri:
 
     def test_single_cluster_both_degenerate_one(self):
         assert ari([0, 0, 0], [0, 0, 0]) == 1.0
+
+    @pytest.mark.parametrize("truth, pred", [([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]),
+                                             ([3], [7])])
+    def test_singletons_both_degenerate_one(self, truth, pred):
+        assert ari(truth, pred) == 1.0
 
     def test_matches_contingency_oracle(self):
         rng = np.random.default_rng(3)
@@ -185,6 +208,20 @@ def test_ari_acc_relabel_invariance(n, c, seed):
     perm_p = rng.permutation(c)
     assert ari(perm_t[truth], perm_p[pred]) == pytest.approx(ari(truth, pred), abs=1e-12)
     assert acc(truth, perm_p[pred]) == acc(truth, pred)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+@settings(max_examples=300, deadline=None)
+def test_zero_ari_denominator_means_equal_partitions(labelings):
+    truth, pred = labelings
+    pc = PairCounts.from_labels(truth, pred)
+    denom = ((pc.n00 + pc.n01) * (pc.n01 + pc.n11)
+             + (pc.n00 + pc.n10) * (pc.n10 + pc.n11))
+    if denom == 0:
+        assert first_occurrence(truth) == first_occurrence(pred)
+        assert ari(truth, pred) == 1.0
 
 
 class TestEdgePercentage:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import tie_heavy_tables
 from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affinity,
-                       affinity_rows, build_knn, compute_scales, fd_bin_width,
-                       gen_synthetic, graph_from_table, load_graph, mutualize,
+                       affinity_rows, build_knn, compute_scales, export_pairs,
+                       fd_bin_width, gen_synthetic, graph_from_table, load_graph, mutualize,
                        n_components, reduce_graph, save_graph, threshold_row)
 from edgeprune.reduce import component_labels, threshold_survivors
 from edgeprune.scale import LocalScales
@@ -380,6 +380,22 @@ class TestSerialization:
         back, _ = load_graph(tmp_path / "graph.txt")
         for field in ("src", "dst", "weight"):
             assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
+
+    def test_shuffled_file_loads_sorted(self, tmp_path):
+        ps = gen_synthetic("moons", {"size": 50, "noise": 0.05}, seed=20)
+        nt = build_knn(ps, 15)
+        g = graph_from_table(nt, compute_scales(nt))
+        path = tmp_path / "graph.txt"
+        save_graph(g, path)
+        header, *edges = path.read_text().splitlines(keepends=True)
+        shuffle = np.random.default_rng(0).permutation(len(edges))
+        path.write_text(header + "".join(edges[i] for i in shuffle))
+        back, _ = load_graph(path)
+        order = np.lexsort((back.weight, back.dst, back.src))
+        assert np.array_equal(order, np.arange(back.edge_count))
+        for field in ("src", "dst", "weight"):
+            assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
+        assert export_pairs(back, nt, 3) == export_pairs(g, nt, 3)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
