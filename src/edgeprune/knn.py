@@ -15,15 +15,24 @@ candidates only. The screen's error bound is derived in `_screen_slack`
 guarantees the candidates contain the true first k_max, ties included,
 so the table is bit-for-bit the one the exact form gives on every pair.
 
-The product runs in numpy's own einsum loop, on the calling thread. A
-threaded BLAS product leaves its worker threads spinning on the other
-cores for about 0.1 s after each call, longer than the whole k-NN stage
-at a few thousand points, so the stages after it would run beside
-busy cores and their time would depend on what else the machine runs.
+The screen runs in chunks of rows on a pool of threads, one per usable
+CPU (the process's affinity set). Each chunk writes only its own rows of
+the table, and each row is the exact one whichever thread screens it, so
+the table does not depend on the worker count or the scheduling; the
+pool is joined before `build_knn` returns. The product is numpy's
+own einsum loop, never BLAS: a threaded BLAS product leaves its worker
+threads spinning on the other cores for about 0.1 s after each call,
+longer than the whole k-NN stage at a few thousand points, so the stages
+after it would run beside busy cores and their time would depend on
+what else the machine runs.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +40,15 @@ import numpy as np
 from .data import PointSet
 from .errors import InputError
 
-_CHUNK = 256
+_CHUNK = 64           # rows screened by one task
+_SCRATCH_ROWS = 256   # rows screened at once over all workers: caps the worker count
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -90,9 +107,12 @@ def _screen_slack(norm_sums: np.ndarray, dim: int) -> np.ndarray:
     relative model does not cover gradual underflow, so (d + 4) times the
     smallest normal number is added.
 
-    `norm_sums` holds Q_a + Q_b for every screened pair.
+    `norm_sums` holds Q_a + Q_b for every screened pair; the bound is
+    written over it in place, and returned.
     """
-    return 4 * (dim + 6) * 2.0 ** -53 * norm_sums + (dim + 4) * np.finfo(np.float64).tiny
+    norm_sums *= 4 * (dim + 6) * 2.0 ** -53
+    norm_sums += (dim + 4) * np.finfo(np.float64).tiny
+    return norm_sums
 
 
 def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
@@ -120,6 +140,14 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     non-finite value (only from coordinates near the float range limit)
     fails the test `s - E > T`, which makes the point, or the whole row, a
     candidate. The bound assumes no finite intermediate overflows.
+
+    Threads. Chunks of `_CHUNK` rows run on min(usable CPUs, chunks,
+    `_SCRATCH_ROWS` / `_CHUNK`) threads, each chunk in a copy of the
+    caller's context, so under the caller's numpy error state; a worker's
+    exception is raised here. The screen writes into reused buffers, one
+    set per worker, allocated once per call. Capping workers x rows at
+    `_SCRATCH_ROWS` bounds the scratch memory, buffers and re-rank arrays
+    alike, by that of one 256-row chunk, whatever the CPU count.
     """
     x = ps.points
     n, dim = x.shape
@@ -131,26 +159,43 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     ct = np.ascontiguousarray(c.T)  # (d, N): einsum's inner loop runs along N
     distances = np.empty((n, k_max), dtype=np.float64)
     indices = np.empty((n, k_max), dtype=np.int64)
-    for start in range(0, n, _CHUNK):
+    starts = range(0, n, _CHUNK)
+    workers = max(1, min(_usable_cpus(), len(starts), _SCRATCH_ROWS // _CHUNK))
+
+    # One set of screen buffers per worker, allocated here: a task takes a
+    # free set and puts it back, and at most `workers` tasks run at once.
+    shape = (min(_CHUNK, n), n)
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)))
+
+    def rank_chunk(start: int) -> None:
         stop = min(start + _CHUNK, n)
         rows = np.arange(start, stop)
+        scratch = free.get()
+        try:
+            screen, slack, upper, keep = (a[:stop - start] for a in scratch)
+            # Screen: Gram-identity squared distances and their per-pair slack.
+            # einsum without `optimize` never calls BLAS (see the module docstring).
+            np.einsum("ki,kj->ij", ct[:, start:stop], ct, out=screen)
+            np.add(sq[start:stop, None], sq, out=slack)
+            screen *= 2.0
+            np.subtract(slack, screen, out=screen)
+            screen[rows - start, rows] = np.inf  # exclude self
+            _screen_slack(slack, dim)
+            np.add(screen, slack, out=upper)
+            upper.partition(k_max - 1, axis=1)
+            screen -= slack
+            np.greater(screen, upper[:, k_max - 1, None], out=keep)
+            np.logical_not(keep, out=keep)
 
-        # Screen: Gram-identity squared distances and their per-pair slack.
-        # einsum without `optimize` never calls BLAS (see the module docstring).
-        gram = np.einsum("ki,kj->ij", ct[:, start:stop], ct)
-        screen = sq[rows, None] + sq - 2.0 * gram
-        screen[rows - start, rows] = np.inf  # exclude self
-        slack = _screen_slack(sq[rows, None] + sq, dim)
-        upper = screen + slack
-        upper.partition(k_max - 1, axis=1)
-        screen -= slack
-        keep = ~(screen > upper[:, k_max - 1, None])
-
-        # Pack each row's candidates left-aligned; pad with index n, which
-        # sorts after every real candidate, and there are at least k_max.
-        count = np.count_nonzero(keep, axis=1)
-        cand = np.full((stop - start, int(count.max())), n, dtype=np.int64)
-        cand[np.arange(cand.shape[1]) < count[:, None]] = np.flatnonzero(keep) % n
+            # Pack each row's candidates left-aligned; pad with index n, which
+            # sorts after every real candidate, and there are at least k_max.
+            count = np.count_nonzero(keep, axis=1)
+            cand = np.full((stop - start, int(count.max())), n, dtype=np.int64)
+            cand[np.arange(cand.shape[1]) < count[:, None]] = np.flatnonzero(keep) % n
+        finally:
+            free.put(scratch)
 
         # Re-rank: the exact form over the contiguous last axis, as on all pairs.
         diff = x.take(np.minimum(cand, n - 1), axis=0)
@@ -161,4 +206,11 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         order = np.lexsort((cand, dist), axis=1)[:, :k_max]
         indices[start:stop] = np.take_along_axis(cand, order, axis=1)
         distances[start:stop] = np.take_along_axis(dist, order, axis=1)
+
+    # numpy's error state is a context variable, so each chunk runs in a
+    # copy of the caller's context.
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(lambda start: context.copy().run(rank_chunk, start), starts):
+            pass
     return NeighborTable(distances=distances, indices=indices)

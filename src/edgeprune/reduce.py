@@ -134,7 +134,8 @@ def mutualize(n: int, src, dst, weight) -> ReducedGraph:
 
     The inputs are parallel arrays of directed survivor edges; the output
     stores both directions of every mutual edge, each with the weight the
-    forward survivor carried.
+    forward survivor carried. Edges are found by their keys p*n + q, so
+    n**2 must stay below 2**63.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -144,11 +145,15 @@ def mutualize(n: int, src, dst, weight) -> ReducedGraph:
     if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise InputError("mutualize: vertex id out of range")
     keep = np.flatnonzero(src != dst)  # drop self-loops defensively
-    # One stable sort of the directed survivors; the mutual edges are a
-    # subset of them and so come out sorted too.
-    order = keep[np.lexsort((dst[keep], src[keep]))]
+    # One stable sort of the directed survivors by key, which orders them
+    # by (src, dst); the mutual edges are a subset and come out sorted too.
+    key = src[keep] * n + dst[keep]
+    by_key = np.argsort(key, kind="stable")
+    order, key = keep[by_key], key[by_key]
     src, dst, weight = src[order], dst[order], weight[order]
-    mutual = np.isin(src * n + dst, dst * n + src)
+    # An edge is mutual when its reverse key is among the sorted keys.
+    reverse = dst * n + src
+    mutual = key.take(np.searchsorted(key, reverse), mode="clip") == reverse
     return ReducedGraph(n=n, src=src[mutual], dst=dst[mutual], weight=weight[mutual],
                         directed_src=src, directed_dst=dst, directed_weight=weight)
 

@@ -355,3 +355,33 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("argv", [["reduce", "--similarity-histogram"], ["pairs"],
+                                  ["cluster", "--repeats", "2"]])
+def test_outputs_do_not_depend_on_usable_cpus(tmp_path, argv):
+    # The k-NN screen runs on one thread per usable CPU; a child pinned to
+    # one CPU must write the same bytes as a child with all of them. BLAS
+    # gets one thread in both, since the spectral stage's output may depend
+    # on its thread count (see the README).
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from edgeprune.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+    spec = "blobs:clusters=3,size=150,separation=8,spread=1.5"
+    outs = []
+    for cpus in ("one", "all"):
+        out = tmp_path / cpus
+        proc = subprocess.run([sys.executable, "-c", script, cpus, *argv, "--synthetic", spec,
+                               "--seed", "4", "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": str(src),
+                                   "OPENBLAS_NUM_THREADS": "1"},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[0] and outs[0] == outs[1]

@@ -1,4 +1,6 @@
 import resource
+import sys
+import threading
 import time
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tie_heavy_points
-from edgeprune import InputError, PointSet, build_knn, gen_synthetic
+from edgeprune import InputError, PointSet, build_knn, gen_synthetic, knn
 
 
 def allpairs_oracle(points, k):
@@ -57,15 +59,81 @@ def test_matches_oracle_bit_for_bit(ps, data):
     assert_matches_oracle(ps, data.draw(st.integers(1, ps.n - 1)))
 
 
-@pytest.mark.parametrize("k", [1, 12, 299])
-def test_matches_oracle_across_chunks(k):
-    # N = 700 spans three chunks of rows; duplicates and a lattice give
+def many_chunks(mp):
+    """Screen three rows per task on a pool of three threads."""
+    mp.setattr(knn, "_CHUNK", 3)
+    mp.setattr(knn, "_usable_cpus", lambda: 3)
+
+
+@given(screen_hard_points(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_matches_oracle_through_many_chunks(ps, data):
+    with pytest.MonkeyPatch.context() as mp:
+        many_chunks(mp)
+        assert_matches_oracle(ps, data.draw(st.integers(1, ps.n - 1)))
+
+
+def across_chunks_points():
+    # N = 700 spans eleven 64-row chunks; duplicates and a lattice give
     # exact ties, and the far block makes the screen coarse for the rest.
     rng = np.random.default_rng(5)
     lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
-    points = np.vstack([lattice, lattice[:40], 1e-3 * rng.standard_normal((300, 3)),
-                        1e5 + rng.standard_normal((144, 3))])
-    assert_matches_oracle(PointSet(points), k)
+    return PointSet(np.vstack([lattice, lattice[:40], 1e-3 * rng.standard_normal((300, 3)),
+                               1e5 + rng.standard_normal((144, 3))]))
+
+
+@pytest.mark.parametrize("k", [1, 12, 299])
+def test_matches_oracle_across_chunks(k):
+    assert_matches_oracle(across_chunks_points(), k)
+
+
+@pytest.mark.parametrize("chunk", [3, 64])
+def test_table_does_not_depend_on_worker_count(monkeypatch, chunk):
+    # One worker against three and eight (more than the cores), switching
+    # threads every microsecond: a task that used another's buffers or
+    # wrote outside its rows would show.
+    monkeypatch.setattr(knn, "_CHUNK", chunk)
+    tables = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3, 8):
+            monkeypatch.setattr(knn, "_usable_cpus", lambda: workers)
+            nt = build_knn(across_chunks_points(), 30)
+            tables.append((nt.indices.tobytes(), nt.distances.tobytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_pool_is_joined_before_return(monkeypatch):
+    monkeypatch.setattr(knn, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    build_knn(across_chunks_points(), 10)
+    assert threading.active_count() == before
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    many_chunks(monkeypatch)
+
+    def fail(norm_sums, dim):
+        raise FloatingPointError("from a worker")
+
+    monkeypatch.setattr(knn, "_screen_slack", fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="from a worker"):
+        build_knn(across_chunks_points(), 10)
+    assert threading.active_count() == before
+
+
+def test_workers_run_in_the_callers_error_state(monkeypatch):
+    # numpy's error state is a context variable; a worker started outside
+    # the caller's context would warn (an error under this suite's filters)
+    # on the overflowing squares the caller chose to ignore.
+    many_chunks(monkeypatch)
+    points = np.array([[0.0], [1.0], [3.0], [1e200], [-1e200]] * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_oracle(PointSet(points), 7)
 
 
 def test_matches_oracle_when_squares_overflow():
