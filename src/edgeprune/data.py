@@ -113,9 +113,10 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
     `label_column` is a 0-based column index; that column is extracted as
     class labels and re-encoded to 0..C-1 (silently, if not already
     contiguous). All remaining cells must parse as finite reals. Parse
-    failures report the 1-based row number of the offending line.
+    failures report the 1-based row number of the offending line. A
+    leading UTF-8 byte-order mark, as Excel writes, is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:

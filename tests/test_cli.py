@@ -335,9 +335,10 @@ def test_module_entry_point():
     assert proc.stdout.strip() == f"edgeprune {__version__}"
 
 
-def test_commands_leave_scipy_optimize_unimported(tmp_path):
-    # scipy.optimize costs about 0.3 s of every process's start; no
-    # command may import it, directly or through a scipy module it uses.
+def test_commands_leave_scipy_optimize_and_spatial_unimported(tmp_path):
+    # scipy.optimize costs about 0.3 s of every process's start and
+    # scipy.spatial (the KD-tree) about 0.1 s; no command may import
+    # either, directly or through a scipy module it uses.
     src = Path(__file__).resolve().parents[1] / "src"
     script = f"""
 import sys
@@ -348,7 +349,7 @@ for argv in (["cluster", "--clusters", "2"], ["pairs"], ["reduce"],
              ["sweep", "--clusters", "2", "--param", "k-max", "--grid", "5,10"]):
     assert cli.main([*argv, "--synthetic", spec, "--k-max", "10",
                      "--out", {str(tmp_path)!r}]) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial"))))
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           env={**os.environ, "PYTHONPATH": str(src)},

@@ -60,6 +60,14 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="row 1"):
             load_csv(write(tmp_path, "inf,2\n3,4\n"))
 
+    @pytest.mark.parametrize("header", ["", "x,y\n"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # Excel writes UTF-8 CSV files with a leading byte-order mark.
+        text = header + "0.0,1\n2.5,-3\n4,5e-1\n"
+        plain = load_csv(write(tmp_path, text))
+        marked = load_csv(write(tmp_path, "\ufeff" + text, name="bom.csv"))
+        assert marked.points.tobytes() == plain.points.tobytes()
+
     def test_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(3)
         ps = PointSet(rng.normal(size=(20, 4)) * 1e3,

@@ -2,6 +2,7 @@ import resource
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,8 +91,8 @@ def test_matches_oracle_across_chunks(k):
 @pytest.mark.parametrize("chunk", [3, 64])
 def test_table_does_not_depend_on_worker_count(monkeypatch, chunk):
     # One worker against three and eight (more than the cores), switching
-    # threads every microsecond: a task that used another's buffers or
-    # wrote outside its rows would show.
+    # threads every microsecond: a worker that screened into another's
+    # buffers, or wrote outside its own chunks' rows, would show.
     monkeypatch.setattr(knn, "_CHUNK", chunk)
     tables = []
     interval = sys.getswitchinterval()
@@ -111,6 +112,23 @@ def test_pool_is_joined_before_return(monkeypatch):
     before = threading.active_count()
     build_knn(across_chunks_points(), 10)
     assert threading.active_count() == before
+
+
+def test_scratch_memory_does_not_grow_with_cpu_count(monkeypatch):
+    # Workers x chunk rows is capped at `_SCRATCH_ROWS`: 64 usable CPUs get
+    # the 4 workers that 4 CPUs get. Uncapped, each of 32 workers would
+    # hold its own buffer set and re-rank arrays, about 7x the peak here.
+    ps = PointSet(np.random.default_rng(6).standard_normal((2000, 8)))
+    peaks = []
+    for cpus in (4, 64):
+        monkeypatch.setattr(knn, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            build_knn(ps, 20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_worker_exception_reaches_caller(monkeypatch):
