@@ -14,8 +14,8 @@ from .knn import NeighborTable, build_knn
 from .metrics import PairCounts, acc, ari, edge_percentage
 from .pairs import PairSet, export_pairs, save_pairs
 from .reduce import (ReducedGraph, RowThreshold, affinity, affinity_rows,
-                     graph_from_table, load_graph, mutualize, n_components,
-                     reduce_graph, save_graph, threshold_row)
+                     graph_from_table, load_graph, mutual_knn_graph, mutualize,
+                     n_components, reduce_graph, save_graph, threshold_row)
 from .scale import (Histogram, LocalScales, build_histogram, compute_scales,
                     fd_bin_width, local_scale_row, mwa_smooth)
 from .spectral import (ClusterResult, Embedding, embed, kmeans, laplacian,
@@ -29,7 +29,7 @@ __all__ = [
     "mwa_smooth", "local_scale_row", "compute_scales",
     "ReducedGraph", "RowThreshold", "affinity", "affinity_rows",
     "threshold_row", "mutualize", "graph_from_table", "reduce_graph",
-    "n_components",
+    "mutual_knn_graph", "n_components",
     "save_graph", "load_graph",
     "Embedding", "ClusterResult", "laplacian", "embed", "kmeans",
     "spectral_cluster",

@@ -10,8 +10,9 @@ Subcommands:
 
 The reducing commands share one table-to-graph step, `_reduced`, which
 also makes the one choice between the adaptive and the seventh-neighbor
-scale. `baseline-knn` is `cluster` on the mutual k-NN graph, written to
-its own file.
+scale. The metric commands cluster each graph with one `spectral_cluster`
+call, which embeds it once for all repeats; `baseline-knn` is `cluster`
+on `mutual_knn_graph`.
 
 Every command is deterministic for a fixed configuration; repeat i uses
 seed + i. Output CSVs start with a '# {...}' config echo line so a
@@ -39,9 +40,9 @@ from .knn import NeighborTable, build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
 from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, graph_from_table,
-                     mutualize, n_components, save_graph)
+                     mutual_knn_graph, n_components, save_graph)
 from .scale import LocalScales, build_histogram, compute_scales, fd_bin_width
-from .spectral import embed, kmeans, laplacian
+from .spectral import spectral_cluster
 
 @dataclass
 class RunConfig:
@@ -97,6 +98,8 @@ def load_dataset(cfg: RunConfig) -> PointSet:
         raise InputError("exactly one of --input and --synthetic is required")
     if cfg.input_path is not None:
         return load_csv(cfg.input_path, label_column=cfg.label_column)
+    if cfg.label_column is not None:
+        raise InputError("--label-column applies to --input, not to --synthetic")
     kind, params = parse_synthetic_spec(cfg.synthetic)
     return gen_synthetic(kind, params, seed=cfg.seed)
 
@@ -138,18 +141,6 @@ def build_reduced(ps: PointSet, k_max: int, seventh_neighbor: bool = False) -> R
     return _reduced(build_knn(ps, k_max), seventh_neighbor)[0]
 
 
-def _mutual_knn(nt: NeighborTable) -> ReducedGraph:
-    src = np.repeat(np.arange(nt.n, dtype=np.int64), nt.k_max)
-    dst = nt.indices.ravel()
-    weight = np.ones(src.size, dtype=np.float64)
-    return mutualize(nt.n, src, dst, weight)
-
-
-def build_baseline_knn(ps: PointSet, k: int) -> ReducedGraph:
-    """Mutual unweighted k-NN graph: edge iff each point is in the other's k-NN."""
-    return _mutual_knn(build_knn(ps, k))
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -188,18 +179,12 @@ _METRIC_COLS = ["acc", "ari", "edge_pct", "n_components"]
 
 def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
                    n_clusters: int):
-    """Yield one metric row per seeded repeat; repeat i uses seed + i.
-
-    The embedding and the component count do not depend on the seed, so
-    they are computed once and only k-means runs per repeat.
-    """
-    emb = embed(laplacian(graph), n_clusters)
+    """Yield one metric row per seeded repeat; repeat i uses seed + i."""
+    seeds = [(cfg.seed + i) % SEED_RANGE for i in range(cfg.repeats)]
     shared = {"edge_pct": edge_percentage(graph), "n_components": n_components(graph)}
-    for i in range(cfg.repeats):
-        seed_i = (cfg.seed + i) % SEED_RANGE
-        labels = kmeans(emb, n_clusters, seed_i).labels
-        yield {"repeat": i, "seed": seed_i, "acc": acc(truth, labels),
-               "ari": ari(truth, labels), **shared}
+    for i, result in enumerate(spectral_cluster(graph, n_clusters, seeds)):
+        yield {"repeat": i, "seed": seeds[i], "acc": acc(truth, result.labels),
+               "ari": ari(truth, result.labels), **shared}
 
 
 def cmd_cluster(cfg: RunConfig) -> list[dict]:
@@ -211,7 +196,8 @@ def cmd_cluster(cfg: RunConfig) -> list[dict]:
     ps, n_clusters = _labeled_dataset(cfg)
     # The graph ignores the seed and is identical for every repeat.
     if cfg.command == "baseline-knn":
-        graph, filename = build_baseline_knn(ps, cfg.baseline_k), "baseline_metrics.csv"
+        graph = mutual_knn_graph(build_knn(ps, cfg.baseline_k))
+        filename = "baseline_metrics.csv"
     else:
         graph = build_reduced(ps, _effective_k_max(cfg, ps), cfg.seventh_neighbor_scale)
         filename = "metrics.csv"
@@ -241,6 +227,8 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         raise InputError("sweep needs a non-empty --grid")
     if cfg.param not in ("k-max", "baseline-k"):
         raise InputError("--param must be 'k-max' or 'baseline-k'")
+    if cfg.param == "k-max" and cfg.k_max is not None:
+        raise InputError("--param k-max takes its values from --grid, not --k-max")
     ps, n_clusters = _labeled_dataset(cfg)
     rows: list[dict] = []
 
@@ -262,7 +250,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         reduced, _ = _reduced(nt.prefix(k_max), cfg.seventh_neighbor_scale)
         reduced_rows = run(reduced, "reduced", 0)
         for k in cfg.grid:
-            baseline = _mutual_knn(nt.prefix(k))
+            baseline = mutual_knn_graph(nt.prefix(k))
             rows.extend(run(baseline, "baseline", k))
             for r in reduced_rows:
                 rows.append({**r, "param": k})
@@ -321,23 +309,25 @@ def _build_parser() -> argparse.ArgumentParser:
     # An option left off the command line is left off the namespace too,
     # so RunConfig's field defaults are the only defaults.
     unset = {"argument_default": argparse.SUPPRESS}
-    common = argparse.ArgumentParser(add_help=False, **unset)
-    src = common.add_argument_group("input")
+    inputs = argparse.ArgumentParser(add_help=False, **unset)
+    src = inputs.add_argument_group("input")
     src.add_argument("--input", dest="input_path", metavar="INPUT",
                      help="CSV file of points (one row per point)")
     src.add_argument("--synthetic",
                      help="synthetic spec, e.g. blobs or circles:radii=1+3,size=200")
     src.add_argument("--label-column", type=int,
                      help="0-based CSV column holding class labels")
-    common.add_argument("--k-max", type=int,
-                        help="neighbors per point fed to the reduction "
-                             "(default min(N-1, 50))")
-    common.add_argument("--seed", type=int, help="base random seed")
-    common.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
-    common.add_argument("--seventh-neighbor-scale", action="store_true",
-                        help="comparison mode: use the fixed 7th-neighbor "
-                             "distance as each point's scale instead of the "
-                             "adaptive estimate")
+    inputs.add_argument("--seed", type=int, help="base random seed")
+    inputs.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+
+    reduction = argparse.ArgumentParser(add_help=False, **unset)
+    reduction.add_argument("--k-max", type=int,
+                           help="neighbors per point fed to the reduction "
+                                "(default min(N-1, 50))")
+    reduction.add_argument("--seventh-neighbor-scale", action="store_true",
+                           help="comparison mode: use the fixed 7th-neighbor "
+                                "distance as each point's scale instead of the "
+                                "adaptive estimate")
 
     metric = argparse.ArgumentParser(add_help=False, **unset)
     metric.add_argument("--clusters", type=int,
@@ -345,26 +335,27 @@ def _build_parser() -> argparse.ArgumentParser:
     metric.add_argument("--repeats", type=int,
                         help="number of seeded repeats (default 1)")
 
-    p = sub.add_parser("reduce", parents=[common], **unset,
+    p = sub.add_parser("reduce", parents=[inputs, reduction], **unset,
                        help="build and save the reduced graph")
     p.add_argument("--similarity-histogram", action="store_true",
                    help="also write the FD-binned histogram of all affinities; "
                         "these are the adaptive-scale affinities, also under "
                         "--seventh-neighbor-scale")
 
-    sub.add_parser("cluster", parents=[common, metric],
+    sub.add_parser("cluster", parents=[inputs, reduction, metric],
                    help="cluster the reduced graph and report ACC/ARI/E%%")
 
-    sub.add_parser("pairs", parents=[common],
+    sub.add_parser("pairs", parents=[inputs, reduction],
                    help="export positive/negative pairs as JSON lines")
 
-    p = sub.add_parser("sweep", parents=[common, metric],
+    p = sub.add_parser("sweep", parents=[inputs, reduction, metric],
                        help="run the pipeline over a parameter grid")
     p.add_argument("--param", choices=["k-max", "baseline-k"], required=True)
     p.add_argument("--grid", required=True,
                    help="comma-separated integer grid, e.g. 2,4,8,16")
 
-    p = sub.add_parser("baseline-knn", parents=[common, metric], **unset,
+    # The foil is built at --baseline-k; it has no reduction to configure.
+    p = sub.add_parser("baseline-knn", parents=[inputs, metric], **unset,
                        help="mutual unweighted k-NN comparison run")
     p.add_argument("--baseline-k", type=int,
                    help="k of the mutual k-NN baseline graph (default 2)")

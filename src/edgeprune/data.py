@@ -112,9 +112,10 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
 
     `label_column` is a 0-based column index; that column is extracted as
     class labels and re-encoded to 0..C-1 (silently, if not already
-    contiguous). All remaining cells must parse as finite reals. Parse
-    failures report the 1-based row number of the offending line. A
-    leading UTF-8 byte-order mark, as Excel writes, is skipped.
+    contiguous); a label that parses as NaN is refused. All remaining
+    cells must parse as finite reals. Parse failures report the 1-based
+    row number of the offending line. A leading UTF-8 byte-order mark, as
+    Excel writes, is skipped.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
@@ -143,6 +144,9 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
         vec = []
         for j, cell in enumerate(cells):
             if j == label_column:
+                # NaN equals no value, itself included, so it names no class.
+                if math.isnan(_parse_number(cell) or 0.0):
+                    raise InputError(f"{path}: row {rownum}: label {cell!r} is NaN")
                 raw_labels.append(cell)
                 continue
             value = _parse_number(cell)

@@ -179,6 +179,12 @@ def graph_from_table(nt: NeighborTable, ls: LocalScales) -> ReducedGraph:
     return mutualize(nt.n, *threshold_survivors(a, nt))
 
 
+def mutual_knn_graph(nt: NeighborTable) -> ReducedGraph:
+    """The comparison foil: unit-weight edge iff each point is in the other's k-NN."""
+    src = np.repeat(np.arange(nt.n, dtype=np.int64), nt.k_max)
+    return mutualize(nt.n, src, nt.indices.ravel(), np.ones(src.size))
+
+
 def reduce_graph(ps: PointSet, k_max: int | None = None) -> ReducedGraph:
     """Full reduction pipeline: k-NN -> scales -> affinities -> threshold -> mutual.
 

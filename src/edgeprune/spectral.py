@@ -17,6 +17,7 @@ for bit those of the exact form on every (point, center) pair.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +238,12 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
-def spectral_cluster(g: ReducedGraph, n_clusters: int, seed: Seed) -> ClusterResult:
-    """Cluster a reduced graph: Laplacian -> embedding -> seeded k-means."""
-    return kmeans(embed(laplacian(g), n_clusters), n_clusters, seed)
+def spectral_cluster(g: ReducedGraph, n_clusters: int,
+                     seeds: Iterable[Seed]) -> Iterator[ClusterResult]:
+    """Laplacian -> embedding -> one seeded `kmeans` per seed, yielded in order.
+
+    The embedding ignores the seed: it is computed once, on the first request.
+    """
+    emb = embed(laplacian(g), n_clusters)
+    for seed in seeds:
+        yield kmeans(emb, n_clusters, seed)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from edgeprune import (PointSet, acc, ari, build_knn, edge_percentage,
-                       export_pairs, laplacian, n_components, reduce_graph,
-                       spectral_cluster)
-from edgeprune.cli import RunConfig, build_baseline_knn, cmd_cluster
+                       export_pairs, laplacian, mutual_knn_graph, n_components,
+                       reduce_graph, spectral_cluster)
+from edgeprune.cli import RunConfig, cmd_cluster
 from edgeprune.spectral import embed
 
 from conftest import random_labels
@@ -28,12 +28,13 @@ def pass_line(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
 
 
-def repeat_results(graph, clusters, truth, repeats=50, base_seed=31):
-    out = []
-    for i in range(repeats):
-        result = spectral_cluster(graph, clusters, (base_seed + i) % SEED_MOD)
-        out.append((acc(truth, result.labels), ari(truth, result.labels)))
-    return out
+def repeat_seeds(repeats):
+    return [(31 + i) % SEED_MOD for i in range(repeats)]
+
+
+def repeat_results(graph, clusters, truth, repeats=50):
+    return [(acc(truth, result.labels), ari(truth, result.labels))
+            for result in spectral_cluster(graph, clusters, repeat_seeds(repeats))]
 
 
 def test_c01_metric_oracle_equivalence():
@@ -141,7 +142,7 @@ def test_c07_clustering_quality(dataset_a, dataset_b, dataset_c):
     graph_c = reduce_graph(dataset_c)
     results_c = repeat_results(graph_c, 2, dataset_c.labels)
     median_c = float(np.median([a for _, a in results_c]))
-    baseline = build_baseline_knn(dataset_c, 2)
+    baseline = mutual_knn_graph(build_knn(dataset_c, 2))
     results_base = repeat_results(baseline, 2, dataset_c.labels)
     median_base = float(np.median([a for _, a in results_base]))
     assert median_c >= median_base
@@ -165,9 +166,8 @@ def test_c09_parameter_insensitivity(dataset_a):
     medians = {}
     for k_max in (20, 30, 40, 50, 60):
         graph = reduce_graph(dataset_a, k_max)
-        values = [ari(dataset_a.labels,
-                      spectral_cluster(graph, 3, (31 + i) % SEED_MOD).labels)
-                  for i in range(10)]
+        values = [ari(dataset_a.labels, result.labels)
+                  for result in spectral_cluster(graph, 3, repeat_seeds(10))]
         medians[k_max] = float(np.median(values))
     spread = max(medians.values()) - min(medians.values())
     assert spread <= 0.05, (

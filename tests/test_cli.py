@@ -9,24 +9,25 @@ import pytest
 
 from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
                        build_histogram, build_knn, compute_scales, fd_bin_width,
-                       gen_synthetic, n_components, save_csv, spectral_cluster)
-from edgeprune import cli
-from edgeprune.cli import (RunConfig, build_baseline_knn, build_reduced, cmd_cluster,
-                           cmd_sweep, main, parse_synthetic_spec)
+                       gen_synthetic, mutual_knn_graph, n_components, save_csv,
+                       spectral_cluster)
+from edgeprune import cli, spectral
+from edgeprune.cli import (RunConfig, build_reduced, cmd_cluster, cmd_sweep, main,
+                           parse_synthetic_spec)
 
 BLOBS = "blobs:clusters=3,size=40,separation=15,spread=1"
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls the CLI makes to one of the functions it imports."""
+def count_calls(monkeypatch, name, module=cli):
+    """Count the calls made to a function through its name in `module`."""
     calls = []
-    original = getattr(cli, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -107,6 +108,21 @@ class TestClusterCommand:
         assert main(["cluster", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("column", ["0", "7"])
+    def test_label_column_refused_with_synthetic(self, tmp_path, column):
+        # Synthetic data carries its own labels; the option would only be
+        # echoed into the result file as if it had shaped the run.
+        assert main(["cluster", "--synthetic", BLOBS, "--label-column", column,
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_nan_labels_refused(self, tmp_path):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("0,0,nan\n0,1,nan\n1,0,nan\n9,9,1\n9,8,1\n8,9,1\n")
+        assert main(["cluster", "--input", str(csv), "--label-column", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_labeled_csv_runs(self, tmp_path, dataset_c):
         csv = tmp_path / "mixed.csv"
         save_csv(dataset_c, csv)
@@ -123,16 +139,16 @@ class TestClusterCommand:
 
 
     def test_embeds_once_and_matches_spectral_cluster(self, tmp_path, monkeypatch):
-        embeds = count_calls(monkeypatch, "embed")
-        kmeans = count_calls(monkeypatch, "kmeans")
+        embeds = count_calls(monkeypatch, "embed", spectral)
+        kmeans = count_calls(monkeypatch, "kmeans", spectral)
         assert main(["cluster", "--synthetic", BLOBS, "--seed", "7", "--repeats", "3",
                      "--out", str(tmp_path)]) == 0
         assert len(embeds) == 1 and len(kmeans) == 3
-        # Each repeat equals a full spectral_cluster run at its seed.
+        # Each repeat equals a spectral_cluster result at its seed.
         ps = gen_synthetic("blobs", parse_synthetic_spec(BLOBS)[1], seed=7)
         graph = build_reduced(ps, 50)
-        for i, row in enumerate(read_rows(tmp_path / "metrics.csv")[:3]):
-            result = spectral_cluster(graph, 3, 7 + i)
+        rows = read_rows(tmp_path / "metrics.csv")[:3]
+        for row, result in zip(rows, spectral_cluster(graph, 3, [7, 8, 9]), strict=True):
             assert row["acc"] == repr(acc(ps.labels, result.labels))
             assert row["ari"] == repr(ari(ps.labels, result.labels))
             assert row["n_components"] == str(n_components(graph))
@@ -220,6 +236,12 @@ class TestSweepCommand:
                      "--grid", grid, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_k_max_option_refused_when_k_max_is_swept(self, tmp_path, capsys):
+        assert main(["sweep", "--synthetic", BLOBS, "--param", "k-max", "--grid", "5,10",
+                     "--k-max", "30", "--out", str(tmp_path)]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         assert main(["sweep", "--synthetic", BLOBS, "--param", "k-max",
                      "--grid", "", "--out", str(tmp_path)]) == 2
@@ -235,14 +257,23 @@ class TestBaselineCommand:
         assert float(rows[0]["edge_pct"]) == (n * n - n) / n ** 2
 
     def test_mutual_graph_construction(self, dataset_c):
-        g = build_baseline_knn(dataset_c, 2)
+        g = mutual_knn_graph(build_knn(dataset_c, 2))
         edges = g.edge_set()
         assert edges == {(q, p) for p, q in edges}
         assert np.all(g.weight == 1.0)
 
 
+    @pytest.mark.parametrize("option", [["--k-max", "5"], ["--seventh-neighbor-scale"]])
+    def test_reduction_options_refused(self, tmp_path, capsys, option):
+        # The foil is built at --baseline-k and has no local scales.
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline-knn", "--synthetic", BLOBS, *option, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "baseline_metrics.csv").exists()
+
     def test_embeds_once(self, tmp_path, monkeypatch):
-        embeds = count_calls(monkeypatch, "embed")
+        embeds = count_calls(monkeypatch, "embed", spectral)
         assert main(["baseline-knn", "--synthetic", BLOBS, "--repeats", "4",
                      "--out", str(tmp_path)]) == 0
         assert len(embeds) == 1
@@ -344,11 +375,11 @@ def test_commands_leave_scipy_optimize_and_spatial_unimported(tmp_path):
 import sys
 from edgeprune import cli
 spec = "blobs:clusters=2,size=20,separation=15,spread=1"
-for argv in (["cluster", "--clusters", "2"], ["pairs"], ["reduce"],
+k_max = ["--k-max", "10"]
+for argv in (["cluster", "--clusters", "2", *k_max], ["pairs", *k_max], ["reduce", *k_max],
              ["baseline-knn", "--clusters", "2"],
              ["sweep", "--clusters", "2", "--param", "k-max", "--grid", "5,10"]):
-    assert cli.main([*argv, "--synthetic", spec, "--k-max", "10",
-                     "--out", {str(tmp_path)!r}]) == 0, argv
+    assert cli.main([*argv, "--synthetic", spec, "--out", {str(tmp_path)!r}]) == 0, argv
 print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial"))))
 """
     proc = subprocess.run([sys.executable, "-c", script],

@@ -52,6 +52,13 @@ class TestLoadCsv:
         ps = load_csv(write(tmp_path, "0,b\n1,a\n2,b\n"), label_column=1)
         assert np.array_equal(ps.labels, [1, 0, 1])
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan"])
+    def test_nan_label_rejected_naming_its_row(self, tmp_path, cell):
+        # No NaN equals another, so each NaN label used to become its own class.
+        text = f"0,0,1\n0,1,{cell}\n1,0,{cell}\n9,9,1\n9,8,{cell}\n8,9,1\n"
+        with pytest.raises(InputError, match="row 2"):
+            load_csv(write(tmp_path, text), label_column=2)
+
     def test_single_row_rejected(self, tmp_path):
         with pytest.raises(InputError):
             load_csv(write(tmp_path, "1,2\n"))

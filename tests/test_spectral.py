@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, gen_synthetic,
                        kmeans, laplacian, mutualize, n_components, reduce_graph,
                        spectral_cluster)
+from edgeprune import spectral
 from edgeprune.data import spawn_rng
 from edgeprune.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, Embedding, _assign
 
@@ -205,33 +206,53 @@ class TestSpectralCluster:
     def test_disconnected_blocks_recovered_exactly(self):
         g = complete_block_graph([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 10]])
         truth = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
-        result = spectral_cluster(g, 3, seed=3)
+        result = next(spectral_cluster(g, 3, seeds=[3]))
         assert ari(truth, result.labels) == 1.0
         assert n_components(g) == 3
 
     def test_blobs_end_to_end(self, dataset_a):
         g = reduce_graph(dataset_a)
-        result = spectral_cluster(g, 3, seed=0)
+        result = next(spectral_cluster(g, 3, seeds=[0]))
         assert ari(dataset_a.labels, result.labels) == 1.0
         assert n_components(g) == 3
 
     def test_permutation_equivariance(self, dataset_a):
         g = reduce_graph(dataset_a)
-        result = spectral_cluster(g, 3, seed=9)
+        result = next(spectral_cluster(g, 3, seeds=[9]))
         assert n_components(g) == 3
         rng = np.random.default_rng(11)
         perm = rng.permutation(dataset_a.n)
         permuted = PointSet(dataset_a.points[perm])
         g2 = reduce_graph(permuted)
-        result2 = spectral_cluster(g2, 3, seed=9)
+        result2 = next(spectral_cluster(g2, 3, seeds=[9]))
         # labels of the permuted run, pulled back to original vertex order
         assert ari(result.labels, result2.labels[np.argsort(perm)]) == 1.0
 
     def test_deterministic(self, dataset_c):
         g = reduce_graph(dataset_c)
-        a = spectral_cluster(g, 2, seed=77)
-        b = spectral_cluster(g, 2, seed=77)
+        a = next(spectral_cluster(g, 2, seeds=[77]))
+        b = next(spectral_cluster(g, 2, seeds=[77]))
         assert np.array_equal(a.labels, b.labels)
+
+    def test_embeds_once_and_runs_kmeans_per_seed(self, dataset_c, monkeypatch):
+        g = reduce_graph(dataset_c)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "embed", counted)
+        results = spectral_cluster(g, 2, seeds=[5, 6, 2**64 - 1])
+        assert calls == []  # nothing runs before the first result is asked for
+        results = list(results)
+        assert len(calls) == 1
+        emb = embed(laplacian(g), 2)
+        for seed, result in zip([5, 6, 2**64 - 1], results, strict=True):
+            expected = kmeans(emb, 2, seed)
+            assert np.array_equal(result.labels, expected.labels)
+            assert result.inertia == expected.inertia
+            assert result.collapsed == expected.collapsed
 
 
 # -- the screened k-means assignment against the all-pairs form ---------------

@@ -60,8 +60,13 @@ def test_commands_call_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
     # in cli's globals.
     reduced = count_calls(monkeypatch, "build_reduced")
     edge_pct = count_calls(monkeypatch, "edge_percentage")
+    clustered = count_calls(monkeypatch, "spectral_cluster")
     saved = count_calls(monkeypatch, "save_pairs")
-    assert main(["cluster", "--synthetic", SPEC, "--out", str(tmp_path)]) == 0
-    assert len(reduced) == 1 and len(edge_pct) == 1
+    assert main(["cluster", "--synthetic", SPEC, "--repeats", "2", "--out", str(tmp_path)]) == 0
+    assert len(reduced) == 1 and len(edge_pct) == 1 and len(clustered) == 1
+    # One call per graph: the reduced graph and one foil per grid point.
+    assert main(["sweep", "--synthetic", SPEC, "--param", "baseline-k", "--grid", "2,4",
+                 "--out", str(tmp_path)]) == 0
+    assert len(clustered) == 1 + 3
     assert main(["pairs", "--synthetic", SPEC, "--out", str(tmp_path)]) == 0
     assert len(saved) == 1
