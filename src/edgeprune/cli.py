@@ -9,10 +9,10 @@ Subcommands:
   baseline-knn  mutual unweighted k-NN graph as a comparison foil
 
 The reducing commands share one table-to-graph step, `_reduced`, which
-also makes the one choice between the adaptive and the seventh-neighbor
-scale. The metric commands cluster each graph with one `spectral_cluster`
-call, which embeds it once for all repeats; `baseline-knn` is `cluster`
-on `mutual_knn_graph`.
+picks `compute_scales` or `seventh_neighbor_scales`; the rules themselves,
+and the default k_max, live in the library. The metric commands cluster
+each graph with one `spectral_cluster` call, which embeds it once for all
+repeats; `baseline-knn` is `cluster` on `mutual_knn_graph`.
 
 Every command is deterministic for a fixed configuration; repeat i uses
 seed + i. Output CSVs start with a '# {...}' config echo line so a
@@ -39,9 +39,10 @@ from .errors import InputError, NumericError
 from .knn import NeighborTable, build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
-from .reduce import (DEFAULT_K_MAX, ReducedGraph, affinity_rows, graph_from_table,
+from .reduce import (ReducedGraph, affinity_rows, default_k_max, graph_from_table,
                      mutual_knn_graph, n_components, save_graph)
-from .scale import LocalScales, build_histogram, compute_scales, fd_bin_width
+from .scale import (LocalScales, build_histogram, compute_scales, fd_bin_width,
+                    seventh_neighbor_scales)
 from .spectral import spectral_cluster
 
 @dataclass
@@ -117,34 +118,19 @@ def _labeled_dataset(cfg: RunConfig) -> tuple[PointSet, int]:
 
 
 def _effective_k_max(cfg: RunConfig, ps: PointSet) -> int:
-    return cfg.k_max if cfg.k_max is not None else min(ps.n - 1, DEFAULT_K_MAX)
+    return cfg.k_max if cfg.k_max is not None else default_k_max(ps.n)
 
 
 def _reduced(nt: NeighborTable, seventh_neighbor: bool) -> tuple[ReducedGraph, LocalScales]:
-    """The reduced graph of a table, and the local scales it was built with.
-
-    The scales are adaptive, or with `seventh_neighbor` the distance to
-    the 7th neighbor (a legacy heuristic, kept for comparison runs only).
-    """
-    if seventh_neighbor:
-        col = min(7, nt.k_max) - 1
-        sigma = nt.distances[:, col].copy()
-        sigma[sigma <= 0] = fd_bin_width(nt.distances)
-        scales = LocalScales(sigma=sigma, kth=np.full(nt.n, col + 1, dtype=np.int64))
-    else:
-        scales = compute_scales(nt)
+    """The reduced graph of a table, and the local scales it was built with:
+    adaptive, or with `seventh_neighbor` the fixed 7th-neighbor scale."""
+    scales = seventh_neighbor_scales(nt) if seventh_neighbor else compute_scales(nt)
     return graph_from_table(nt, scales), scales
 
 
 def build_reduced(ps: PointSet, k_max: int, seventh_neighbor: bool = False) -> ReducedGraph:
     """Pipeline graph; optionally with the fixed seventh-neighbor scale."""
     return _reduced(build_knn(ps, k_max), seventh_neighbor)[0]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _output(cfg: RunConfig, name: str) -> Path:
@@ -160,7 +146,7 @@ def _write_csv(cfg: RunConfig, name: str, columns: list[str], rows: list[dict]) 
         fh.write("# " + json.dumps(cfg.echo(), sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+            fh.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
     print(f"wrote {path}")
 
 

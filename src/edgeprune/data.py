@@ -176,11 +176,19 @@ def save_csv(ps: PointSet, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _whole(value, what: str) -> int:
+    """`value` as an int; `what` names it when it is not a whole number."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise InputError(f"{what} must be a whole number, got {value!r}")
+
+
 def _as_counts(size, groups: int, what: str) -> list[int]:
-    if isinstance(size, (int, np.integer)):
-        counts = [int(size)] * groups
+    if not np.iterable(size):
+        counts = [_whole(size, f"{what}: size")] * groups
     else:
-        counts = [int(s) for s in size]
+        counts = [_whole(s, f"{what}: size") for s in size]
         if len(counts) != groups:
             raise InputError(f"{what}: got {len(counts)} sizes for {groups} groups")
     if any(c < 2 for c in counts):
@@ -210,8 +218,8 @@ def _unit_vectors(theta: np.ndarray) -> np.ndarray:
 
 
 def _gen_blobs(seed, clusters=3, size=50, spread=1.0, separation=10.0, dim=2):
-    clusters = int(clusters)
-    dim = int(dim)
+    clusters = _whole(clusters, "blobs: clusters")
+    dim = _whole(dim, "blobs: dim")
     if clusters < 1 or dim < 1:
         raise InputError("blobs: clusters and dim must be positive")
     counts = _as_counts(size, clusters, "blobs")
@@ -275,8 +283,9 @@ def _gen_mixed_density(seed, size_dense=150, size_sparse=50, spread_dense=0.3,
                        spread_sparse=1.5, separation=8.0, dim=2):
     if min(spread_dense, spread_sparse) <= 0 or separation < 0:
         raise InputError("mixed-density: spreads must be positive")
-    counts = _as_counts([size_dense, size_sparse], 2, "mixed-density")
-    dim = int(dim)
+    counts = _as_counts([_whole(size_dense, "mixed-density: size_dense"),
+                         _whole(size_sparse, "mixed-density: size_sparse")], 2, "mixed-density")
+    dim = _whole(dim, "mixed-density: dim")
     rng = spawn_rng(seed)
     dense = rng.normal(0.0, spread_dense, (counts[0], dim))
     center = np.zeros(dim)

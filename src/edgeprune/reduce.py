@@ -185,15 +185,17 @@ def mutual_knn_graph(nt: NeighborTable) -> ReducedGraph:
     return mutualize(nt.n, src, nt.indices.ravel(), np.ones(src.size))
 
 
+def default_k_max(n: int) -> int:
+    """k_max of an n-point run that sets none: min(n - 1, DEFAULT_K_MAX). The
+    reduction, not k_max, decides which edges survive, so it need only be generous."""
+    return min(n - 1, DEFAULT_K_MAX)
+
+
 def reduce_graph(ps: PointSet, k_max: int | None = None) -> ReducedGraph:
     """Full reduction pipeline: k-NN -> scales -> affinities -> threshold -> mutual.
 
-    k_max defaults to min(N - 1, 50); the reduction, not k_max, decides
-    which edges survive, so the default only needs to be generous.
-    """
-    if k_max is None:
-        k_max = min(ps.n - 1, DEFAULT_K_MAX)
-    nt = build_knn(ps, k_max)
+    k_max defaults to `default_k_max(N)`."""
+    nt = build_knn(ps, default_k_max(ps.n) if k_max is None else k_max)
     return graph_from_table(nt, compute_scales(nt))
 
 

@@ -43,7 +43,7 @@ class Histogram:
 
 @dataclass(frozen=True)
 class LocalScales:
-    """sigma[p] > 0 is the mean distance to the first kth[p] neighbors of p."""
+    """sigma[p] > 0 is the scale of point p, read from its first kth[p] neighbors."""
 
     sigma: np.ndarray
     kth: np.ndarray
@@ -214,3 +214,14 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
         smallest = np.where(d[zero] > 0, d[zero], np.inf).min(axis=1)
         sigma[zero] = np.where(np.isfinite(smallest), smallest, width)
     return LocalScales(sigma=sigma, kth=kth)
+
+
+def seventh_neighbor_scales(nt: NeighborTable) -> LocalScales:
+    """The fixed scale of self-tuning spectral clustering (Zelnik-Manor &
+    Perona 2004), for comparison runs: sigma[p] is the distance to p's 7th
+    neighbor, or to its k_max-th when k_max < 7, and kth[p] that neighbor's
+    rank. A zero (duplicate points) falls back to `fd_bin_width` of the table."""
+    col = min(7, nt.k_max) - 1
+    sigma = nt.distances[:, col].copy()
+    sigma[sigma <= 0] = fd_bin_width(nt.distances)
+    return LocalScales(sigma=sigma, kth=np.full(nt.n, col + 1, dtype=np.int64))

@@ -93,7 +93,7 @@ def embed(lap, n_clusters: int) -> Embedding:
                                        subset_by_index=[0, n_clusters - 1], overwrite_a=True)
     else:
         vals, vecs = _iterative_smallest(lap, n_clusters)
-    if vals[0] < -1e-9:
+    if not vals[0] >= -1e-9:  # NaN fails this test too
         raise NumericError(f"Laplacian not PSD: smallest eigenvalue {vals[0]:.3e}")
     norms = np.linalg.norm(vecs, axis=1)
     zero_rows = np.nonzero(norms <= _ZERO_ROW_TOL)[0]
@@ -121,7 +121,7 @@ def _iterative_smallest(lap, k: int):
                                                 tol=1e-10, maxiter=5000)
     residual = lap @ vecs - vecs * vals
     worst = float(np.linalg.norm(residual, axis=0).max())
-    if worst > 1e-6:
+    if not worst <= 1e-6:  # NaN fails this test too
         raise NumericError(f"eigensolver failed to converge: residual {worst:.3e}")
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order]
@@ -225,10 +225,13 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     sequential execution no matter how restarts are scheduled. Empty
     clusters are re-seeded from the farthest point; if the data cannot
     support n_clusters distinct groups the result is flagged as collapsed.
+    Non-finite vectors, on which no restart has a finite inertia, are refused.
     """
     x = e.vectors
     if not 1 <= n_clusters <= x.shape[0]:
         raise InputError(f"cluster count must be in [1, {x.shape[0]}], got {n_clusters}")
+    if not np.isfinite(x).all():
+        raise InputError("kmeans: embedding vectors must be finite")
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
         labels, inertia = _lloyd(x, n_clusters, spawn_rng(seed, r))

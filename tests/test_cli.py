@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
                        build_histogram, build_knn, compute_scales, fd_bin_width,
@@ -137,6 +138,18 @@ class TestClusterCommand:
         rows = cmd_cluster(cfg)
         assert rows[0]["acc"] == 1.0
 
+
+    @pytest.mark.parametrize("solve", [
+        lambda a, x: (np.full(x.shape[1], np.nan), np.full(x.shape, np.nan)),
+        lambda a, x: (np.zeros(x.shape[1]), x),  # finite, but no eigenpair
+    ], ids=["nan", "wrong-pair"])
+    def test_failed_iterative_solve_exits_3(self, tmp_path, monkeypatch, capsys, solve):
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lambda a, x, **kwargs: solve(a, x))
+        assert main(["cluster", "--synthetic", "blobs:clusters=2,size=30",
+                     "--out", str(tmp_path)]) == 3
+        assert "eigensolver failed to converge" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_embeds_once_and_matches_spectral_cluster(self, tmp_path, monkeypatch):
         embeds = count_calls(monkeypatch, "embed", spectral)
@@ -311,6 +324,12 @@ class TestReduceAndPairsCommands:
         # Plain numbers, not numpy scalar reprs such as 'np.float64(0.1)'.
         assert all(float(v) >= 0 for line in lines for v in line.split(","))
 
+    def test_default_k_max_is_n_minus_one_below_51_points(self, tmp_path):
+        assert main(["reduce", "--synthetic", "blobs:clusters=1,size=20",
+                     "--out", str(tmp_path)]) == 0
+        header = json.loads((tmp_path / "graph.txt").read_text().splitlines()[0])
+        assert header["k_max"] == 19
+
     def test_histogram_bin_limit_exits_3(self, tmp_path):
         # A near-regular simplex: every affinity is exp(-1) to within 1e-12,
         # so the Freedman-Diaconis width asks for about 1e12 bins.
@@ -354,6 +373,12 @@ def test_unset_options_take_the_config_defaults(argv):
     args = cli._build_parser().parse_args(argv + ["--synthetic", BLOBS])
     extra = {"param": "k-max", "grid": [2, 4]} if argv[0] == "sweep" else {}
     assert cli._config_from_args(args) == RunConfig(command=argv[0], synthetic=BLOBS, **extra)
+
+
+def test_csv_cells_of_numpy_scalars_are_plain_numbers(tmp_path):
+    cli._write_csv(RunConfig(command="cluster", out_dir=str(tmp_path)), "t.csv", ["a", "b"],
+                   [{"a": np.float64(0.25), "b": np.int64(3)}])
+    assert (tmp_path / "t.csv").read_text().splitlines()[2] == "0.25,3"
 
 
 def test_module_entry_point():

@@ -142,6 +142,27 @@ class TestGenerators:
             assert ps.labels is not None
             assert ps.labels.min() == 0
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("blobs", {"clusters": 2.5, "size": 30}, "clusters"),
+        ("blobs", {"dim": 2.7}, "dim"),
+        ("blobs", {"clusters": 2, "size": [10.5, 20]}, "size"),
+        ("blobs", {"size": 10.5}, "size"),
+        ("blobs", {"clusters": [1, 2]}, "clusters"),
+        ("moons", {"size": 50.5}, "size"),
+        ("circles", {"size": [20, 30.5]}, "size"),
+        ("mixed-density", {"dim": 2.5}, "dim"),
+        ("mixed-density", {"size_sparse": 20.5}, "size_sparse"),
+    ])
+    def test_count_that_is_not_whole_rejected_by_name(self, kind, params, name):
+        with pytest.raises(InputError, match=f"{kind}: {name} must be a whole number"):
+            gen_synthetic(kind, params, seed=0)
+
+    def test_whole_float_count_accepted(self):
+        as_float = gen_synthetic("blobs", {"clusters": 3.0, "size": 10.0, "dim": 2.0}, seed=0)
+        as_int = gen_synthetic("blobs", {"clusters": 3, "size": 10, "dim": 2}, seed=0)
+        assert np.array_equal(as_float.points, as_int.points)
+        assert np.array_equal(as_float.labels, as_int.labels)
+
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="unknown synthetic kind"):
             gen_synthetic("spirals", {}, seed=0)

@@ -8,7 +8,7 @@ from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affini
                        affinity_rows, build_knn, compute_scales, export_pairs,
                        fd_bin_width, gen_synthetic, graph_from_table, load_graph, mutualize,
                        n_components, reduce_graph, save_graph, threshold_row)
-from edgeprune.reduce import component_labels, threshold_survivors
+from edgeprune.reduce import component_labels, default_k_max, threshold_survivors
 from edgeprune.scale import LocalScales
 
 
@@ -312,9 +312,11 @@ class TestReduceGraph:
             assert edges == {(q, p) for p, q in edges}
 
     def test_default_k_max_cap(self):
+        assert default_k_max(20) == 19 and default_k_max(51) == default_k_max(500) == 50
         ps = gen_synthetic("blobs", {"clusters": 1, "size": 20}, seed=1)
         g = reduce_graph(ps)  # N - 1 = 19 < 50
         assert g.n == 20
+        assert g.edge_set() == reduce_graph(ps, 19).edge_set()
 
 
 class TestComponents:

@@ -10,6 +10,7 @@ from edgeprune import (InputError, NeighborTable, NumericError, PointSet, build_
                        build_knn, compute_scales, fd_bin_width, gen_synthetic,
                        local_scale_row, mwa_smooth)
 from edgeprune import scale
+from edgeprune.scale import seventh_neighbor_scales
 
 
 def assert_matches_rows(nt):
@@ -300,3 +301,30 @@ class TestComputeScalesMatchesRows:
         nt = NeighborTable(distances=d, indices=np.array([[1, 2], [0, 2], [0, 1]]))
         with pytest.raises(InputError):
             compute_scales(nt)
+
+
+def hand_table(d):
+    """A table of the ascending distance rows `d`; row p lists the other points in order."""
+    n, k = d.shape
+    return NeighborTable(distances=d, indices=np.array([[q for q in range(n) if q != p][:k]
+                                                        for p in range(n)]))
+
+
+class TestSeventhNeighborScales:
+    # Row p of the table is (p + 1) * (1, 2, ..., k_max).
+    @pytest.mark.parametrize("k_max, col", [(9, 6), (7, 6), (5, 4), (1, 0)])
+    def test_reads_the_seventh_or_last_column(self, k_max, col):
+        nt = hand_table(np.outer(np.arange(1.0, 11.0), np.arange(1.0, k_max + 1)))
+        ls = seventh_neighbor_scales(nt)
+        assert np.array_equal(ls.sigma, nt.distances[:, col])
+        assert np.array_equal(ls.kth, np.full(nt.n, col + 1))
+
+    def test_zero_seventh_distance_takes_the_table_width(self):
+        # Rows 0 and 1 sit among duplicates: their 7th neighbor is at 0.
+        d = np.outer(np.arange(1.0, 11.0), np.arange(1.0, 9.0))
+        d[0, :7] = 0.0
+        d[1, :] = 0.0
+        ls = seventh_neighbor_scales(hand_table(d))
+        assert ls.sigma[0] == ls.sigma[1] == fd_bin_width(d)
+        assert np.array_equal(ls.sigma[2:], d[2:, 6])
+        assert np.all(ls.kth == 7)

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeprune import (InputError, PointSet, ReducedGraph, ari, embed, gen_synthetic,
-                       kmeans, laplacian, mutualize, n_components, reduce_graph,
-                       spectral_cluster)
+from edgeprune import (InputError, NumericError, PointSet, ReducedGraph, ari, embed,
+                       gen_synthetic, kmeans, laplacian, mutualize, n_components,
+                       reduce_graph, spectral_cluster)
 from edgeprune import spectral
 from edgeprune.data import spawn_rng
 from edgeprune.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, Embedding, _assign
@@ -135,6 +136,16 @@ class TestEmbed:
         with pytest.raises(InputError):
             embed(laplacian(g), 4)
 
+    def test_nan_solve_is_numeric_error(self, monkeypatch):
+        # NaN fails every comparison, so a check written as `worst > tol`
+        # would accept it.
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lambda a, x, **kwargs: (
+            np.full(x.shape[1], np.nan), np.full(x.shape, np.nan)))
+        g = complete_block_graph([list(range(6)), list(range(6, 12))])
+        with pytest.raises(NumericError):
+            embed(laplacian(g), 2)
+
     def test_iterative_path_matches_dense(self):
         ps = gen_synthetic("blobs", {"clusters": 2, "size": 40, "separation": 12.0},
                            seed=13)
@@ -193,6 +204,15 @@ class TestKmeans:
                         zero_rows=np.array([], dtype=np.int64))
         result = kmeans(emb, 3, seed=0)
         assert result.collapsed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        x = np.arange(8.0).reshape(4, 2)
+        x[2, 1] = bad
+        emb = Embedding(vectors=x, eigenvalues=np.zeros(2),
+                        zero_rows=np.array([], dtype=np.int64))
+        with pytest.raises(InputError, match="finite"):
+            kmeans(emb, 2, seed=0)
 
     @pytest.mark.parametrize("n_clusters", [0, -1, 5])
     def test_cluster_count_outside_one_to_n_rejected(self, n_clusters):

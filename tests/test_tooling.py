@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 import textwrap
@@ -70,3 +71,13 @@ def test_commands_call_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
     assert len(clustered) == 1 + 3
     assert main(["pairs", "--synthetic", SPEC, "--out", str(tmp_path)]) == 0
     assert len(saved) == 1
+
+
+def test_readme_library_example_runs(capsys):
+    # The example under "## Library" runs as written, so an API change that
+    # leaves the README behind fails here.
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    acc, ari, edge_pct = map(float, capsys.readouterr().out.split())
+    assert 0 <= acc <= 1 and -1 <= ari <= 1 and 0 < edge_pct < 100
