@@ -196,6 +196,14 @@ def _as_counts(size, groups: int, what: str) -> list[int]:
     return counts
 
 
+def _check_scale(value, what: str, positive: bool = False) -> None:
+    """Refuse a spread, noise, radius or separation that is NaN, infinite
+    or negative, or with `positive` also zero; `what` names it."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise InputError(f"{what} must be finite and {sign}, got {value!r}")
+
+
 def _as_floats(value, groups: int, what: str) -> list[float]:
     if isinstance(value, (int, float, np.floating, np.integer)):
         return [float(value)] * groups
@@ -224,8 +232,9 @@ def _gen_blobs(seed, clusters=3, size=50, spread=1.0, separation=10.0, dim=2):
         raise InputError("blobs: clusters and dim must be positive")
     counts = _as_counts(size, clusters, "blobs")
     spreads = _as_floats(spread, clusters, "blobs")
-    if any(s < 0 for s in spreads) or separation < 0:
-        raise InputError("blobs: spread and separation must be non-negative")
+    for s in spreads:
+        _check_scale(s, "blobs: spread")
+    _check_scale(separation, "blobs: separation")
     centers = np.zeros((clusters, dim))
     if clusters > 1:
         angles = 2.0 * np.pi * np.arange(clusters) / clusters
@@ -245,10 +254,9 @@ def _gen_blobs(seed, clusters=3, size=50, spread=1.0, separation=10.0, dim=2):
 
 def _gen_circles(seed, radii=(1.0, 3.0), size=200, noise=0.0):
     radii = [float(r) for r in (radii if np.iterable(radii) else [radii])]
-    if any(r <= 0 for r in radii):
-        raise InputError("circles: radii must be positive")
-    if noise < 0:
-        raise InputError("circles: noise must be non-negative")
+    for r in radii:
+        _check_scale(r, "circles: radii", positive=True)
+    _check_scale(noise, "circles: noise")
     counts = _as_counts(size, len(radii), "circles")
     rng = spawn_rng(seed)
     chunks, labels = [], []
@@ -265,8 +273,7 @@ def _gen_circles(seed, radii=(1.0, 3.0), size=200, noise=0.0):
 
 def _gen_moons(seed, size=100, noise=0.05):
     counts = _as_counts(size, 2, "moons")
-    if noise < 0:
-        raise InputError("moons: noise must be non-negative")
+    _check_scale(noise, "moons: noise")
     rng = spawn_rng(seed)
     t1 = np.pi * np.arange(counts[0]) / counts[0]
     t2 = np.pi * np.arange(counts[1]) / counts[1]
@@ -281,8 +288,9 @@ def _gen_moons(seed, size=100, noise=0.05):
 
 def _gen_mixed_density(seed, size_dense=150, size_sparse=50, spread_dense=0.3,
                        spread_sparse=1.5, separation=8.0, dim=2):
-    if min(spread_dense, spread_sparse) <= 0 or separation < 0:
-        raise InputError("mixed-density: spreads must be positive")
+    _check_scale(spread_dense, "mixed-density: spread_dense", positive=True)
+    _check_scale(spread_sparse, "mixed-density: spread_sparse", positive=True)
+    _check_scale(separation, "mixed-density: separation")
     counts = _as_counts([_whole(size_dense, "mixed-density: size_dense"),
                          _whole(size_sparse, "mixed-density: size_sparse")], 2, "mixed-density")
     dim = _whole(dim, "mixed-density: dim")
@@ -310,7 +318,8 @@ def gen_synthetic(kind: str, params: dict | None = None, seed: Seed = 0) -> Poin
 
     kind is one of 'blobs', 'circles', 'moons' or 'mixed-density'; params
     are the keyword arguments of the matching generator. Identical
-    (kind, params, seed) triples reproduce identical point sets.
+    (kind, params, seed) triples reproduce identical point sets. Unusable
+    params raise InputError, a count too large to index or allocate too.
     """
     if kind not in _GENERATORS:
         raise InputError(f"unknown synthetic kind {kind!r}; choose from {SYNTHETIC_KINDS}")
@@ -319,3 +328,5 @@ def gen_synthetic(kind: str, params: dict | None = None, seed: Seed = 0) -> Poin
         return _GENERATORS[kind](seed, **params)
     except TypeError as exc:
         raise InputError(f"{kind}: {exc}") from exc
+    except (OverflowError, MemoryError) as exc:
+        raise InputError(f"{kind}: parameters too large: {exc}") from exc

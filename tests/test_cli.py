@@ -330,6 +330,14 @@ class TestReduceAndPairsCommands:
         header = json.loads((tmp_path / "graph.txt").read_text().splitlines()[0])
         assert header["k_max"] == 19
 
+    @pytest.mark.parametrize("spec", ["blobs:spread=nan", "circles:noise=nan",
+                                      "moons:noise=nan", "mixed-density:spread_dense=nan",
+                                      "blobs:clusters=1e20,size=2",
+                                      "blobs:clusters=2,size=1e12"])
+    def test_unusable_synthetic_spec_is_input_error(self, tmp_path, spec):
+        assert main(["reduce", "--synthetic", spec, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "graph.txt").exists()
+
     def test_histogram_bin_limit_exits_3(self, tmp_path):
         # A near-regular simplex: every affinity is exp(-1) to within 1e-12,
         # so the Freedman-Diaconis width asks for about 1e12 bins.

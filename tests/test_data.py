@@ -175,6 +175,31 @@ class TestGenerators:
         with pytest.raises(InputError):
             gen_synthetic("moons", {"noise": -0.1}, seed=0)
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("blobs", {"spread": float("nan")}, "spread"),
+        ("blobs", {"clusters": 2, "spread": [1.0, float("nan")]}, "spread"),
+        ("blobs", {"separation": float("inf")}, "separation"),
+        ("circles", {"noise": float("nan")}, "noise"),
+        ("circles", {"radii": [float("nan"), 1.0]}, "radii"),
+        ("moons", {"noise": float("nan")}, "noise"),
+        ("mixed-density", {"spread_dense": float("nan")}, "spread_dense"),
+        ("mixed-density", {"spread_sparse": float("inf")}, "spread_sparse"),
+        ("mixed-density", {"separation": float("nan")}, "separation"),
+    ])
+    def test_non_finite_scale_rejected_by_name(self, kind, params, name):
+        # NaN fails every comparison, so a `< 0` test alone lets it through
+        # and a NaN noise is read as no noise at all.
+        with pytest.raises(InputError, match=f"{kind}: {name} must be finite"):
+            gen_synthetic(kind, params, seed=0)
+
+    @pytest.mark.parametrize("params", [
+        {"clusters": 1e20, "size": 2},   # more groups than an index can count
+        {"clusters": 2, "size": 1e12},   # 14.6 TiB of coordinates, refused at once
+    ])
+    def test_oversized_count_is_input_error(self, params):
+        with pytest.raises(InputError, match="blobs: parameters too large"):
+            gen_synthetic("blobs", params, seed=0)
+
 
 class TestSeed:
     def test_range_enforced(self):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import tie_heavy_tables
 from edgeprune import (InputError, PairSet, PointSet, build_knn, export_pairs,
-                       gen_synthetic, mutualize, reduce_graph, save_pairs)
+                       gen_synthetic, load_graph, mutualize, reduce_graph, save_pairs)
 from edgeprune.data import spawn_rng
+from edgeprune.pairs import _BLOCK
 
 
 def export_pairs_loop(g, nt, seed):
@@ -223,6 +224,63 @@ class TestExportPairsMatchesLoop:
         assert_matches_loop(g, nt, seed)
 
 
+class TestExportPairsBeyondTheFuzz:
+    """Cases graphs_on_tables cannot build: it makes every graph with
+    mutualize, which drops self-loops, and stays far below numpy's
+    tail-shuffle size."""
+
+    @pytest.mark.parametrize("size, draws", [
+        (60, 7),              # Floyd's algorithm
+        (12_000, 200),        # still Floyd: draws <= size // 50
+        (12_000, 241),        # tail shuffle: size > 10,000 and draws > size // 50
+        (10_001, 9_000),      # tail shuffle over most of the pool
+    ])
+    def test_choice_from_pool_is_pool_at_choice_from_size(self, size, draws):
+        # export_pairs draws ranks from the pool's size and maps them to
+        # ids; that is the sample the pool array itself would give.
+        pool = np.sort(spawn_rng(7, 2).choice(3 * size, size=size, replace=False))
+        from_pool = spawn_rng(7, 1, size).choice(pool, draws, replace=False)
+        from_size = spawn_rng(7, 1, size).choice(pool.size, draws, replace=False)
+        assert np.array_equal(from_pool, pool[from_size])
+
+    def test_tail_shuffle_fallback(self):
+        # A clique of 250 duplicates among 10,250 scattered points: each
+        # clique point needs 249 negatives from a pool of 10,250, which
+        # takes numpy's tail-shuffle branch. Only the clique falls back.
+        rng = np.random.default_rng(8)
+        clique, n = 250, 10_500
+        pts = np.vstack([np.zeros((clique, 2)), rng.normal(size=(n - clique, 2)) * 100])
+        nt = build_knn(PointSet(pts), 5)
+        p, q = np.nonzero(~np.eye(clique, dtype=bool))
+        g = mutualize(n, p, q, np.ones(p.size))
+        pool = n - clique
+        assert pool > 10_000 and clique - 1 > pool // 50
+        result = assert_matches_loop(g, nt, seed=12)
+        assert len(result.negatives) == clique * (clique - 1)
+
+    def test_loaded_graph_with_self_loops_and_repeated_pair(self, tmp_path):
+        # Twelve points on a line, k_max = 2: the path's edges exhaust
+        # every inner row. Vertices 3 and 7 carry self-loops and the pair
+        # (5, 6) is stored twice; both raise the degree but block no
+        # more of the pool than once.
+        nt = build_knn(PointSet(np.stack([np.arange(12.0), np.zeros(12)], axis=1)), 2)
+        edges = [(i, i + 1) for i in range(11)] + [(5, 6)]
+        lines = [f"{p} {q} 0.5" for a, b in edges for p, q in ((a, b), (b, a))]
+        lines += ["3 3 0.5", "7 7 0.5"]
+        path = tmp_path / "graph.txt"
+        path.write_text(json.dumps({"n": 12, "edges": len(lines)}) + "\n"
+                        + "\n".join(lines) + "\n")
+        g, _ = load_graph(path)
+        assert g.degrees()[[3, 5, 6, 7]].tolist() == [3, 3, 3, 3]
+        assert_matches_loop(g, nt, seed=2)
+
+
+def json_lines(positives, negatives):
+    return "".join(
+        [json.dumps({"p": p, "q": q, "label": 1}) + "\n" for p, q in positives]
+        + [json.dumps({"p": p, "q": q, "label": 0}) + "\n" for p, q in negatives])
+
+
 class TestSavePairs:
     def test_jsonl_format(self, tmp_path):
         ps = hexagon()
@@ -242,7 +300,23 @@ class TestSavePairs:
     def test_bytes_equal_json_dumps(self, tmp_path_factory, positives, negatives):
         path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
         save_pairs(PairSet(positives=positives, negatives=negatives), path)
-        expected = "".join(
-            [json.dumps({"p": p, "q": q, "label": 1}) + "\n" for p, q in positives]
-            + [json.dumps({"p": p, "q": q, "label": 0}) + "\n" for p, q in negatives])
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes() == json_lines(positives, negatives).encode("utf-8")
+
+    @pytest.mark.parametrize("n_pos, n_neg", [
+        (_BLOCK, _BLOCK),              # exactly one block each
+        (2 * _BLOCK + 1, _BLOCK - 1),  # one record past a block boundary
+        (0, 3 * _BLOCK),
+    ])
+    def test_bytes_equal_json_dumps_across_blocks(self, tmp_path, n_pos, n_neg):
+        rng = np.random.default_rng(n_pos + n_neg)
+        ids = rng.integers(0, 2**40, size=(n_pos + n_neg, 2)).tolist()
+        positives = [tuple(pair) for pair in ids[:n_pos]]
+        negatives = [tuple(pair) for pair in ids[n_pos:]]
+        path = tmp_path / "pairs.jsonl"
+        save_pairs(PairSet(positives=positives, negatives=negatives), path)
+        assert path.read_bytes() == json_lines(positives, negatives).encode("utf-8")
+
+    def test_empty_pair_set_writes_empty_file(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        save_pairs(PairSet(positives=[], negatives=[]), path)
+        assert path.read_bytes() == b""
