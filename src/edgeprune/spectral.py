@@ -12,10 +12,22 @@ way `build_knn` ranks neighbors: a Gram-identity screen on the calling
 thread, then the exact difference form on the pairs the screen's
 rounding bound cannot rule out. Labels, inertia and collapse are bit
 for bit those of the exact form on every (point, center) pair.
+
+k-means does its distance work once per distinct embedding row: row
+normalization maps each connected component to one point, so thousands
+of rows may share a few hundred bit patterns. The k-means++ distance
+passes and every assignment run on the distinct rows and are spread back
+to all N points. The bits hold because a row's distance to a center
+depends only on the row's bits and on how its squares are summed, and
+the distinct rows keep x's memory order, so they are summed as x's rows
+are. Everything that depends on the number of copies of a row stays
+N-long: the seeding's draw probabilities and their sum, the cluster
+means, the empty-cluster reseed and the inertia.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -29,6 +41,8 @@ from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
 from .knn import _screen_slack
 from .reduce import ReducedGraph
+
+log = logging.getLogger(__name__)
 
 # Above this size the dense symmetric solver gives way to an iterative
 # smallest-eigenpair method.
@@ -91,8 +105,10 @@ def embed(lap, n_clusters: int) -> Embedding:
         # hidden copy.
         vals, vecs = scipy.linalg.eigh(lap.toarray(order="F"),
                                        subset_by_index=[0, n_clusters - 1], overwrite_a=True)
+        solver = "dense"
     else:
         vals, vecs = _iterative_smallest(lap, n_clusters)
+        solver = "LOBPCG"
     if not vals[0] >= -1e-9:  # NaN fails this test too
         raise NumericError(f"Laplacian not PSD: smallest eigenvalue {vals[0]:.3e}")
     norms = np.linalg.norm(vecs, axis=1)
@@ -101,6 +117,8 @@ def embed(lap, n_clusters: int) -> Embedding:
     safe[norms <= _ZERO_ROW_TOL] = 1.0
     vectors = vecs / safe[:, None]
     vectors[zero_rows] = 0.0
+    log.debug("embed: N=%d, C=%d, %s solver, largest eigenvalue %r, %d zero rows",
+              n, n_clusters, solver, float(vals[-1]), len(zero_rows))
     return Embedding(vectors=vectors, eigenvalues=np.asarray(vals, dtype=np.float64),
                      zero_rows=zero_rows)
 
@@ -178,25 +196,57 @@ def _assign(x: np.ndarray, centers: np.ndarray):
     return labels, d2[np.arange(n), labels]
 
 
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _distinct_rows(x: np.ndarray):
+    """The distinct rows of x by bit pattern, and each row's index among them.
+
+    The distinct rows keep x's memory order, so that each one's squares are
+    summed as x's own rows are. A single row would be both C- and
+    F-contiguous, and numpy sums a contiguous row pairwise; an F-ordered
+    x with one distinct row therefore keeps two copies of it. When every
+    row is distinct, x itself is returned.
+    """
+    rows = np.ascontiguousarray(x)
+    # One opaque key per row, also when x has no columns.
+    keys = np.ndarray(len(rows), np.dtype((np.void, rows.itemsize * rows.shape[1])), rows)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(x):
+        return x, np.arange(len(x))
+    if abs(x.strides[0]) < abs(x.strides[1]):
+        return np.asfortranarray(x[first if len(first) > 1 else first.repeat(2)]), inverse
+    return x[first], inverse
+
+
+def _plus_plus_init(x: np.ndarray, u: np.ndarray, inverse: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of x, with its distances computed on x's distinct rows u."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # all remaining points coincide with a center
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    # An overflowing distance makes the total non-finite, which is refused.
+    with np.errstate(over="ignore"):
+        near = ((u - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            d2 = near[inverse]
+            total = d2.sum()
+            if not np.isfinite(total):
+                raise InputError("kmeans: squared distances between vectors overflow")
+            if total > 0:
+                idx = rng.choice(n, p=d2 / total)
+            else:
+                idx = rng.integers(n)  # all remaining points coincide with a center
+            centers[j] = x[idx]
+            near = np.minimum(near, ((u - centers[j]) ** 2).sum(axis=1))
     return centers
 
 
-def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator):
-    centers = _plus_plus_init(x, k, rng)
-    labels, d2 = _assign(x, centers)
+def _lloyd(x: np.ndarray, u: np.ndarray, inverse: np.ndarray, k: int,
+           rng: np.random.Generator):
+    def assign(centers):
+        labels, d2 = _assign(u, centers)
+        return labels[inverse], d2[inverse]
+
+    centers = _plus_plus_init(x, u, inverse, k, rng)
+    labels, d2 = assign(centers)
     for _ in range(KMEANS_MAX_ITER):
         # Re-seed any empty cluster from the point farthest from its center.
         for _ in range(k):
@@ -205,12 +255,12 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator):
             if empty.size == 0:
                 break
             centers[empty[0]] = x[np.argmax(d2)]
-            labels, d2 = _assign(x, centers)
+            labels, d2 = assign(centers)
         for j in range(k):
             members = labels == j
             if members.any():
                 centers[j] = x[members].mean(axis=0)
-        new_labels, d2 = _assign(x, centers)
+        new_labels, d2 = assign(centers)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -225,19 +275,23 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     sequential execution no matter how restarts are scheduled. Empty
     clusters are re-seeded from the farthest point; if the data cannot
     support n_clusters distinct groups the result is flagged as collapsed.
-    Non-finite vectors, on which no restart has a finite inertia, are refused.
+    Non-finite vectors, on which no restart has a finite inertia, are refused,
+    and so are vectors whose squared distances overflow.
     """
     x = e.vectors
     if not 1 <= n_clusters <= x.shape[0]:
         raise InputError(f"cluster count must be in [1, {x.shape[0]}], got {n_clusters}")
     if not np.isfinite(x).all():
         raise InputError("kmeans: embedding vectors must be finite")
+    u, inverse = _distinct_rows(x)
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
-        labels, inertia = _lloyd(x, n_clusters, spawn_rng(seed, r))
+        labels, inertia = _lloyd(x, u, inverse, n_clusters, spawn_rng(seed, r))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     collapsed = np.unique(best_labels).size < n_clusters
+    log.debug("kmeans: %d distinct rows of %d, best inertia %r, collapsed %s",
+              inverse.max() + 1, x.shape[0], best_inertia, collapsed)
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 

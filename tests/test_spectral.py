@@ -1,3 +1,4 @@
+import logging
 import resource
 import time
 import tracemalloc
@@ -212,6 +213,14 @@ class TestKmeans:
         emb = Embedding(vectors=x, eigenvalues=np.zeros(2),
                         zero_rows=np.array([], dtype=np.int64))
         with pytest.raises(InputError, match="finite"):
+            kmeans(emb, 2, seed=0)
+
+    def test_overflowing_squared_distances_rejected(self):
+        # Finite vectors whose squared distances overflow to inf: the
+        # seeding's draw probabilities would be NaN.
+        emb = Embedding(vectors=np.array([[0.0], [1e200], [-1e200], [5.0]]),
+                        eigenvalues=np.zeros(2), zero_rows=np.array([], dtype=np.int64))
+        with pytest.raises(InputError, match="overflow"):
             kmeans(emb, 2, seed=0)
 
     @pytest.mark.parametrize("n_clusters", [0, -1, 5])
@@ -464,6 +473,116 @@ class TestKmeansMatchesTensorForm:
         before = cpu_s()
         time.sleep(0.3)
         assert cpu_s() - before < 0.05
+
+
+@st.composite
+def repeated_rows(draw):
+    """A few distinct rows repeated and shuffled, and a cluster count.
+
+    Optionally coordinates of very different sizes (so that the order in
+    which a row's squares are summed shows in the bits), zero rows (as
+    isolated vertices embed), zeros written as -0.0 in some copies (rows
+    equal in value but not in bits), and x stored by columns, as the
+    eigensolvers return it. The cluster count may exceed the number of
+    distinct rows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 20))
+    base = rng.standard_normal((distinct, d))
+    if draw(st.booleans()):
+        base *= 10.0 ** rng.uniform(-12, 0, d)
+    if draw(st.booleans()):
+        base[rng.random(distinct) < 0.5] = 0.0
+    if draw(st.booleans()):
+        base[rng.random((distinct, d)) < 0.3] = 0.0
+    n = draw(st.integers(1, 40))
+    x = base[rng.integers(0, distinct, n)]
+    if draw(st.booleans()):
+        x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    return x, draw(st.integers(1, min(n, distinct + 3))), draw(st.integers(0, 2**32 - 1))
+
+
+def distinct_row_count(x):
+    return len({row.tobytes() for row in x})
+
+
+class TestKmeansOnDistinctRows:
+    """kmeans computes distances once per distinct row; the results must
+    still be those of the all-pairs form on every row."""
+
+    @given(repeated_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tensor_form_bit_for_bit(self, case):
+        assert_kmeans_matches(*case)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_few_distinct_rows_shuffled(self, seed, order):
+        # At d >= 8 numpy sums a contiguous row's squares pairwise and a
+        # column-stored row's one coordinate at a time, so the distinct rows
+        # must be stored as x is.
+        rng = np.random.default_rng(seed)
+        x = np.asarray(rng.standard_normal((5, 16))[rng.integers(0, 5, 30)], order=order)
+        assert_kmeans_matches(x, 2, seed)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_repeated_many_cluster_embedding(self, order):
+        v = manyclust_embedding(21).vectors
+        x = np.asarray(np.repeat(v, 2, axis=0)[np.random.default_rng(0).permutation(480)],
+                       order=order)
+        assert_kmeans_matches(x, 40, seed=21)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_single_distinct_row_by_columns(self, seed):
+        # The mean of the copies of one row rounds away from it, so the
+        # inertia is a sum of tiny squares; with coordinates of very
+        # different sizes its bits depend on the summation order. A single
+        # row is both C- and F-contiguous, so the distinct rows of a
+        # column-stored x must hold it twice.
+        rng = np.random.default_rng(seed)
+        row = rng.standard_normal(40) * 10.0 ** rng.uniform(-12, 0, 40)
+        assert_kmeans_matches(np.asfortranarray(np.tile(row, (300, 1))), 1, seed)
+
+    def test_zero_and_negative_zero_rows(self):
+        x = np.zeros((12, 4))
+        x[1::3] = -0.0
+        x[2::3, 0] = 1.0
+        assert distinct_row_count(x) == 3
+        assert_kmeans_matches(x, 2, seed=8)
+        assert_kmeans_matches(np.asfortranarray(x), 4, seed=8)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_assigns_only_distinct_rows(self, monkeypatch, order):
+        seen = []
+
+        def recording(x, centers):
+            seen.append(len(x))
+            return _assign(x, centers)
+
+        x = np.asarray(np.repeat(manyclust_embedding(3).vectors, 5, axis=0), order=order)
+        monkeypatch.setattr(spectral, "_assign", recording)
+        kmeans(Embedding(vectors=x, eigenvalues=np.zeros(40),
+                         zero_rows=np.array([], dtype=np.int64)), 40, seed=1)
+        distinct = distinct_row_count(x)
+        assert distinct <= len(x) // 5
+        assert seen and max(seen) <= distinct
+
+
+class TestLogging:
+    def test_embed_and_kmeans_report_at_debug(self, dataset_a, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="edgeprune.spectral")
+        emb = embed(laplacian(reduce_graph(dataset_a)), 3)
+        result = kmeans(emb, 3, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"embed: N=300, C=3, dense solver, largest eigenvalue {float(emb.eigenvalues[-1])!r}, "
+            "0 zero rows",
+            # Three components, each embedded as one point.
+            f"kmeans: 3 distinct rows of 300, best inertia {result.inertia!r}, collapsed False",
+        ]
+        assert capsys.readouterr().out == ""
 
 
 class TestEmbedSolve:
