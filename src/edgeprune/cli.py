@@ -11,8 +11,9 @@ Subcommands:
 The reducing commands share one table-to-graph step, `_reduced`, which
 picks `compute_scales` or `seventh_neighbor_scales`; the rules themselves,
 and the default k_max, live in the library. The metric commands cluster
-each graph with one `spectral_cluster` call, which embeds it once for all
-repeats; `baseline-knn` is `cluster` on `mutual_knn_graph`.
+each graph with one `spectral_cluster` call, which decides the partition
+from the graph's components or embeds it once for all repeats;
+`baseline-knn` is `cluster` on `mutual_knn_graph`.
 
 Every command is deterministic for a fixed configuration; repeat i uses
 seed + i. Output CSVs start with a '# {...}' config echo line so a

@@ -18,7 +18,7 @@ row statistics and thresholds - do not move.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -50,7 +50,9 @@ class ReducedGraph:
 
     Edges are stored as ordered pairs (both directions of every mutual
     edge), lexicographically sorted. The directed survivor set from
-    before mutual agreement is kept for diagnostics.
+    before mutual agreement is kept for diagnostics. `table` is the k-NN
+    table the graph was built from, when it was built from one: a
+    reference the spectral back end merges components over, never saved.
     """
 
     n: int
@@ -60,11 +62,14 @@ class ReducedGraph:
     directed_src: np.ndarray
     directed_dst: np.ndarray
     directed_weight: np.ndarray
+    table: NeighborTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.src, self.dst, self.weight,
                     self.directed_src, self.directed_dst, self.directed_weight):
             arr.setflags(write=False)
+        if self.table is not None and self.table.n != self.n:
+            raise InputError(f"graph has {self.n} vertices but its table {self.table.n} rows")
 
     @property
     def edge_count(self) -> int:
@@ -176,13 +181,13 @@ def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):
 def graph_from_table(nt: NeighborTable, ls: LocalScales) -> ReducedGraph:
     """Table-to-graph half of the pipeline: affinities -> threshold -> mutual."""
     a = affinity_rows(nt, ls)
-    return mutualize(nt.n, *threshold_survivors(a, nt))
+    return replace(mutualize(nt.n, *threshold_survivors(a, nt)), table=nt)
 
 
 def mutual_knn_graph(nt: NeighborTable) -> ReducedGraph:
     """The comparison foil: unit-weight edge iff each point is in the other's k-NN."""
     src = np.repeat(np.arange(nt.n, dtype=np.int64), nt.k_max)
-    return mutualize(nt.n, src, nt.indices.ravel(), np.ones(src.size))
+    return replace(mutualize(nt.n, src, nt.indices.ravel(), np.ones(src.size)), table=nt)
 
 
 def default_k_max(n: int) -> int:

@@ -1,10 +1,31 @@
 """Spectral clustering on a reduced graph.
 
-Symmetric normalized Laplacian (a CSR matrix), eigenvectors of the
-smallest C eigenvalues with row normalization, then seeded k-means with
-KMEANS_RESTARTS restarts. Everything is deterministic for a fixed seed:
-restarts draw from generators derived from (seed, restart index), and
-the best restart is picked by strict inertia comparison.
+The normalized Laplacian is block-diagonal over the graph's m connected
+components, and its null space is spanned by one vector per component
+(von Luxburg 2007, section 3). So when m >= C, the C smallest eigenpairs
+are a slice of that null space and the partition is a statement about
+components; an eigensolver would only add rounding, and which slice it
+returns changes with the BLAS thread count. `spectral_cluster` therefore
+looks at the components first:
+
+  * the C largest components are the clusters (largest first, ties to
+    the lower component label);
+  * when m = C, they are the answer;
+  * when m > C, every other component joins a cluster by a multi-source
+    minimum spanning forest over component-level edges, weighted by the
+    smallest exact distance between them in the k-NN table the graph was
+    built from. Edges are taken in (distance, lower id, higher id) order,
+    and an edge that would join two rooted trees is skipped;
+  * when m < C, or when some component has no table path to a cluster
+    (or the graph carries no table and m > C), it falls back to NJW:
+    Laplacian, eigenvectors of the smallest C eigenvalues with row
+    normalization, then seeded k-means with KMEANS_RESTARTS restarts.
+
+The component path uses no seed and no floating-point arithmetic beyond
+comparing table distances, so its labels are the same for every seed and
+every thread count. The NJW path is deterministic for a fixed seed and
+thread count: restarts draw from generators derived from (seed, restart
+index), and the best restart is picked by strict inertia comparison.
 
 The dense solve hands LAPACK a Fortran-ordered matrix it may overwrite,
 so no second N x N copy is made. k-means assigns points to centers the
@@ -39,8 +60,8 @@ import scipy.sparse.linalg
 
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
-from .knn import _screen_slack
-from .reduce import ReducedGraph
+from .knn import NeighborTable, _screen_slack
+from .reduce import ReducedGraph, component_labels
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +85,10 @@ class Embedding:
 
 @dataclass(frozen=True)
 class ClusterResult:
+    """One clustering: a label per vertex, with the k-means inertia and
+    collapse flag. On the component path there is no k-means: the inertia
+    is 0 and `collapsed` is False."""
+
     labels: np.ndarray
     inertia: float
     collapsed: bool = False
@@ -169,19 +194,23 @@ def _assign(x: np.ndarray, centers: np.ndarray):
     center, or the whole row, a candidate.
     """
     n, dim = x.shape
-    # Screened values are laid out (C, N), so the minimum over centers runs
-    # as C - 1 passes along contiguous rows, not N reductions of length C.
-    norm_sums = (centers * centers).sum(axis=1)[:, None] + (x * x).sum(axis=1)
-    # einsum without `optimize` never calls BLAS, so no worker threads are
-    # left spinning (see the knn module docstring). Unlike the k-NN screen,
-    # k-means stays on the calling thread: its restarts on a thread pool
-    # saved about a tenth of a call, nothing measurable per command, and
-    # cost resident memory.
-    screen = norm_sums - 2.0 * np.einsum("jk,ik->ji", centers, x)
-    slack = _screen_slack(norm_sums, dim)  # overwrites norm_sums, not read again
-    bound = (screen + slack).min(axis=0)
-    screen -= slack
-    cols, rows = np.divmod(np.flatnonzero(~(screen > bound)), n)
+    # Coordinates above about 1e154 overflow the squares; the non-finite
+    # values that follow make candidates, as above, so they are not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Screened values are laid out (C, N), so the minimum over centers
+        # runs as C - 1 passes along contiguous rows, not N reductions of
+        # length C.
+        norm_sums = (centers * centers).sum(axis=1)[:, None] + (x * x).sum(axis=1)
+        # einsum without `optimize` never calls BLAS, so no worker threads
+        # are left spinning (see the knn module docstring). Unlike the k-NN
+        # screen, k-means stays on the calling thread: its restarts on a
+        # thread pool saved about a tenth of a call, nothing measurable per
+        # command, and cost resident memory.
+        screen = norm_sums - 2.0 * np.einsum("jk,ik->ji", centers, x)
+        slack = _screen_slack(norm_sums, dim)  # overwrites norm_sums, not read again
+        bound = (screen + slack).min(axis=0)
+        screen -= slack
+        cols, rows = np.divmod(np.flatnonzero(~(screen > bound)), n)
     # The exact form adds up each pair's squares in the order the (N, C, d)
     # all-pairs tensor did. numpy lays that tensor out after x: by rows, each
     # pair's d squares are contiguous and get numpy's pairwise summation; by
@@ -247,7 +276,20 @@ def _lloyd(x: np.ndarray, u: np.ndarray, inverse: np.ndarray, k: int,
 
     centers = _plus_plus_init(x, u, inverse, k, rng)
     labels, d2 = assign(centers)
-    for _ in range(KMEANS_MAX_ITER):
+    # An iteration starts from the centers alone (labels and d2 are their
+    # assignment), so once a centers state comes back the run is periodic:
+    # whole periods are skipped, which leaves every bit as running them.
+    seen: dict[bytes, int] = {}
+    it = 0
+    while it < KMEANS_MAX_ITER:
+        state = centers.tobytes()
+        if state in seen:
+            period = it - seen[state]
+            it += (KMEANS_MAX_ITER - it) // period * period
+            if it == KMEANS_MAX_ITER:
+                break
+        seen[state] = it
+        it += 1
         # Re-seed any empty cluster from the point farthest from its center.
         for _ in range(k):
             counts = np.bincount(labels, minlength=k)
@@ -295,12 +337,99 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
+def _merge_components(comp: np.ndarray, cluster: np.ndarray,
+                      nt: NeighborTable) -> np.ndarray:
+    """Each component's cluster after a multi-source minimum spanning forest.
+
+    `cluster` holds the rooted components' clusters and -1 elsewhere. A
+    component-level edge joins two components with the smallest table
+    distance between them; edges are taken in (distance, lower id, higher
+    id) order, Kruskal-style, skipping one that closes a cycle or joins two
+    rooted trees. Every key is distinct, so the forest is the one a
+    multi-source Prim gives, and each component ends in the tree of one
+    root or of none (-1).
+    """
+    m = len(cluster)
+    a = np.repeat(comp, nt.k_max)
+    b = comp[nt.indices.ravel()]
+    cross = np.flatnonzero(a != b)
+    a, b = a[cross], b[cross]
+    pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
+    dist = nt.distances.ravel()[cross]
+    # The smallest distance per component pair, then the pairs by
+    # (distance, pair); pair order is (lower id, higher id) order.
+    by_pair = np.lexsort((dist, pair))
+    pair, dist = pair[by_pair], dist[by_pair]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    pair, dist = pair[first], dist[first]
+    lo, hi = np.divmod(pair[np.lexsort((pair, dist))], m)
+
+    parent = list(range(m))
+    label = cluster.tolist()  # a tree's cluster, kept at its representative
+    members = [1] * m
+    open_count = m - int((cluster >= 0).sum())  # components in no rooted tree
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for p, q in zip(lo.tolist(), hi.tolist()):
+        if open_count == 0:
+            break
+        p, q = find(p), find(q)
+        if p == q or (label[p] >= 0 and label[q] >= 0):
+            continue
+        if label[p] < 0:
+            p, q = q, p  # q's tree is unrooted and joins p's
+        parent[q] = p
+        members[p] += members[q]
+        if label[p] >= 0:
+            open_count -= members[q]
+    return np.array([label[find(c)] for c in range(m)], dtype=np.int64)
+
+
+def _component_partition(g: ReducedGraph, n_clusters: int):
+    """The partition the graph's components decide, if they decide one.
+
+    Returns (labels, m, unlinked): labels by cluster rank (0 is the
+    largest root), or None when the eigensolver has to decide; m the
+    component count; unlinked the components that reach no root.
+    """
+    comp = component_labels(g)
+    m = int(comp.max()) + 1
+    if m < n_clusters:
+        return None, m, 0
+    roots = np.argsort(-np.bincount(comp), kind="stable")[:n_clusters]
+    cluster = np.full(m, -1, dtype=np.int64)
+    cluster[roots] = np.arange(n_clusters)
+    if m > n_clusters and g.table is not None:
+        cluster = _merge_components(comp, cluster, g.table)
+    unlinked = int((cluster < 0).sum())
+    return (None if unlinked else cluster[comp]), m, unlinked
+
+
 def spectral_cluster(g: ReducedGraph, n_clusters: int,
                      seeds: Iterable[Seed]) -> Iterator[ClusterResult]:
-    """Laplacian -> embedding -> one seeded `kmeans` per seed, yielded in order.
+    """One clustering of g per seed, yielded in order.
 
-    The embedding ignores the seed: it is computed once, on the first request.
+    Nothing runs before the first result is asked for. When the graph's
+    components decide the partition (see the module docstring), every
+    seed gets it, with inertia 0. Otherwise the graph is embedded once
+    (Laplacian -> `embed`) and each seed gets its own `kmeans`.
     """
+    if not 2 <= n_clusters <= g.n:
+        raise InputError(f"cluster count must be in [2, {g.n}], got {n_clusters}")
+    labels, m, unlinked = _component_partition(g, n_clusters)
+    path = ("eigensolver" if labels is None
+            else "components" if m == n_clusters else "merged")
+    log.debug("spectral_cluster: N=%d, m=%d components for C=%d, %s path, "
+              "%d unlinked components", g.n, m, n_clusters, path, unlinked)
+    if labels is not None:
+        for _ in seeds:
+            yield ClusterResult(labels=labels.copy(), inertia=0.0)
+        return
     emb = embed(laplacian(g), n_clusters)
     for seed in seeds:
         yield kmeans(emb, n_clusters, seed)

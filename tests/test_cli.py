@@ -146,7 +146,8 @@ class TestClusterCommand:
     def test_failed_iterative_solve_exits_3(self, tmp_path, monkeypatch, capsys, solve):
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)
         monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lambda a, x, **kwargs: solve(a, x))
-        assert main(["cluster", "--synthetic", "blobs:clusters=2,size=30",
+        # Two components for three clusters (m < C): the eigensolver decides.
+        assert main(["cluster", "--synthetic", "blobs:clusters=2,size=30", "--clusters", "3",
                      "--out", str(tmp_path)]) == 3
         assert "eigensolver failed to converge" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
@@ -154,14 +155,16 @@ class TestClusterCommand:
     def test_embeds_once_and_matches_spectral_cluster(self, tmp_path, monkeypatch):
         embeds = count_calls(monkeypatch, "embed", spectral)
         kmeans = count_calls(monkeypatch, "kmeans", spectral)
+        # Three components for four clusters (m < C): the eigensolver decides.
         assert main(["cluster", "--synthetic", BLOBS, "--seed", "7", "--repeats", "3",
-                     "--out", str(tmp_path)]) == 0
+                     "--clusters", "4", "--out", str(tmp_path)]) == 0
         assert len(embeds) == 1 and len(kmeans) == 3
         # Each repeat equals a spectral_cluster result at its seed.
         ps = gen_synthetic("blobs", parse_synthetic_spec(BLOBS)[1], seed=7)
         graph = build_reduced(ps, 50)
+        assert n_components(graph) == 3
         rows = read_rows(tmp_path / "metrics.csv")[:3]
-        for row, result in zip(rows, spectral_cluster(graph, 3, [7, 8, 9]), strict=True):
+        for row, result in zip(rows, spectral_cluster(graph, 4, [7, 8, 9]), strict=True):
             assert row["acc"] == repr(acc(ps.labels, result.labels))
             assert row["ari"] == repr(ari(ps.labels, result.labels))
             assert row["n_components"] == str(n_components(graph))
@@ -428,8 +431,8 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sp
 def test_outputs_do_not_depend_on_usable_cpus(tmp_path, argv):
     # The k-NN screen runs on one thread per usable CPU; a child pinned to
     # one CPU must write the same bytes as a child with all of them. BLAS
-    # gets one thread in both, since the spectral stage's output may depend
-    # on its thread count (see the README).
+    # gets one thread in both, since the eigensolver's output may depend on
+    # its thread count (see the README).
     src = Path(__file__).resolve().parents[1] / "src"
     script = """
 import os, sys
@@ -450,3 +453,28 @@ sys.exit(main(sys.argv[2:]))
         assert proc.returncode == 0, proc.stderr
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command,extra,name", [
+    ("cluster", [], "metrics.csv"),
+    ("baseline-knn", ["--baseline-k", "6"], "baseline_metrics.csv")],
+    ids=["cluster", "baseline-knn"])
+def test_metrics_do_not_depend_on_blas_threads(tmp_path, command, extra, name):
+    # Fixture (c): its reduced graph has 8 components and its 6-NN foil 4,
+    # for 2 clusters (m > C). An eigensolver returns its own basis of the
+    # null space, which changes with the BLAS thread count; the component
+    # path does not solve.
+    src = Path(__file__).resolve().parents[1] / "src"
+    spec = ("mixed-density:size-dense=200,size-sparse=100,spread-dense=0.3,"
+            "spread-sparse=2.0,separation=10")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "edgeprune", command, "--synthetic", spec,
+                               "--seed", "5", "--repeats", "3", *extra, "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": str(src),
+                                   "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / name).read_bytes())
+    assert outs[0] == outs[1]

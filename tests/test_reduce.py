@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import tie_heavy_tables
 from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affinity,
                        affinity_rows, build_knn, compute_scales, export_pairs,
-                       fd_bin_width, gen_synthetic, graph_from_table, load_graph, mutualize,
-                       n_components, reduce_graph, save_graph, threshold_row)
+                       fd_bin_width, gen_synthetic, graph_from_table, load_graph,
+                       mutual_knn_graph, mutualize, n_components, reduce_graph, save_graph,
+                       threshold_row)
 from edgeprune.reduce import component_labels, default_k_max, threshold_survivors
 from edgeprune.scale import LocalScales
 
@@ -179,6 +182,15 @@ class TestGraphFromTable:
         ref = reduce_graph(dataset_b, 20)
         for got, want in ((g.src, ref.src), (g.dst, ref.dst), (g.weight, ref.weight)):
             assert np.array_equal(got, want)
+
+    def test_keeps_its_table_and_refuses_another_size(self, dataset_b):
+        # The spectral back end merges components over the graph's own table.
+        nt = build_knn(dataset_b, 20)
+        g = graph_from_table(nt, compute_scales(nt))
+        assert g.table is nt and mutual_knn_graph(nt).table is nt
+        assert reduce_graph(dataset_b, 20).table is not None
+        with pytest.raises(InputError, match="table"):
+            dataclasses.replace(g, n=g.n + 1)
 
 
 def mutualize_two_sorts(n, src, dst, weight):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import resource
 import time
@@ -10,12 +11,15 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeprune import (InputError, NumericError, PointSet, ReducedGraph, ari, embed,
-                       gen_synthetic, kmeans, laplacian, mutualize, n_components,
-                       reduce_graph, spectral_cluster)
+from edgeprune import (InputError, NumericError, PointSet, ReducedGraph, ari, build_knn,
+                       embed, gen_synthetic, kmeans, laplacian, mutual_knn_graph, mutualize,
+                       n_components, reduce_graph, spectral_cluster)
+from conftest import tie_heavy_tables
 from edgeprune import spectral
 from edgeprune.data import spawn_rng
-from edgeprune.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, Embedding, _assign
+from edgeprune.reduce import component_labels, load_graph, save_graph
+from edgeprune.spectral import (KMEANS_MAX_ITER, KMEANS_RESTARTS, Embedding, _assign,
+                                _component_partition)
 
 
 def complete_block_graph(blocks, weight=1.0):
@@ -264,7 +268,9 @@ class TestSpectralCluster:
         assert np.array_equal(a.labels, b.labels)
 
     def test_embeds_once_and_runs_kmeans_per_seed(self, dataset_c, monkeypatch):
-        g = reduce_graph(dataset_c)
+        # The 2-NN foil has components its table links to neither of the two
+        # largest, so the eigensolver decides.
+        g = mutual_knn_graph(build_knn(dataset_c, 2))
         calls = []
 
         def counted(*args, **kwargs):
@@ -282,6 +288,199 @@ class TestSpectralCluster:
             assert np.array_equal(result.labels, expected.labels)
             assert result.inertia == expected.inertia
             assert result.collapsed == expected.collapsed
+
+
+# -- the component path against NJW and a per-step Prim reference ------------
+
+def canonical(labels):
+    """Labels renumbered by first occurrence: equal exactly for equal partitions."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def prim_partition(g, n_clusters):
+    """Reference for the component path: the labels, or None to fall back.
+
+    The C largest components are roots, largest first and ties to the lower
+    label. Then, one step at a time, the table entry with the smallest
+    (distance, lower component, higher component) among all entries between
+    an attached and an unattached component attaches the latter to the
+    former's cluster. Components left unattached mean a fallback.
+    """
+    comp = component_labels(g)
+    m = int(comp.max()) + 1
+    if m < n_clusters:
+        return None
+    sizes = np.bincount(comp)
+    cluster = np.full(m, -1)
+    for rank, c in enumerate(sorted(range(m), key=lambda c: (-sizes[c], c))[:n_clusters]):
+        cluster[c] = rank
+    if m > n_clusters and g.table is not None:
+        nt = g.table
+        a = np.repeat(comp, nt.k_max)
+        b = comp[nt.indices.ravel()]
+        d = nt.distances.ravel()
+        while True:
+            crossing = np.flatnonzero((cluster[a] >= 0) != (cluster[b] >= 0))
+            if crossing.size == 0:
+                break
+            _, _, _, p, q = min((float(d[i]), min(a[i], b[i]), max(a[i], b[i]), a[i], b[i])
+                                for i in crossing)
+            if cluster[p] >= 0:
+                cluster[q] = cluster[p]
+            else:
+                cluster[p] = cluster[q]
+    return None if (cluster < 0).any() else cluster[comp]
+
+
+@st.composite
+def block_graphs(draw):
+    """Disjoint connected blocks on shuffled vertex ids, some of one vertex
+    (isolated), with weights in [0.5, 1]: m components, m >= 2."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(sum(sizes))
+    src, dst = [], []
+    start = 0
+    for size in sizes:
+        block = ids[start:start + size]
+        start += size
+        for i in range(1, size):  # a random spanning tree, then extra edges
+            src.append(block[i])
+            dst.append(block[rng.integers(i)])
+        for _ in range(rng.integers(0, size)):
+            p, q = rng.choice(block, 2, replace=False) if size > 1 else (block[0], block[0])
+            src.append(p)
+            dst.append(q)
+    src, dst = np.array(src + dst, dtype=np.int64), np.array(dst + src, dtype=np.int64)
+    weight = np.tile(rng.uniform(0.5, 1.0, len(src) // 2), 2)
+    g = mutualize(len(ids), src, dst, weight)
+    return g, len(sizes)
+
+
+@st.composite
+def tabled_graphs(draw):
+    """A tie-heavy k-NN table and a graph on some of its entries, with a
+    cluster count from 2 to N: exact distance ties, equal component sizes,
+    components the table does not link, and m below, at or above C."""
+    nt = draw(tie_heavy_tables(max_n=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = mutual_knn_graph(nt)
+    else:
+        src = np.repeat(np.arange(nt.n), nt.k_max)
+        keep = rng.random(src.size) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+        g = dataclasses.replace(
+            mutualize(nt.n, src[keep], nt.indices.ravel()[keep], np.ones(int(keep.sum()))),
+            table=nt)
+    return g, draw(st.integers(2, nt.n))
+
+
+def complete_blocks_on_a_line(blocks, k_max=None):
+    """`complete_block_graph` on 1-D points: blocks are lists of positions,
+    vertex ids run through them in order; the table has k_max columns."""
+    positions = [x for block in blocks for x in block]
+    ids = np.cumsum([0] + [len(b) for b in blocks])
+    g = complete_block_graph([list(range(ids[i], ids[i + 1])) for i in range(len(blocks))])
+    nt = build_knn(PointSet(np.array(positions, dtype=np.float64)[:, None]),
+                   k_max or len(positions) - 1)
+    return dataclasses.replace(g, table=nt)
+
+
+class TestComponentPath:
+    @given(block_graphs(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_count_matches_njw(self, case, seed):
+        # m = C: NJW maps each component to one of C orthonormal points,
+        # and k-means separates them whatever basis the solver returns.
+        g, m = case
+        assert n_components(g) == m
+        njw = kmeans(embed(laplacian(g), m), m, seed)
+        result = next(spectral_cluster(g, m, [seed]))
+        assert np.array_equal(canonical(result.labels), canonical(njw.labels))
+        assert np.array_equal(canonical(result.labels), canonical(component_labels(g)))
+        assert result.inertia == 0.0 and not result.collapsed
+
+    @given(tabled_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_merge_matches_prim_reference(self, case):
+        g, n_clusters = case
+        labels, m, unlinked = _component_partition(g, n_clusters)
+        expected = prim_partition(g, n_clusters)
+        if expected is None:
+            assert labels is None
+            assert unlinked > 0 or m < n_clusters
+        else:
+            assert labels is not None and unlinked == 0
+            assert labels.tolist() == expected.tolist()
+
+    def test_size_tie_at_the_last_root_goes_to_the_lower_label(self):
+        # Components 1 and 2 both have two points; component 1 is the second
+        # root, and component 2 joins it (19 away, against 38 to component 0).
+        g = complete_blocks_on_a_line([[0, 1, 2], [20, 21], [40, 41]])
+        labels = next(spectral_cluster(g, 2, [0])).labels
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1, 1]
+        assert prim_partition(g, 2).tolist() == labels.tolist()
+
+    def test_distance_tie_goes_to_the_lower_pair(self):
+        # The singleton at 6 is 4 away from both roots: the pair
+        # (component 0, component 2) comes before (1, 2).
+        g = complete_blocks_on_a_line([[0, 1, 2], [10, 11, 12], [6]])
+        labels = next(spectral_cluster(g, 2, [0])).labels
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1, 0]
+
+    def test_edge_between_two_rooted_trees_is_skipped(self):
+        # The singletons at 4 and 5 join each other (1 apart), then root 0
+        # (2 from 4). The edge from 5 to root 1 (2.5) would join two rooted
+        # trees and is skipped; the singleton at 12.5 still joins root 1 (3).
+        g = complete_blocks_on_a_line([[0, 1, 2], [7.5, 8.5, 9.5], [4], [5], [12.5]])
+        labels = next(spectral_cluster(g, 2, [0])).labels
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1, 0, 0, 1]
+        assert prim_partition(g, 2).tolist() == labels.tolist()
+
+    def test_unlinked_components_fall_back_to_the_eigensolver(self, dataset_c, monkeypatch):
+        # The 2-NN foil's table links 55 of its 116 components to neither of
+        # the two largest, so NJW decides, as it did before the component path.
+        g = mutual_knn_graph(build_knn(dataset_c, 2))
+        labels, m, unlinked = _component_partition(g, 2)
+        assert (labels, m, unlinked) == (None, 116, 55)
+        expected = kmeans(embed(laplacian(g), 2), 2, 4)
+        embeds = []
+        monkeypatch.setattr(spectral, "embed", lambda *a: embeds.append(a) or embed(*a))
+        result = next(spectral_cluster(g, 2, [4]))
+        assert len(embeds) == 1
+        assert result.labels.tobytes() == expected.labels.tobytes()
+
+    def test_graph_without_table_uses_components_only_when_m_equals_c(self, tmp_path,
+                                                                       dataset_a,
+                                                                       monkeypatch):
+        g = reduce_graph(dataset_a, 20)
+        assert n_components(g) == 8
+        save_graph(g, tmp_path / "g.txt")
+        loaded, _ = load_graph(tmp_path / "g.txt")
+        assert loaded.table is None and g.table is not None
+        assert ari(dataset_a.labels, next(spectral_cluster(g, 3, [0])).labels) == 1.0
+        assert _component_partition(loaded, 3)[0] is None
+        embeds = []
+        monkeypatch.setattr(spectral, "embed", lambda *a: embeds.append(a) or embed(*a))
+        labels = next(spectral_cluster(loaded, 8, [0])).labels
+        assert embeds == []
+        assert np.array_equal(canonical(labels), canonical(component_labels(g)))
+        next(spectral_cluster(loaded, 3, [0]))
+        assert len(embeds) == 1
+
+    def test_every_seed_gets_the_partition(self, dataset_a):
+        g = reduce_graph(dataset_a, 20)
+        results = list(spectral_cluster(g, 3, [0, 1, 2**64 - 1]))
+        assert len(results) == 3
+        for r in results:
+            assert r.labels.tolist() == results[0].labels.tolist()
+            assert (r.inertia, r.collapsed) == (0.0, False)
+
+    @pytest.mark.parametrize("n_clusters", [1, 301])
+    def test_cluster_count_outside_two_to_n_rejected(self, dataset_a, n_clusters):
+        with pytest.raises(InputError):
+            next(spectral_cluster(reduce_graph(dataset_a), n_clusters, [0]))
 
 
 # -- the screened k-means assignment against the all-pairs form ---------------
@@ -401,6 +600,16 @@ class TestAssign:
         assert d2.tolist() == [1.0, 2.0, 1.0]
         assert_assign_matches(x, centers)
 
+    @pytest.mark.filterwarnings("error")
+    def test_squares_overflowing_in_the_screen_stay_silent(self):
+        # Coordinates near 1e160 square to inf in the screen, while every
+        # distance is finite; the labels are still the exact ones.
+        x = 1e160 + np.array([[0.0], [1e153], [2e153], [3e153]])
+        assert_assign_matches(x, x[[0, 3]])
+        result = kmeans(Embedding(vectors=x, eigenvalues=np.zeros(2),
+                                  zero_rows=np.array([], dtype=np.int64)), 2, seed=0)
+        assert result.labels.tolist() in ([0, 0, 1, 1], [1, 1, 0, 0])
+
     def test_allocates_no_point_center_coordinate_tensor(self):
         # The all-pairs form allocates N * C * d doubles, 25.6 MB here;
         # the screen needs a few (N, C) arrays of 0.64 MB.
@@ -456,6 +665,25 @@ class TestKmeansMatchesTensorForm:
         base = np.random.default_rng(6).standard_normal((5, 3))
         x = np.repeat(base, 4, axis=0)
         assert assert_kmeans_matches(x, 8, seed=2).collapsed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_periodic_run_skips_whole_periods(self, monkeypatch, seed):
+        # Three distinct rows and five clusters: an emptied cluster is
+        # re-seeded onto a point already on a center, and the labels cycle
+        # for all KMEANS_MAX_ITER iterations (18,010 assignments per call).
+        # Skipping whole periods must leave every bit as running them.
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((3, 13)) * 10.0 ** rng.uniform(-12, 0, 13)
+        x = base[rng.integers(0, 3, 12)]
+        calls = []
+
+        def counted(u, centers):
+            calls.append(len(u))
+            return _assign(u, centers)
+
+        monkeypatch.setattr(spectral, "_assign", counted)
+        assert_kmeans_matches(x, 5, seed)
+        assert len(calls) < 1000
 
     def test_leaves_no_threads_busy_after_return(self):
         # Same guard as build_knn's: a threaded BLAS product in the
@@ -581,6 +809,23 @@ class TestLogging:
             "0 zero rows",
             # Three components, each embedded as one point.
             f"kmeans: 3 distinct rows of 300, best inertia {result.inertia!r}, collapsed False",
+        ]
+        assert capsys.readouterr().out == ""
+
+    def test_spectral_cluster_reports_its_path(self, dataset_a, dataset_c, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="edgeprune.spectral")
+        for g, n_clusters in ((reduce_graph(dataset_a), 3), (reduce_graph(dataset_a, 20), 3),
+                              (mutual_knn_graph(build_knn(dataset_c, 2)), 2)):
+            list(spectral_cluster(g, n_clusters, [0]))
+        messages = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("spectral_cluster")]
+        assert messages == [
+            "spectral_cluster: N=300, m=3 components for C=3, components path, "
+            "0 unlinked components",
+            "spectral_cluster: N=300, m=8 components for C=3, merged path, "
+            "0 unlinked components",
+            "spectral_cluster: N=300, m=116 components for C=2, eigensolver path, "
+            "55 unlinked components",
         ]
         assert capsys.readouterr().out == ""
 
