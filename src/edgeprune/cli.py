@@ -40,8 +40,8 @@ from .errors import InputError, NumericError
 from .knn import NeighborTable, build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
-from .reduce import (ReducedGraph, affinity_rows, default_k_max, graph_from_table,
-                     mutual_knn_graph, n_components, save_graph)
+from .reduce import (ReducedGraph, affinity_rows, component_labels, default_k_max,
+                     graph_from_table, mutual_knn_graph, save_graph)
 from .scale import (LocalScales, build_histogram, compute_scales, fd_bin_width,
                     seventh_neighbor_scales)
 from .spectral import spectral_cluster
@@ -168,8 +168,9 @@ def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
                    n_clusters: int):
     """Yield one metric row per seeded repeat; repeat i uses seed + i."""
     seeds = [(cfg.seed + i) % SEED_RANGE for i in range(cfg.repeats)]
-    shared = {"edge_pct": edge_percentage(graph), "n_components": n_components(graph)}
-    for i, result in enumerate(spectral_cluster(graph, n_clusters, seeds)):
+    comp = component_labels(graph)  # one pass, shared with the back end
+    shared = {"edge_pct": edge_percentage(graph), "n_components": int(comp.max()) + 1}
+    for i, result in enumerate(spectral_cluster(graph, n_clusters, seeds, comp)):
         yield {"repeat": i, "seed": seeds[i], "acc": acc(truth, result.labels),
                "ari": ari(truth, result.labels), **shared}
 

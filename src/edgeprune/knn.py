@@ -1,4 +1,4 @@
-"""Exact k-nearest-neighbor tables: a Gram-identity screen, then exact re-ranking.
+"""Exact k-nearest-neighbor tables: kd blocks, a Gram-identity screen, then exact re-ranking.
 
 A table row is the k_max points closest to the row's point, sorted by
 (distance, index), with distances from the coordinate-difference form
@@ -7,29 +7,40 @@ of exactly zero, and breaking ties by the smaller index makes the table
 deterministic.
 
 Computing that form for every pair costs an N x N x d difference tensor.
-Instead, `build_knn` screens each row with squared distances from the
-Gram identity (one matrix product per chunk of rows), keeps every point
-the screen cannot rule out, and evaluates the exact form on those
-candidates only. The screen's error bound is derived in `_screen_slack`
-(k-means' assignment uses it too) and applied in `build_knn`; it
-guarantees the candidates contain the true first k_max, ties included,
-so the table is bit-for-bit the one the exact form gives on every pair.
+Instead, `build_knn` groups the points into kd blocks of at most `_CHUNK`
+points (median splits on the widest coordinate, Friedman, Bentley &
+Finkel 1977) and gives each block a centre and a radius. For the rows of
+one block, the triangle inequality rules out every block whose nearest
+possible point lies beyond the farthest point of the nearest blocks that
+hold k_max + 1 points (Elkan 2003 prunes k-means this way). The columns
+left are screened with squared distances from the Gram identity (one
+matrix product per block), every point the screen's rounding bound cannot
+rule out is kept, and the exact form runs on those candidates only. Both
+bounds are derived in `build_knn` (the screen's slack in `_screen_slack`,
+which k-means' assignment uses too); together they guarantee that the
+candidates contain the true first k_max, ties included, so the table is
+bit for bit the one the exact form gives on every pair. In low dimension
+a block's bound leaves only the blocks around it; in high dimension every
+block may qualify, and the screen runs over all N columns.
 
-The screen runs in chunks of rows on a pool of threads, one per usable
-CPU (the process's affinity set). Each chunk writes only its own rows of
-the table, and each row is the exact one whichever thread screens it, so
-the table does not depend on the worker count or the scheduling; the
-pool is joined before `build_knn` returns. The product is numpy's
-own einsum loop, never BLAS: a threaded BLAS product leaves its worker
-threads spinning on the other cores for about 0.1 s after each call,
-longer than the whole k-NN stage at a few thousand points, so the stages
-after it would run beside busy cores and their time would depend on
-what else the machine runs.
+The blocks run on a pool of threads, one per usable CPU (the process's
+affinity set). Each block writes only its own rows of the table, and each
+row is the exact one whichever thread screens it, so the table does not
+depend on the worker count or the scheduling; the pool is joined before
+`build_knn` returns. The product is numpy's own einsum loop, never BLAS:
+a threaded BLAS product leaves its worker threads spinning on the other
+cores for about 0.1 s after each call, longer than the whole k-NN stage
+at a few thousand points, so the stages after it would run beside busy
+cores and their time would depend on what else the machine runs.
+
+At DEBUG, the `edgeprune.knn` logger reports the block count, the mean
+share of N screened per row and the mean number of candidates per row.
 """
 
 from __future__ import annotations
 
 import contextvars
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +50,10 @@ import numpy as np
 from .data import PointSet
 from .errors import InputError
 
-_CHUNK = 64           # rows screened at once by one worker
-_SCRATCH_ROWS = 256   # rows screened at once over all workers: caps the worker count
+log = logging.getLogger(__name__)
+
+_CHUNK = 64           # points per kd block: the rows one worker screens at once
+_SCRATCH_ROWS = 256   # rows in flight over all workers: caps workers and re-rank groups
 
 
 def _usable_cpus() -> int:
@@ -114,38 +127,99 @@ def _screen_slack(norm_sums: np.ndarray, dim: int) -> np.ndarray:
     return norm_sums
 
 
+def _kd_blocks(c: np.ndarray) -> tuple:
+    """kd blocks of at most `_CHUNK` points: (order, bounds, centres, radii).
+
+    `order` lists the points block by block, block b being
+    order[bounds[b]:bounds[b + 1]]; its centre is the mean of its points
+    and its radius the largest computed distance from them to the centre.
+    Each level splits every block of more than `_CHUNK` points along its
+    widest coordinate, at the rank that gives each side whole shares of
+    the ceil(size / `_CHUNK`) blocks it needs (the median when that count
+    is even), so blocks end up nearly full. One sort orders every block of
+    a level: by block, then by its coordinate's rank.
+    """
+    n = len(c)
+    order = np.arange(n)
+    bounds = np.array([0, n])
+    while True:
+        pts = c[order]
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        need = -(-sizes // _CHUNK)
+        if not (need > 1).any():
+            break
+        widths = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        key = pts[np.arange(n), np.argmax(widths, axis=1)[block]]
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.argsort(key, kind="stable")] = np.arange(n)
+        order = order[np.argsort(block * n + rank)]
+        cuts = starts + sizes * (need // 2) // need
+        bounds = np.sort(np.concatenate([bounds, cuts[need > 1]]))
+    centres = np.add.reduceat(pts, starts) / sizes[:, None]
+    pts -= np.repeat(centres, sizes, axis=0)
+    radii = np.sqrt(np.maximum.reduceat((pts * pts).sum(axis=1), starts))
+    return order, bounds, centres, radii
+
+
 def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
-    """Exact k-NN: screen each row with Gram-identity distances, re-rank the survivors.
+    """Exact k-NN: screen each kd block's near columns, re-rank the survivors.
 
     Requires 1 <= k_max <= N - 1. Each row is sorted by (distance, index),
     so equal distances keep the lower-index neighbor first. The result is
     bit-for-bit the table of the exact difference form over all pairs;
-    the cost is one (chunk x d) by (d x N) product per chunk of rows plus
-    the exact form on each row's candidates, which is the whole row only
-    when the screen's rounding bound swamps the row's distance gaps.
+    the cost is one (block x d) by (d x columns) product per block, over
+    the columns of the blocks its bound cannot rule out, plus the exact
+    form on each row's candidates.
 
-    Exactness. Write s_ij for the screened squared distance from the
-    centred coordinates, e_ij for the exact form's sum before its square
-    root and E_ij = `_screen_slack(Q_i + Q_j, d)` with Q the computed
-    squared norms of the centred points; `_screen_slack` derives
-    |s_ij - e_ij| <= E_ij, with room left for centring, the square root
-    and the two threshold tests below.
-    Let T be the k_max-th smallest value of s_ij + E_ij in row i, self
-    excluded. The k_max points j at or below T have exact sums below T
-    with room left for the square-root margin, and a point p with
-    s_ip - E_ip > T has an exact sum above T, so its rounded distance is
-    strictly above theirs: it cannot be among the first k_max, not even
-    through a tie broken by index. Every other point is a candidate. A
-    non-finite value (only from coordinates near the float range limit)
-    fails the test `s - E > T`, which makes the point, or the whole row, a
-    candidate. The bound assumes no finite intermediate overflows.
+    Below, eps = 2**-53, c are the centred coordinates, Q their computed
+    squared norms, S = sqrt(max Q) the largest centred norm and e_ij the
+    exact form's sum before its square root.
 
-    Threads. Chunks of `_CHUNK` rows run on min(usable CPUs, chunks,
-    `_SCRATCH_ROWS` / `_CHUNK`) threads, each in a copy of the caller's
-    context, so under its numpy error state; worker w screens chunks w,
-    w + workers, ... into its own buffers, and its exception is raised
-    here. Capping workers x rows at `_SCRATCH_ROWS` bounds all scratch
-    memory, buffers and re-rank arrays, by that of one 256-row chunk.
+    Screen. The screened value is u_ij = Q_j - (2 c_i).c_j; scaling by 2
+    is exact, so this is one product. Q_i + u_ij is the Gram-identity
+    value without the rounding of the sum Q_i + Q_j, so `_screen_slack`
+    bounds |Q_i + u_ij - e_ij| by `_screen_slack(Q_i + Q_j)`, with room
+    left for centring, the square root and the threshold test; the
+    per-row scalar E_i = `_screen_slack(Q_i + max_j Q_j)` is at least that
+    for every j. Let T_i be the k_max-th smallest u_ij over the row's
+    screened columns, self excluded. The k_max points at or below T_i have
+    e_ij <= Q_i + T_i + E_i, and a point p with u_ip > T_i + 2 E_i has
+    e_ip >= Q_i + u_ip - E_i > Q_i + T_i + E_i, with room for the square
+    root, so its rounded distance is strictly above theirs: it cannot be
+    among the first k_max, not even through a tie broken by index. Q_i is
+    common to the row and is never added. The test is written
+    `not (u > T + 2E)`, so a non-finite value (only from coordinates near
+    the float range limit) makes the point, or the whole row, a candidate.
+
+    Blocks. A block B has a centre m_B (the mean of its points) and a
+    radius R_B: the computed max over i in B of |c_i - m_B|, plus
+    mu = 4 (d + 7) eps S + 3 tau with tau = sqrt((d + 4) tiny). With D the
+    computed distance between two centres, U(B, J) = D + R_B + R_J and
+    L(B, J) = D - R_B - R_J. Let rho_B be the largest U(B, K) over the
+    nearest blocks K, in order of U, that hold k_max + 1 points: each row
+    of B has k_max points other than itself among them. Only the columns
+    of blocks J with L(B, J) <= rho_B are screened. Why a point p of a
+    block with L > rho_B is beyond those k_max points: every computed
+    distance (D, a radius, a table distance) has at most d + 4 roundings
+    and a true value of at most 2S, so it is within (d + 4) eps S + tau
+    of the true one (tau for gradual underflow); centring moves a pair's
+    distance by at most 2 eps S; and forming R, L or U rounds values of
+    at most 6S, at most 14 eps S per bound. So, for the row's point i, a
+    point j of a block K and the point p,
+    |c_i - c_p| - |c_i - c_j| > 4 mu - 6 ((d + 4) eps S + tau) - 28 eps S,
+    and their table distances differ by more than
+    4 mu - 8 ((d + 4) eps S + tau) - 32 eps S > 0: p's rounded distance is
+    strictly above theirs. Where 16 max Q overflows, the distances behind
+    these bounds may too; mu is then infinite and no block is ruled out.
+
+    Threads. Blocks run on min(usable CPUs, blocks, `_SCRATCH_ROWS` /
+    `_CHUNK`) threads, each in a copy of the caller's context, so under
+    its numpy error state. The blocks, in kd order, form groups of
+    `_SCRATCH_ROWS` / (workers x `_CHUNK`); worker w screens the blocks of
+    groups w, w + workers, ... into its own buffers and re-ranks each
+    group at once, and its exception is raised here. So at most
+    `_SCRATCH_ROWS` rows are re-ranked at a time over all workers.
     """
     x = ps.points
     n, dim = x.shape
@@ -154,61 +228,98 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
 
     c = x - x.mean(axis=0)
     sq = (c * c).sum(axis=1)
+    top = sq.max()
+    order, bounds, centres, radii = _kd_blocks(c)
+    if top <= np.finfo(np.float64).max / 16:
+        radii += (4 * (dim + 7) * 2.0 ** -53 * np.sqrt(top)
+                  + 3 * np.sqrt((dim + 4) * np.finfo(np.float64).tiny))
+    else:
+        radii[:] = np.inf
+    sizes = np.diff(bounds)
+    blocks = len(sizes)
+    block_of = np.empty(n, dtype=np.intp)
+    block_of[order] = np.repeat(np.arange(blocks), sizes)
     ct = np.ascontiguousarray(c.T)  # (d, N): einsum's inner loop runs along N
+    del c  # the workers read ct
     distances = np.empty((n, k_max), dtype=np.float64)
     indices = np.empty((n, k_max), dtype=np.int64)
-    starts = range(0, n, _CHUNK)
-    workers = max(1, min(_usable_cpus(), len(starts), _SCRATCH_ROWS // _CHUNK))
 
+    workers = max(1, min(_usable_cpus(), blocks, _SCRATCH_ROWS // _CHUNK))
+    per_group = max(1, _SCRATCH_ROWS // (workers * _CHUNK))
+    groups = range(0, blocks, per_group)
     # One buffer set per worker, allocated by this thread: sets allocated in
     # the worker threads raised a 2000-point `cluster` run's peak RSS by 8%.
-    shape = (min(_CHUNK, n), n)
-    buffers = [(np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+    # Each set: the screened values, the keep mask, and the screened columns
+    # of ct, whose buffer then holds the values' partition.
+    size = min(_CHUNK, n) * n
+    buffers = [(np.empty(size), np.empty(size, dtype=bool), np.empty(max(_CHUNK, dim) * n))
                for _ in range(workers)]
 
-    def rank_chunk(start: int, scratch: tuple) -> None:
-        stop = min(start + _CHUNK, n)
-        rows = np.arange(start, stop)
-        screen, slack, upper, keep = (a[:stop - start] for a in scratch)
-        # Screen: Gram-identity squared distances and their per-pair slack.
-        # einsum without `optimize` never calls BLAS (see the module docstring).
-        np.einsum("ki,kj->ij", ct[:, start:stop], ct, out=screen)
-        np.add(sq[start:stop, None], sq, out=slack)
-        screen *= 2.0
-        np.subtract(slack, screen, out=screen)
-        screen[rows - start, rows] = np.inf  # exclude self
-        _screen_slack(slack, dim)
-        np.add(screen, slack, out=upper)
-        upper.partition(k_max - 1, axis=1)
-        screen -= slack
-        np.greater(screen, upper[:, k_max - 1, None], out=keep)
-        np.logical_not(keep, out=keep)
+    def screen_block(b: int, scratch: tuple) -> tuple:
+        """Block b's rows, each row's candidate count, the candidates (row by
+        row, ascending ids) and the number of cells screened."""
+        rows = order[bounds[b]:bounds[b + 1]]
+        gap = centres - centres[b]
+        dist = np.sqrt((gap * gap).sum(axis=1))
+        reach = radii + radii[b]
+        upper = dist + reach
+        nearest = np.argsort(upper)
+        rho = upper[nearest[np.searchsorted(np.cumsum(sizes[nearest]), k_max + 1)]]
+        cols = np.flatnonzero(~(dist - reach > rho)[block_of])
 
+        shape = (len(rows), len(cols))
+        u, keep, part = (a[:shape[0] * shape[1]].reshape(shape) for a in scratch)
+        near = scratch[2][:dim * len(cols)].reshape(dim, len(cols))
+        np.take(ct, cols, axis=1, out=near, mode="clip")  # "clip" writes unbuffered
+        # einsum without `optimize` never calls BLAS (see the module docstring).
+        np.einsum("ki,kj->ij", 2.0 * ct[:, rows], near, out=u)
+        np.subtract(sq[cols], u, out=u)
+        u[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf  # exclude self
+        np.copyto(part, u)  # over `near`, which the product has consumed
+        part.partition(k_max - 1, axis=1)
+        limit = part[:, k_max - 1] + 2.0 * _screen_slack(sq[rows] + top, dim)
+        np.greater(u, limit[:, None], out=keep)
+        np.logical_not(keep, out=keep)
+        row, col = np.divmod(np.flatnonzero(keep), len(cols))
+        return rows, np.bincount(row, minlength=len(rows)), cols[col], u.size
+
+    def rank_group(first: int, scratch: tuple) -> np.ndarray:
+        """Screen and re-rank the group of blocks from `first`; returns its
+        screened cells and candidates."""
+        rows, count, ids, cells = zip(*(screen_block(b, scratch)
+                                        for b in range(first, min(first + per_group, blocks))))
+        rows, count, ids = map(np.concatenate, (rows, count, ids))
         # Pack each row's candidates left-aligned; pad with index n, which
         # sorts after every real candidate, and there are at least k_max.
-        count = np.count_nonzero(keep, axis=1)
-        cand = np.full((stop - start, int(count.max())), n, dtype=np.int64)
-        cand[np.arange(cand.shape[1]) < count[:, None]] = np.flatnonzero(keep) % n
+        cand = np.full((len(rows), int(count.max())), n, dtype=np.int64)
+        cand[np.arange(cand.shape[1]) < count[:, None]] = ids
 
-        # Re-rank: the exact form over the contiguous last axis, as on all pairs.
+        # Re-rank: the exact form over the contiguous last axis, as on all
+        # pairs. Candidates ascend by id, so a stable sort by distance is
+        # the (distance, index) order.
         diff = x.take(np.minimum(cand, n - 1), axis=0)
-        np.subtract(x[start:stop, None, :], diff, out=diff)
+        np.subtract(x[rows, None, :], diff, out=diff)
         diff *= diff
         dist = np.sqrt(diff.sum(axis=2))
         dist[(cand == rows[:, None]) | (cand == n)] = np.inf
-        order = np.lexsort((cand, dist), axis=1)[:, :k_max]
-        indices[start:stop] = np.take_along_axis(cand, order, axis=1)
-        distances[start:stop] = np.take_along_axis(dist, order, axis=1)
+        best = np.argsort(dist, axis=1, kind="stable")[:, :k_max]
+        indices[rows] = np.take_along_axis(cand, best, axis=1)
+        distances[rows] = np.take_along_axis(dist, best, axis=1)
+        return np.array([sum(cells), len(ids)])
 
-    def rank_rows(worker: int) -> None:
-        # One call per chunk: a chunk's arrays are freed before the next one's.
-        for start in starts[worker::workers]:
-            rank_chunk(start, buffers[worker])
+    def rank_rows(worker: int) -> np.ndarray:
+        # One call per group: a group's arrays are freed before the next one's.
+        cells = np.zeros(2, dtype=np.int64)
+        for first in groups[worker::workers]:
+            cells += rank_group(first, buffers[worker])
+        return cells
 
     # numpy's error state is a context variable, so each worker runs in a
     # copy of the caller's context.
     context = contextvars.copy_context()
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(lambda worker: context.copy().run(rank_rows, worker), range(workers)):
-            pass
+        screened, candidates = sum(pool.map(lambda worker: context.copy().run(rank_rows, worker),
+                                            range(workers)))
+    log.debug("build_knn: N=%d, %d blocks, %.3f of N screened per row, "
+              "%.1f candidates per row", n, blocks, screened / n / n, candidates / n)
     return NeighborTable(distances=distances, indices=indices)

@@ -390,14 +390,16 @@ def _merge_components(comp: np.ndarray, cluster: np.ndarray,
     return np.array([label[find(c)] for c in range(m)], dtype=np.int64)
 
 
-def _component_partition(g: ReducedGraph, n_clusters: int):
+def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | None = None):
     """The partition the graph's components decide, if they decide one.
 
+    `comp` is `component_labels(g)`, computed here when not given.
     Returns (labels, m, unlinked): labels by cluster rank (0 is the
     largest root), or None when the eigensolver has to decide; m the
     component count; unlinked the components that reach no root.
     """
-    comp = component_labels(g)
+    if comp is None:
+        comp = component_labels(g)
     m = int(comp.max()) + 1
     if m < n_clusters:
         return None, m, 0
@@ -410,18 +412,22 @@ def _component_partition(g: ReducedGraph, n_clusters: int):
     return (None if unlinked else cluster[comp]), m, unlinked
 
 
-def spectral_cluster(g: ReducedGraph, n_clusters: int,
-                     seeds: Iterable[Seed]) -> Iterator[ClusterResult]:
+def spectral_cluster(g: ReducedGraph, n_clusters: int, seeds: Iterable[Seed],
+                     comp: np.ndarray | None = None) -> Iterator[ClusterResult]:
     """One clustering of g per seed, yielded in order.
 
     Nothing runs before the first result is asked for. When the graph's
     components decide the partition (see the module docstring), every
     seed gets it, with inertia 0. Otherwise the graph is embedded once
-    (Laplacian -> `embed`) and each seed gets its own `kmeans`.
+    (Laplacian -> `embed`) and each seed gets its own `kmeans`. A caller
+    that already holds `component_labels(g)` passes it as `comp`, so the
+    components are found once per graph.
     """
     if not 2 <= n_clusters <= g.n:
         raise InputError(f"cluster count must be in [2, {g.n}], got {n_clusters}")
-    labels, m, unlinked = _component_partition(g, n_clusters)
+    if comp is not None and comp.shape != (g.n,):
+        raise InputError(f"graph has {g.n} vertices but {comp.shape} component labels")
+    labels, m, unlinked = _component_partition(g, n_clusters, comp)
     path = ("eigensolver" if labels is None
             else "components" if m == n_clusters else "merged")
     log.debug("spectral_cluster: N=%d, m=%d components for C=%d, %s path, "

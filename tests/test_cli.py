@@ -12,7 +12,7 @@ from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ar
                        build_histogram, build_knn, compute_scales, fd_bin_width,
                        gen_synthetic, mutual_knn_graph, n_components, save_csv,
                        spectral_cluster)
-from edgeprune import cli, spectral
+from edgeprune import cli, reduce, spectral
 from edgeprune.cli import (RunConfig, build_reduced, cmd_cluster, cmd_sweep, main,
                            parse_synthetic_spec)
 
@@ -168,6 +168,18 @@ class TestClusterCommand:
             assert row["acc"] == repr(acc(ps.labels, result.labels))
             assert row["ari"] == repr(ari(ps.labels, result.labels))
             assert row["n_components"] == str(n_components(graph))
+
+    @pytest.mark.parametrize("argv,graphs", [
+        (["cluster", "--repeats", "3"], 1),
+        (["sweep", "--param", "baseline-k", "--grid", "2,4"], 3)], ids=["cluster", "sweep"])
+    def test_one_components_pass_per_graph(self, tmp_path, monkeypatch, argv, graphs):
+        # The CSV's n_components and the back end share one
+        # `connected_components` pass, made through `component_labels`.
+        passes = count_calls(monkeypatch, "connected_components", reduce)
+        labels = count_calls(monkeypatch, "component_labels")
+        assert main([*argv, "--synthetic", BLOBS, "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert len(passes) == len(labels) == graphs
+
 
 class TestSweepCommand:
     def test_grid_of_one_matches_cluster(self, tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import resource
 import sys
 import threading
@@ -6,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import tie_heavy_points
@@ -58,6 +59,134 @@ def screen_hard_points(draw):
 @settings(max_examples=300, deadline=None)
 def test_matches_oracle_bit_for_bit(ps, data):
     assert_matches_oracle(ps, data.draw(st.integers(1, ps.n - 1)))
+
+
+@st.composite
+def clustered_points(draw):
+    """2-D and 3-D sets of 130-600 points in clusters, with exact ties mixed in.
+
+    At the real `_CHUNK` these make several kd blocks, so the block bound
+    rules columns out. Gaussian clusters of drawn widths sit beside an
+    integer lattice (equal distances) and copies of drawn points
+    (zero distances), all shuffled, scaled and shifted by drawn amounts
+    (a shift of 1e4 makes centring round).
+    """
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(130, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(2, 5))
+    lattice = np.stack(np.meshgrid(*[np.arange(float(side))] * d), axis=-1).reshape(-1, d)
+    lattice = lattice[:draw(st.integers(0, min(len(lattice), n // 2)))]
+    copies = draw(st.integers(0, n // 3))
+    clusters = draw(st.integers(1, 8))
+    centres = rng.uniform(-20, 20, (clusters, d))
+    widths = 10.0 ** rng.uniform(-3, 0.5, clusters)
+    pick = rng.integers(clusters, size=n - len(lattice) - copies)
+    points = np.vstack([lattice, centres[pick] + widths[pick, None] * rng.standard_normal((len(pick), d))])
+    points = np.vstack([points, points[rng.integers(len(points), size=copies)]])
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    shift = draw(st.sampled_from([0.0, 1e4]))
+    return PointSet(shift + scale * points[rng.permutation(n)])
+
+
+@given(clustered_points(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_matches_oracle_on_clustered_blocks(ps, data):
+    assert_matches_oracle(ps, data.draw(st.integers(1, 100)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_permuted_points_give_the_permuted_table(data):
+    # A table built from candidates that depended on point order (the kd
+    # split, the block bound, the screen) would show on tie-free points.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(130, 500))
+    d = data.draw(st.integers(1, 4))
+    centres = rng.uniform(-20, 20, (data.draw(st.integers(1, 6)), d))
+    points = centres[rng.integers(len(centres), size=n)] + rng.standard_normal((n, d))
+    k = data.draw(st.integers(1, 80))
+    dist, _ = allpairs_oracle(points, k + 1)
+    assume(np.all(np.diff(dist, axis=1) > 0))
+    perm = rng.permutation(n)
+    table, permuted = build_knn(PointSet(points), k), build_knn(PointSet(points[perm]), k)
+    assert np.array_equal(perm[permuted.indices], table.indices[perm])
+    assert permuted.distances.tobytes() == table.distances[perm].tobytes()
+
+
+def edge_tie_points(seed):
+    """1-D blocks K | B | J (64 points each) where a tie sits on the block bound.
+
+    B's radius is reached at its right end i = 25, K's and J's at their
+    far ends j = 0 and p = 50, so the block bound's lower edge for J and
+    its upper edge for K both equal |i - p| = |i - j| = 25 exactly: row i
+    at k_max = 127 holds B, K and one of p and j, and p (id 0) wins the
+    tie against j (the last id). Whether J survives the bound is then
+    decided by rounding in the centres and radii, which the radii's
+    margin must cover.
+    """
+    rng = np.random.default_rng(seed)
+    k, b, j = (base + rng.uniform(0, 1, 63) for base in (10, 20, 60))
+    return PointSet(1024 + np.concatenate([[50.0], k, b, [25.0], j, [0.0]])[:, None])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_tie_on_the_block_bound(seed):
+    assert_matches_oracle(edge_tie_points(seed), 127)
+
+
+def test_bound_counts_the_rows_own_point():
+    # Three 1-D clusters of 64 points, one block each, at 0, 10 and 100.
+    # The nearest blocks of a middle row hold 128 points with the row's own
+    # point among them, so its 128th neighbor lies in the far block, which
+    # a bound taken from k_max points instead of k_max + 1 would rule out.
+    rng = np.random.default_rng(8)
+    points = np.concatenate([base + rng.uniform(0, 1, 64) for base in (0.0, 10.0, 100.0)])
+    assert_matches_oracle(PointSet(points[:, None]), 128)
+
+
+def screened_share(caplog, ps, k):
+    """build_knn's table, and the share of N it screened per row (its DEBUG log)."""
+    caplog.set_level(logging.DEBUG, logger="edgeprune.knn")
+    caplog.clear()
+    table = build_knn(ps, k)
+    (record,) = [r for r in caplog.records if r.name == "edgeprune.knn"]
+    return table, float(record.getMessage().split(", ")[2].split()[0])
+
+
+def test_logs_blocks_screened_share_and_candidates(caplog, capsys):
+    # 5 blobs of 200: 16 blocks of 62 or 63 points.
+    ps = gen_synthetic("blobs", {"clusters": 5, "size": 200, "separation": 10}, seed=3)
+    _, share = screened_share(caplog, ps, 20)
+    (message,) = [r.getMessage() for r in caplog.records]
+    head, _, rest = message.rpartition(" of N screened per row, ")
+    assert head.startswith("build_knn: N=1000, 16 blocks, ")
+    assert 0 < share < 1
+    candidates = float(rest.split()[0])
+    assert 20 <= candidates < 1000
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_input_of_the_cpu_count_test_prunes(caplog):
+    # `test_outputs_do_not_depend_on_usable_cpus` (test_cli) pins this input's
+    # outputs across worker counts; the block bound rules columns out on it,
+    # so that test covers pruned screens too.
+    ps = gen_synthetic("blobs", {"clusters": 3, "size": 150, "separation": 8, "spread": 1.5},
+                       seed=4)
+    _, share = screened_share(caplog, ps, 50)
+    assert share < 1
+
+
+def test_high_dimension_screens_every_column(caplog):
+    # At 32-D every block's bound reaches every other block: the screen runs
+    # over all N columns, as a plain screen would.
+    ps = gen_synthetic("blobs", {"clusters": 2, "size": 150, "separation": 10, "dim": 32},
+                       seed=1)
+    table, share = screened_share(caplog, ps, 50)
+    assert share == 1.0
+    dist, idx = allpairs_oracle(ps.points, 50)
+    assert table.indices.tobytes() == idx.tobytes()
+    assert table.distances.tobytes() == dist.tobytes()
 
 
 def many_chunks(mp):
@@ -129,6 +258,22 @@ def test_scratch_memory_does_not_grow_with_cpu_count(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_scratch_memory_at_32_dimensions(monkeypatch):
+    # Two workers re-rank groups of at most `_SCRATCH_ROWS` rows between
+    # them. A screen that kept four (chunk x N) arrays per worker peaked at
+    # 10.45 MiB here; groups of 512 rows per worker would add about 13 MiB.
+    ps = gen_synthetic("blobs", {"clusters": 2, "size": 1000, "separation": 10, "dim": 32},
+                       seed=1)
+    monkeypatch.setattr(knn, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        build_knn(ps, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2**20
 
 
 def test_worker_exception_reaches_caller(monkeypatch):

@@ -451,6 +451,15 @@ class TestComponentPath:
         assert len(embeds) == 1
         assert result.labels.tobytes() == expected.labels.tobytes()
 
+    def test_given_component_labels_are_used_as_is(self, dataset_c, monkeypatch):
+        g = reduce_graph(dataset_c)  # m = 8 > C = 2: merged
+        expected = next(spectral_cluster(g, 2, [0])).labels
+        comp = component_labels(g)
+        monkeypatch.setattr(spectral, "component_labels", None)  # no second pass
+        assert next(spectral_cluster(g, 2, [0], comp)).labels.tobytes() == expected.tobytes()
+        with pytest.raises(InputError, match="component labels"):
+            next(spectral_cluster(g, 2, [0], comp[:-1]))
+
     def test_graph_without_table_uses_components_only_when_m_equals_c(self, tmp_path,
                                                                        dataset_a,
                                                                        monkeypatch):
