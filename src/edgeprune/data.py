@@ -193,6 +193,9 @@ def _as_counts(size, groups: int, what: str) -> list[int]:
             raise InputError(f"{what}: got {len(counts)} sizes for {groups} groups")
     if any(c < 2 for c in counts):
         raise InputError(f"{what}: every group needs at least 2 points")
+    # numpy sizes arrays with int64; a larger count would reach it as a ValueError.
+    if any(c >= 2**63 for c in counts):
+        raise InputError(f"{what}: a group size must be below 2**63")
     return counts
 
 
@@ -294,6 +297,8 @@ def _gen_mixed_density(seed, size_dense=150, size_sparse=50, spread_dense=0.3,
     counts = _as_counts([_whole(size_dense, "mixed-density: size_dense"),
                          _whole(size_sparse, "mixed-density: size_sparse")], 2, "mixed-density")
     dim = _whole(dim, "mixed-density: dim")
+    if dim < 1:
+        raise InputError("mixed-density: dim must be positive")
     rng = spawn_rng(seed)
     dense = rng.normal(0.0, spread_dense, (counts[0], dim))
     center = np.zeros(dim)

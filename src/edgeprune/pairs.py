@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,8 +26,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PairSet:
-    positives: list[tuple[int, int]]  # unordered mutual edges, each once
-    negatives: list[tuple[int, int]]  # (anchor, other); anchor's degree many
+    """Training pairs as read-only (P, 2) int64 arrays, one pair per row."""
+
+    positives: np.ndarray  # unordered mutual edges (p, q), p < q, each once
+    negatives: np.ndarray  # (anchor, other); anchor's degree many, grouped by anchor
+
+    def __post_init__(self):
+        self.positives.setflags(write=False)
+        self.negatives.setflags(write=False)
 
     @property
     def total(self) -> int:
@@ -55,7 +60,6 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     if g.n != nt.n:
         raise InputError(f"graph has {g.n} vertices but table has {nt.n} rows")
     n = g.n
-    positives = g.pairs()
     need = g.degrees()
     if log.isEnabledFor(logging.DEBUG):
         for p in np.flatnonzero(need == 0).tolist():
@@ -80,11 +84,7 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
         # Each point's sampled negatives go right after its in-row ones.
         at = np.searchsorted(anchor, drawn_by, side="right")
         anchor, other = np.insert(anchor, at, drawn_by), np.insert(other, at, drawn)
-    # The result lists are built with the (N, k_max) arrays freed, which
-    # keeps the peak memory below that of the arrays and lists together.
-    del cand, non_edge
-    negatives = list(zip(anchor.tolist(), other.tolist()))
-    return PairSet(positives=positives, negatives=negatives)
+    return PairSet(positives=g.pairs(), negatives=np.column_stack((anchor, other)))
 
 
 def _non_edges(csr, cand):
@@ -152,4 +152,4 @@ def save_pairs(ps: PairSet, path) -> None:
             line = '{"p": %s, "q": %s, "label": ' + str(label) + '}\n'
             for i in range(0, len(pairs), _BLOCK):
                 block = pairs[i:i + _BLOCK]
-                fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))

@@ -79,10 +79,10 @@ class ReducedGraph:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(zip(self.src.tolist(), self.dst.tolist()))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """Unordered mutual edges, each once, as (p, q) with p < q, in edge order."""
+    def pairs(self) -> np.ndarray:
+        """Unordered mutual edges, each once, as (P, 2) int64 rows p < q, in edge order."""
         mask = self.src < self.dst
-        return list(zip(self.src[mask].tolist(), self.dst[mask].tolist()))
+        return np.column_stack((self.src[mask], self.dst[mask]))
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n)
@@ -231,7 +231,8 @@ def load_graph(path) -> tuple[ReducedGraph, dict]:
     """Read a graph written by save_graph; returns (graph, header).
 
     Raises InputError unless the header is a JSON object with an integer
-    vertex count "n" >= 0, every edge id is an integer in [0, n), every
+    vertex count "n" >= 0 and an integer edge count "edges" equal to the
+    number of edge lines, every edge id is an integer in [0, n), every
     weight is finite and positive, and every edge (p, q, w) has its
     reverse (q, p, w), as save_graph writes it. The edges come back
     sorted by (p, q, w), whatever the line order of the file. The loaded
@@ -264,8 +265,9 @@ def load_graph(path) -> tuple[ReducedGraph, dict]:
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     weight = np.asarray(weight, dtype=np.float64)
-    if header.get("edges") != len(src):
-        raise InputError(f"{path}: header edge count {header.get('edges')} "
+    edges = header.get("edges")
+    if type(edges) is not int or edges != len(src):
+        raise InputError(f"{path}: header edge count {edges} "
                          f"does not match {len(src)} edge lines")
     if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise InputError(f"{path}: vertex id outside [0, {n})")

@@ -185,7 +185,7 @@ def test_c10_pair_export(dataset_b):
     graph_default = reduce_graph(dataset_b)
     table_default = build_knn(dataset_b, min(dataset_b.n - 1, 50))
     pairs_default = export_pairs(graph_default, table_default, seed=3)
-    assert sorted(pairs_default.positives) == sorted(graph_default.pairs())
+    assert sorted(pairs_default.positives.tolist()) == sorted(graph_default.pairs().tolist())
 
     # The total-pairs comparison is about the pair-exporting application,
     # whose fixed-k foils use single-digit k; run it at a neighbor budget
@@ -194,11 +194,11 @@ def test_c10_pair_export(dataset_b):
     graph = reduce_graph(dataset_b, k_budget)
     table = build_knn(dataset_b, k_budget)
     pairs = export_pairs(graph, table, seed=3)
-    assert sorted(pairs.positives) == sorted(graph.pairs())
+    assert sorted(pairs.positives.tolist()) == sorted(graph.pairs().tolist())
 
     degrees = graph.degrees()
     per_point = np.zeros(graph.n, dtype=int)
-    for p, _ in pairs.negatives:
+    for p, _ in pairs.negatives.tolist():
         per_point[p] += 1
     non_edges_in_row = np.array([
         sum((int(q) not in {b for a, b in graph.edge_set() if a == p})

@@ -348,7 +348,11 @@ class TestReduceAndPairsCommands:
     @pytest.mark.parametrize("spec", ["blobs:spread=nan", "circles:noise=nan",
                                       "moons:noise=nan", "mixed-density:spread_dense=nan",
                                       "blobs:clusters=1e20,size=2",
-                                      "blobs:clusters=2,size=1e12"])
+                                      "blobs:clusters=2,size=1e12",
+                                      # sizes of 2**63 and up; a dim below 1
+                                      "moons:size=1e20", "circles:size=1e20",
+                                      "blobs:size=1e20", "mixed-density:size_dense=1e20",
+                                      "mixed-density:dim=0", "mixed-density:dim=-1"])
     def test_unusable_synthetic_spec_is_input_error(self, tmp_path, spec):
         assert main(["reduce", "--synthetic", spec, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "graph.txt").exists()

@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from edgeprune.data import spawn_rng
 from edgeprune.pairs import _BLOCK
 
 
+def pair_array(pairs):
+    """A list of (p, q) pairs as the (P, 2) int64 array a PairSet holds."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def export_pairs_loop(g, nt, seed):
     """Per-point reference for export_pairs; also returns its warnings."""
-    positives = sorted(g.pairs())
+    positives = sorted(g.pairs().tolist())
     degrees = g.degrees()
     adjacency = [set() for _ in range(g.n)]
     for p, q in zip(g.src.tolist(), g.dst.tolist()):
@@ -42,7 +48,7 @@ def export_pairs_loop(g, nt, seed):
             if len(chosen) < need:
                 warnings.append(f"point {p}: only {len(chosen)} of {need} negatives available")
         negatives.extend((p, q) for q in chosen)
-    return PairSet(positives=positives, negatives=negatives), warnings
+    return PairSet(positives=pair_array(positives), negatives=pair_array(negatives)), warnings
 
 
 class _Collect(logging.Handler):
@@ -63,7 +69,9 @@ def assert_matches_loop(g, nt, seed):
     finally:
         logger.removeHandler(handler)
     want, warnings = export_pairs_loop(g, nt, seed)
-    assert got == want
+    assert got.positives.dtype == got.negatives.dtype == np.int64
+    assert np.array_equal(got.positives, want.positives)
+    assert np.array_equal(got.negatives, want.negatives)
     assert handler.messages == warnings
     return got
 
@@ -108,22 +116,23 @@ class TestExportPairs:
         g = cycle_graph(6)
         nt = build_knn(ps, 4)
         result = export_pairs(g, nt, seed=0)
-        assert result.positives == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert result.positives.tolist() == [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
         per_point = {p: 0 for p in range(6)}
-        for p, _ in result.negatives:
+        for p, _ in result.negatives.tolist():
             per_point[p] += 1
         assert per_point == {p: 2 for p in range(6)}
         # Negatives for each anchor are its two farthest in-row non-edges,
         # which on the hexagon are the two second-ring neighbors.
-        for p, q in result.negatives:
-            assert (min(p, q), max(p, q)) not in result.positives
+        positives = set(map(tuple, result.positives.tolist()))
+        for p, q in result.negatives.tolist():
+            assert (min(p, q), max(p, q)) not in positives
             assert q in {(p + 2) % 6, (p + 4) % 6}
 
     def test_positives_equal_mutual_edges(self, dataset_b):
         g = reduce_graph(dataset_b, 10)
         nt = build_knn(dataset_b, 10)
         result = export_pairs(g, nt, seed=3)
-        assert sorted(result.positives) == sorted(g.pairs())
+        assert sorted(result.positives.tolist()) == sorted(g.pairs().tolist())
 
     def test_counts_match_degree_without_exhaustion(self, dataset_b):
         g = reduce_graph(dataset_b, 10)
@@ -131,7 +140,7 @@ class TestExportPairs:
         result = export_pairs(g, nt, seed=3)
         degrees = g.degrees()
         per_point = np.zeros(g.n, dtype=int)
-        for p, _ in result.negatives:
+        for p, _ in result.negatives.tolist():
             per_point[p] += 1
         assert np.array_equal(per_point, degrees)
 
@@ -139,8 +148,8 @@ class TestExportPairs:
         g = reduce_graph(dataset_b, 12)
         nt = build_knn(dataset_b, 12)
         result = export_pairs(g, nt, seed=1)
-        pos = {frozenset(p) for p in result.positives}
-        for p, q in result.negatives:
+        pos = {frozenset(p) for p in result.positives.tolist()}
+        for p, q in result.negatives.tolist():
             assert p != q
             assert frozenset((p, q)) not in pos
 
@@ -155,7 +164,7 @@ class TestExportPairs:
         nt = build_knn(ps, 2)
         result = export_pairs(g, nt, seed=5)
         per_point = np.zeros(6, dtype=int)
-        for p, q in result.negatives:
+        for p, q in result.negatives.tolist():
             per_point[p] += 1
             assert (p < 3) != (q < 3)  # sampled from the far triangle
         assert per_point.tolist() == [2] * 6
@@ -167,21 +176,48 @@ class TestExportPairs:
         pts = np.vstack([np.stack([np.cos(theta), np.sin(theta)], 1), [[9.0, 9.0]]])
         nt = build_knn(PointSet(pts), 3)
         result = export_pairs(g, nt, seed=0)
-        assert all(p != 4 for p, _ in result.negatives)
-        assert all(4 not in pair for pair in result.positives)
+        assert all(p != 4 for p, _ in result.negatives.tolist())
+        assert all(4 not in pair for pair in result.positives.tolist())
 
     def test_positives_independent_of_seed(self, dataset_b):
         g = reduce_graph(dataset_b, 10)
         nt = build_knn(dataset_b, 10)
-        assert export_pairs(g, nt, seed=0).positives == \
-            export_pairs(g, nt, seed=99).positives
+        assert np.array_equal(export_pairs(g, nt, seed=0).positives,
+                              export_pairs(g, nt, seed=99).positives)
 
     def test_deterministic_for_fixed_seed(self, dataset_b):
         g = reduce_graph(dataset_b, 10)
         nt = build_knn(dataset_b, 10)
         a = export_pairs(g, nt, seed=7)
         b = export_pairs(g, nt, seed=7)
-        assert a.positives == b.positives and a.negatives == b.negatives
+        assert np.array_equal(a.positives, b.positives)
+        assert np.array_equal(a.negatives, b.negatives)
+
+    def test_arrays_read_only(self, dataset_b):
+        result = export_pairs(reduce_graph(dataset_b, 10), build_knn(dataset_b, 10), seed=3)
+        assert result.positives.shape[1] == result.negatives.shape[1] == 2
+        assert not result.positives.flags.writeable
+        assert not result.negatives.flags.writeable
+
+    def test_peak_memory_on_duplicate_rows(self):
+        # 40 distinct points from 5 blobs, each repeated 30 times in a row:
+        # every point falls back, and 17,400 positives and 34,800
+        # negatives come out. As arrays they peak at about 4.4 MiB; lists
+        # of (int, int) tuples would take 7.8 MiB.
+        rng = np.random.default_rng(1)
+        angles = 2.0 * np.pi * (np.arange(40) % 5) / 5
+        centers = 10.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        ps = PointSet(np.repeat(centers + rng.normal(size=(40, 2)), 30, axis=0))
+        nt = build_knn(ps, 50)
+        g = reduce_graph(ps, 50)
+        tracemalloc.start()
+        try:
+            result = export_pairs(g, nt, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.negatives) == int(g.degrees().sum())
+        assert peak <= 6 * 2**20, f"export_pairs peaked at {peak / 2**20:.2f} MiB"
 
     def test_size_mismatch_rejected(self, dataset_b):
         g = reduce_graph(dataset_b, 10)
@@ -215,7 +251,7 @@ class TestExportPairsMatchesLoop:
         g = mutualize(n, p, q, np.ones(p.size))
         nt = build_knn(PointSet(np.arange(10.0).reshape(n, 2)), 2)
         result = assert_matches_loop(g, nt, seed=0)
-        assert result.negatives == []
+        assert result.negatives.tolist() == []
 
     @given(graphs_on_tables(), st.integers(0, 2**64 - 1))
     @settings(max_examples=200, deadline=None)
@@ -291,15 +327,16 @@ class TestSavePairs:
         assert len(records) == result.total
         labels = {r["label"] for r in records}
         assert labels == {0, 1}
-        positives = [(r["p"], r["q"]) for r in records if r["label"] == 1]
-        assert positives == result.positives
+        positives = [[r["p"], r["q"]] for r in records if r["label"] == 1]
+        assert positives == result.positives.tolist()
 
     @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=20),
            st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_bytes_equal_json_dumps(self, tmp_path_factory, positives, negatives):
         path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
-        save_pairs(PairSet(positives=positives, negatives=negatives), path)
+        save_pairs(PairSet(positives=pair_array(positives), negatives=pair_array(negatives)),
+                   path)
         assert path.read_bytes() == json_lines(positives, negatives).encode("utf-8")
 
     @pytest.mark.parametrize("n_pos, n_neg", [
@@ -309,14 +346,14 @@ class TestSavePairs:
     ])
     def test_bytes_equal_json_dumps_across_blocks(self, tmp_path, n_pos, n_neg):
         rng = np.random.default_rng(n_pos + n_neg)
-        ids = rng.integers(0, 2**40, size=(n_pos + n_neg, 2)).tolist()
-        positives = [tuple(pair) for pair in ids[:n_pos]]
-        negatives = [tuple(pair) for pair in ids[n_pos:]]
+        ids = rng.integers(0, 2**40, size=(n_pos + n_neg, 2))
+        positives, negatives = ids[:n_pos], ids[n_pos:]
         path = tmp_path / "pairs.jsonl"
         save_pairs(PairSet(positives=positives, negatives=negatives), path)
-        assert path.read_bytes() == json_lines(positives, negatives).encode("utf-8")
+        assert path.read_bytes() == json_lines(positives.tolist(),
+                                               negatives.tolist()).encode("utf-8")
 
     def test_empty_pair_set_writes_empty_file(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
-        save_pairs(PairSet(positives=[], negatives=[]), path)
+        save_pairs(PairSet(positives=pair_array([]), negatives=pair_array([])), path)
         assert path.read_bytes() == b""

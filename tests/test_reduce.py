@@ -409,7 +409,9 @@ class TestSerialization:
         assert np.array_equal(order, np.arange(back.edge_count))
         for field in ("src", "dst", "weight"):
             assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
-        assert export_pairs(back, nt, 3) == export_pairs(g, nt, 3)
+        got, want = export_pairs(back, nt, 3), export_pairs(g, nt, 3)
+        assert np.array_equal(got.positives, want.positives)
+        assert np.array_equal(got.negatives, want.negatives)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -438,6 +440,8 @@ class TestSerialization:
         '{"n": 2, "edges": 1}\n0 1 0.5 7\n',         # extra field
         '{"n": 4, "edges": 3}\n0 1 0.5\n1 2 0.5\n2 3 0.5\n',  # no reverse edges
         '{"n": 2, "edges": 2}\n0 1 0.5\n1 0 0.25\n',   # reverse weight differs
+        '{"n": 3, "edges": false}\n',               # edge count a bool (False == 0)
+        '{"n": 2, "edges": 2.0}\n0 1 0.5\n1 0 0.5\n',  # edge count a float (2.0 == 2)
     ])
     def test_invalid_file_rejected(self, tmp_path, text):
         path = tmp_path / "bad.txt"

@@ -2,12 +2,14 @@
 
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import edgeprune
 from edgeprune import spectral
 from edgeprune.cli import main
 
@@ -54,6 +56,24 @@ def test_benchmark_traced_names_exist():
         for name in names:
             assert callable(getattr(package_module, name, None)), f"{module}.{name}"
     assert isinstance(spectral.DENSE_EIG_LIMIT, int)
+
+
+def test_benchmark_counts_the_pairs_it_writes(tmp_path):
+    # The tracer counts a PairSet's fields with len(); they are (P, 2)
+    # arrays, so the counts are the label-1 and label-0 lines written.
+    tracer = load_spans().Tracer(edgeprune)
+    tracer.install()
+    try:
+        assert tracer.run_op(lambda: main(["pairs", "--synthetic", SPEC,
+                                           "--out", str(tmp_path / "out")])) == 0
+        tracer.finish_op(tmp_path / "scratch")
+    finally:
+        tracer.uninstall()
+    labels = [json.loads(line)["label"]
+              for line in (tmp_path / "out" / "pairs.jsonl").read_text().splitlines()]
+    values = tracer.op_values[0]
+    assert values["pairs.positives"] == labels.count(1) > 0
+    assert values["pairs.negatives"] == labels.count(0) > 0
 
 
 def test_commands_call_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
