@@ -193,10 +193,14 @@ def _as_counts(size, groups: int, what: str) -> list[int]:
             raise InputError(f"{what}: got {len(counts)} sizes for {groups} groups")
     if any(c < 2 for c in counts):
         raise InputError(f"{what}: every group needs at least 2 points")
-    # numpy sizes arrays with int64; a larger count would reach it as a ValueError.
-    if any(c >= 2**63 for c in counts):
-        raise InputError(f"{what}: a group size must be below 2**63")
     return counts
+
+
+def _check_array_size(n: int, dim: int, what: str) -> None:
+    """Refuse n points in `dim` coordinates whose float64 array numpy
+    cannot size: its byte count must be below 2**63."""
+    if n * dim * 8 >= 2**63:
+        raise InputError(f"{what}: parameters too large: {n} points in {dim} dimensions")
 
 
 def _check_scale(value, what: str, positive: bool = False) -> None:
@@ -238,6 +242,7 @@ def _gen_blobs(seed, clusters=3, size=50, spread=1.0, separation=10.0, dim=2):
     for s in spreads:
         _check_scale(s, "blobs: spread")
     _check_scale(separation, "blobs: separation")
+    _check_array_size(sum(counts), dim, "blobs")
     centers = np.zeros((clusters, dim))
     if clusters > 1:
         angles = 2.0 * np.pi * np.arange(clusters) / clusters
@@ -261,6 +266,7 @@ def _gen_circles(seed, radii=(1.0, 3.0), size=200, noise=0.0):
         _check_scale(r, "circles: radii", positive=True)
     _check_scale(noise, "circles: noise")
     counts = _as_counts(size, len(radii), "circles")
+    _check_array_size(sum(counts), 2, "circles")
     rng = spawn_rng(seed)
     chunks, labels = [], []
     for c, (radius, count) in enumerate(zip(radii, counts)):
@@ -276,6 +282,7 @@ def _gen_circles(seed, radii=(1.0, 3.0), size=200, noise=0.0):
 
 def _gen_moons(seed, size=100, noise=0.05):
     counts = _as_counts(size, 2, "moons")
+    _check_array_size(sum(counts), 2, "moons")
     _check_scale(noise, "moons: noise")
     rng = spawn_rng(seed)
     t1 = np.pi * np.arange(counts[0]) / counts[0]
@@ -299,6 +306,7 @@ def _gen_mixed_density(seed, size_dense=150, size_sparse=50, spread_dense=0.3,
     dim = _whole(dim, "mixed-density: dim")
     if dim < 1:
         raise InputError("mixed-density: dim must be positive")
+    _check_array_size(sum(counts), dim, "mixed-density")
     rng = spawn_rng(seed)
     dense = rng.normal(0.0, spread_dense, (counts[0], dim))
     center = np.zeros(dim)

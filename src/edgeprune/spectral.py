@@ -8,21 +8,20 @@ components; an eigensolver would only add rounding, and which slice it
 returns changes with the BLAS thread count. `spectral_cluster` therefore
 looks at the components first:
 
-  * the C largest components are the clusters (largest first, ties to
-    the lower component label);
-  * when m = C, they are the answer;
-  * when m > C, every other component joins a cluster by a multi-source
-    minimum spanning forest over component-level edges, weighted by the
-    smallest exact distance between them in the k-NN table the graph was
-    built from. Edges are taken in (distance, lower id, higher id) order,
-    and an edge that would join two rooted trees is skipped;
-  * when m < C, or when some component has no table path to a cluster
-    (or the graph carries no table and m > C), it falls back to NJW:
-    Laplacian, eigenvectors of the smallest C eigenvalues with row
-    normalization, then seeded k-means with KMEANS_RESTARTS restarts.
+  * the C largest components are the roots (largest first, ties to the
+    lower component label), and every component in a root's tree of
+    scipy's minimum spanning tree over a super-root takes the root's
+    cluster (see `_component_partition`). Edges rank in (smallest
+    distance in the graph's k-NN table, lower component, higher
+    component) order, and one that would join two rooted trees is
+    skipped. When m = C, the roots alone are the answer;
+  * when m < C, or when some component reaches no root (as with any
+    graph without a table and m > C), it falls back to NJW: Laplacian,
+    eigenvectors of the smallest C eigenvalues with row normalization,
+    then seeded k-means with KMEANS_RESTARTS restarts.
 
-The component path uses no seed and no floating-point arithmetic beyond
-comparing table distances, so its labels are the same for every seed and
+The component path uses no seed, and its tree weighs edges by whole
+ranks, exact in float64, so its labels are the same for every seed and
 every thread count. The NJW path is deterministic for a fixed seed and
 thread count: restarts draw from generators derived from (seed, restart
 index), and the best restart is picked by strict inertia comparison.
@@ -57,10 +56,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
-from .knn import NeighborTable, _screen_slack
+from .knn import _screen_slack
 from .reduce import ReducedGraph, component_labels
 
 log = logging.getLogger(__name__)
@@ -337,59 +337,6 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
-def _merge_components(comp: np.ndarray, cluster: np.ndarray,
-                      nt: NeighborTable) -> np.ndarray:
-    """Each component's cluster after a multi-source minimum spanning forest.
-
-    `cluster` holds the rooted components' clusters and -1 elsewhere. A
-    component-level edge joins two components with the smallest table
-    distance between them; edges are taken in (distance, lower id, higher
-    id) order, Kruskal-style, skipping one that closes a cycle or joins two
-    rooted trees. Every key is distinct, so the forest is the one a
-    multi-source Prim gives, and each component ends in the tree of one
-    root or of none (-1).
-    """
-    m = len(cluster)
-    a = np.repeat(comp, nt.k_max)
-    b = comp[nt.indices.ravel()]
-    cross = np.flatnonzero(a != b)
-    a, b = a[cross], b[cross]
-    pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
-    dist = nt.distances.ravel()[cross]
-    # The smallest distance per component pair, then the pairs by
-    # (distance, pair); pair order is (lower id, higher id) order.
-    by_pair = np.lexsort((dist, pair))
-    pair, dist = pair[by_pair], dist[by_pair]
-    first = np.flatnonzero(np.diff(pair, prepend=-1))
-    pair, dist = pair[first], dist[first]
-    lo, hi = np.divmod(pair[np.lexsort((pair, dist))], m)
-
-    parent = list(range(m))
-    label = cluster.tolist()  # a tree's cluster, kept at its representative
-    members = [1] * m
-    open_count = m - int((cluster >= 0).sum())  # components in no rooted tree
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for p, q in zip(lo.tolist(), hi.tolist()):
-        if open_count == 0:
-            break
-        p, q = find(p), find(q)
-        if p == q or (label[p] >= 0 and label[q] >= 0):
-            continue
-        if label[p] < 0:
-            p, q = q, p  # q's tree is unrooted and joins p's
-        parent[q] = p
-        members[p] += members[q]
-        if label[p] >= 0:
-            open_count -= members[q]
-    return np.array([label[find(c)] for c in range(m)], dtype=np.int64)
-
-
 def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | None = None):
     """The partition the graph's components decide, if they decide one.
 
@@ -397,6 +344,16 @@ def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | No
     Returns (labels, m, unlinked): labels by cluster rank (0 is the
     largest root), or None when the eigensolver has to decide; m the
     component count; unlinked the components that reach no root.
+
+    Each pair of components the table links gets an edge weighing its
+    rank + 1 in (smallest distance, lower id, higher id) order. A
+    super-root, vertex m, is tied to each of the C roots at weight 0.5.
+    Each (m, root) edge is lighter than every other edge on any cycle
+    through it, so it lies on every spanning tree; the other weights are
+    distinct, so the minimum spanning tree is unique. It is therefore the
+    forest Kruskal grows from the roots in that order, where an edge
+    between two rooted trees closes a cycle through m and is skipped.
+    Without m, a tree's cluster is the rank of its root, if it has one.
     """
     if comp is None:
         comp = component_labels(g)
@@ -404,10 +361,25 @@ def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | No
     if m < n_clusters:
         return None, m, 0
     roots = np.argsort(-np.bincount(comp), kind="stable")[:n_clusters]
+    pair = rank = np.empty(0, dtype=np.int64)
+    if g.table is not None:
+        a, b = np.repeat(comp, g.table.k_max), comp[g.table.indices.ravel()]
+        cross = np.flatnonzero(a != b)
+        a, b = a[cross], b[cross]
+        pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
+        # A pair's first position in (distance, pair) order is its rank.
+        by_key = np.lexsort((pair, g.table.distances.ravel()[cross]))
+        pair, rank = np.unique(pair[by_key], return_index=True)
+    lo, hi = np.divmod(pair, m)
+    edges = scipy.sparse.csr_matrix(
+        (np.concatenate([rank + 1.0, np.full(n_clusters, 0.5)]),
+         (np.concatenate([lo, np.full(n_clusters, m)]), np.concatenate([hi, roots]))),
+        shape=(m + 1, m + 1))
+    forest = minimum_spanning_tree(edges)[:m, :m]
+    tree = connected_components(forest, directed=False)[1]
     cluster = np.full(m, -1, dtype=np.int64)
-    cluster[roots] = np.arange(n_clusters)
-    if m > n_clusters and g.table is not None:
-        cluster = _merge_components(comp, cluster, g.table)
+    cluster[tree[roots]] = np.arange(n_clusters)
+    cluster = cluster[tree]
     unlinked = int((cluster < 0).sum())
     return (None if unlinked else cluster[comp]), m, unlinked
 

@@ -352,7 +352,13 @@ class TestReduceAndPairsCommands:
                                       # sizes of 2**63 and up; a dim below 1
                                       "moons:size=1e20", "circles:size=1e20",
                                       "blobs:size=1e20", "mixed-density:size_dense=1e20",
-                                      "mixed-density:dim=0", "mixed-density:dim=-1"])
+                                      "mixed-density:dim=0", "mixed-density:dim=-1",
+                                      # point arrays of 2**63 bytes and up
+                                      "blobs:size=4e18", "moons:size=4e18",
+                                      "circles:size=4e18", "blobs:size=4e18,dim=4",
+                                      "mixed-density:size_sparse=3e18,dim=8",
+                                      "circles:radii=1+2+3,size=3e18",
+                                      "blobs:dim=1e20", "mixed-density:dim=1e20"])
     def test_unusable_synthetic_spec_is_input_error(self, tmp_path, spec):
         assert main(["reduce", "--synthetic", spec, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "graph.txt").exists()

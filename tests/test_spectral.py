@@ -414,6 +414,16 @@ class TestComponentPath:
             assert labels is not None and unlinked == 0
             assert labels.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("spec,graph,m", [
+        (dict(clusters=5, size=400, separation=10), lambda ps: reduce_graph(ps, 15), 217),
+        (dict(clusters=40, size=50, separation=60),
+         lambda ps: mutual_knn_graph(build_knn(ps, 5)), 153)], ids=["5x400", "40x50"])
+    def test_merge_matches_prim_reference_at_hundreds_of_components(self, spec, graph, m):
+        g = graph(gen_synthetic("blobs", spec, seed=3))
+        labels, m_found, unlinked = _component_partition(g, spec["clusters"])
+        assert (m_found, unlinked) == (m, 0)
+        assert labels.tolist() == prim_partition(g, spec["clusters"]).tolist()
+
     def test_size_tie_at_the_last_root_goes_to_the_lower_label(self):
         # Components 1 and 2 both have two points; component 1 is the second
         # root, and component 2 joins it (19 away, against 38 to component 0).
@@ -469,7 +479,7 @@ class TestComponentPath:
         loaded, _ = load_graph(tmp_path / "g.txt")
         assert loaded.table is None and g.table is not None
         assert ari(dataset_a.labels, next(spectral_cluster(g, 3, [0])).labels) == 1.0
-        assert _component_partition(loaded, 3)[0] is None
+        assert _component_partition(loaded, 3) == (None, 8, 5)  # no table: m - C unlinked
         embeds = []
         monkeypatch.setattr(spectral, "embed", lambda *a: embeds.append(a) or embed(*a))
         labels = next(spectral_cluster(loaded, 8, [0])).labels
