@@ -8,12 +8,12 @@ Subcommands:
   sweep         re-run the pipeline over a parameter grid (long-format CSV)
   baseline-knn  mutual unweighted k-NN graph as a comparison foil
 
-The reducing commands share one table-to-graph step, `_reduced`, which
-picks `compute_scales` or `seventh_neighbor_scales`; the rules themselves,
-and the default k_max, live in the library. The metric commands cluster
-each graph with one `spectral_cluster` call, which decides the partition
-from the graph's components or embeds it once for all repeats;
-`baseline-knn` is `cluster` on `mutual_knn_graph`.
+The reducing commands build each graph with the library's pipeline,
+`reduce_graph`, or with its table half `graph_from_table` where a sweep
+shares one table; the scale rules and the default k_max live there. The
+metric commands cluster each graph with one `spectral_cluster` call,
+which decides the partition from the graph's components or embeds it
+once for all repeats; `baseline-knn` is `cluster` on `mutual_knn_graph`.
 
 Every command is deterministic for a fixed configuration; repeat i uses
 seed + i. Output CSVs start with a '# {...}' config echo line so a
@@ -37,13 +37,14 @@ import numpy as np
 from . import __version__
 from .data import SEED_RANGE, PointSet, Seed, check_seed, gen_synthetic, load_csv
 from .errors import InputError, NumericError
-from .knn import NeighborTable, build_knn
+from .knn import build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
 from .reduce import (ReducedGraph, affinity_rows, component_labels, default_k_max,
                      graph_from_table, mutual_knn_graph, save_graph)
-from .scale import (LocalScales, build_histogram, compute_scales, fd_bin_width,
-                    seventh_neighbor_scales)
+# perfbench/spans.py wraps the name `build_reduced` and perfbench/tests patches it.
+from .reduce import reduce_graph as build_reduced
+from .scale import build_histogram, compute_scales, fd_bin_width
 from .spectral import spectral_cluster
 
 @dataclass
@@ -118,22 +119,6 @@ def _labeled_dataset(cfg: RunConfig) -> tuple[PointSet, int]:
     return ps, n_clusters
 
 
-def _effective_k_max(cfg: RunConfig, ps: PointSet) -> int:
-    return cfg.k_max if cfg.k_max is not None else default_k_max(ps.n)
-
-
-def _reduced(nt: NeighborTable, seventh_neighbor: bool) -> tuple[ReducedGraph, LocalScales]:
-    """The reduced graph of a table, and the local scales it was built with:
-    adaptive, or with `seventh_neighbor` the fixed 7th-neighbor scale."""
-    scales = seventh_neighbor_scales(nt) if seventh_neighbor else compute_scales(nt)
-    return graph_from_table(nt, scales), scales
-
-
-def build_reduced(ps: PointSet, k_max: int, seventh_neighbor: bool = False) -> ReducedGraph:
-    """Pipeline graph; optionally with the fixed seventh-neighbor scale."""
-    return _reduced(build_knn(ps, k_max), seventh_neighbor)[0]
-
-
 def _output(cfg: RunConfig, name: str) -> Path:
     """Path of the output file `name`; creates the output directory."""
     out = Path(cfg.out_dir)
@@ -187,7 +172,7 @@ def cmd_cluster(cfg: RunConfig) -> list[dict]:
         graph = mutual_knn_graph(build_knn(ps, cfg.baseline_k))
         filename = "baseline_metrics.csv"
     else:
-        graph = build_reduced(ps, _effective_k_max(cfg, ps), cfg.seventh_neighbor_scale)
+        graph = build_reduced(ps, cfg.k_max, cfg.seventh_neighbor_scale)
         filename = "metrics.csv"
     rows = []
     total = tic = time.perf_counter()
@@ -229,13 +214,13 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     if cfg.param == "k-max":
         nt = build_knn(ps, max(cfg.grid))
         for k in cfg.grid:
-            graph, _ = _reduced(nt.prefix(k), cfg.seventh_neighbor_scale)
+            graph = graph_from_table(nt.prefix(k), cfg.seventh_neighbor_scale)
             rows.extend(run(graph, "reduced", k))
             print(f"k_max={k}: done")
     else:
-        k_max = _effective_k_max(cfg, ps)
+        k_max = default_k_max(ps.n) if cfg.k_max is None else cfg.k_max
         nt = build_knn(ps, max(k_max, *cfg.grid))
-        reduced, _ = _reduced(nt.prefix(k_max), cfg.seventh_neighbor_scale)
+        reduced = graph_from_table(nt.prefix(k_max), cfg.seventh_neighbor_scale)
         reduced_rows = run(reduced, "reduced", 0)
         for k in cfg.grid:
             baseline = mutual_knn_graph(nt.prefix(k))
@@ -250,19 +235,16 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
 def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
     """Build the reduced graph and save it (plus optional diagnostics)."""
-    ps = load_dataset(cfg)
-    k_max = _effective_k_max(cfg, ps)
-    nt = build_knn(ps, k_max)
-    graph, scales = _reduced(nt, cfg.seventh_neighbor_scale)
+    graph = build_reduced(load_dataset(cfg), cfg.k_max, cfg.seventh_neighbor_scale)
+    nt = graph.table
     path = _output(cfg, "graph.txt")
-    save_graph(graph, path, k_max=k_max, seed=cfg.seed)
+    save_graph(graph, path, k_max=nt.k_max, seed=cfg.seed)
     print(f"n={graph.n} ordered_edges={graph.edge_count} "
           f"e%={edge_percentage(graph):.4f}")
     print(f"wrote {path}")
     if cfg.similarity_histogram:
         # The histogram always shows the adaptive-scale affinities.
-        if cfg.seventh_neighbor_scale:
-            scales = compute_scales(nt)
+        scales = compute_scales(nt) if cfg.seventh_neighbor_scale else graph.scales
         values = affinity_rows(nt, scales).ravel()
         hist = build_histogram(values, fd_bin_width(values))
         edges = hist.edges.tolist()
@@ -274,10 +256,8 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
 
 def cmd_pairs(cfg: RunConfig):
     """Export positive/negative pairs from the reduced graph."""
-    ps = load_dataset(cfg)
-    nt = build_knn(ps, _effective_k_max(cfg, ps))
-    graph, _ = _reduced(nt, cfg.seventh_neighbor_scale)
-    pair_set = export_pairs(graph, nt, cfg.seed)
+    graph = build_reduced(load_dataset(cfg), cfg.k_max, cfg.seventh_neighbor_scale)
+    pair_set = export_pairs(graph, graph.table, cfg.seed)
     path = _output(cfg, "pairs.jsonl")
     save_pairs(pair_set, path)
     print(f"positives={len(pair_set.positives)} negatives={len(pair_set.negatives)} "

@@ -1,7 +1,8 @@
 """Locally scaled affinities and the adaptive edge-reduction pipeline.
 
-The pipeline turns a point set into a sparse mutual graph in four steps:
-exact k-NN table, per-point local scales, pairwise affinities
+The pipeline, `reduce_graph`, turns a point set into a sparse mutual graph
+in four steps: exact k-NN table, per-point local scales (adaptive, or the
+fixed 7th-neighbor distance of comparison runs), pairwise affinities
 exp(-d^2 / (sigma_p * sigma_q)) over each point's neighbor row, and a
 per-row statistical threshold followed by mutual agreement. A row keeps
 its strongest entries: if the row maximum exceeds mean + std the cutoff
@@ -26,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from .data import PointSet
 from .errors import InputError
 from .knn import NeighborTable, build_knn
-from .scale import LocalScales, compute_scales
+from .scale import LocalScales, compute_scales, seventh_neighbor_scales
 
 DEFAULT_K_MAX = 50
 
@@ -50,9 +51,10 @@ class ReducedGraph:
 
     Edges are stored as ordered pairs (both directions of every mutual
     edge), lexicographically sorted. The directed survivor set from
-    before mutual agreement is kept for diagnostics. `table` is the k-NN
-    table the graph was built from, when it was built from one: a
-    reference the spectral back end merges components over, never saved.
+    before mutual agreement is kept for diagnostics. `table` and `scales`
+    are the k-NN table and the local scales the graph was built from, when
+    it was built from them: references, never saved. The spectral back end
+    merges components over the table.
     """
 
     n: int
@@ -63,6 +65,7 @@ class ReducedGraph:
     directed_dst: np.ndarray
     directed_weight: np.ndarray
     table: NeighborTable | None = field(default=None, compare=False, repr=False)
+    scales: LocalScales | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.src, self.dst, self.weight,
@@ -178,14 +181,27 @@ def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):
     return src, nt.indices[src, col], affinities[src, col]
 
 
-def graph_from_table(nt: NeighborTable, ls: LocalScales) -> ReducedGraph:
-    """Table-to-graph half of the pipeline: affinities -> threshold -> mutual."""
+def _check_finite(nt: NeighborTable) -> None:
+    """Refuse a table with non-finite distances: build_knn's, where squares overflow."""
+    if not np.all(np.isfinite(nt.distances)):
+        raise InputError("squared distances between points overflow float64")
+
+
+def graph_from_table(nt: NeighborTable, seventh_neighbor: bool = False) -> ReducedGraph:
+    """Table-to-graph half of the pipeline: scales -> affinities -> threshold -> mutual.
+
+    The scales are `compute_scales`, or with `seventh_neighbor` the fixed
+    `seventh_neighbor_scales` of comparison runs; the graph keeps them and the table.
+    """
+    _check_finite(nt)
+    ls = seventh_neighbor_scales(nt) if seventh_neighbor else compute_scales(nt)
     a = affinity_rows(nt, ls)
-    return replace(mutualize(nt.n, *threshold_survivors(a, nt)), table=nt)
+    return replace(mutualize(nt.n, *threshold_survivors(a, nt)), table=nt, scales=ls)
 
 
 def mutual_knn_graph(nt: NeighborTable) -> ReducedGraph:
     """The comparison foil: unit-weight edge iff each point is in the other's k-NN."""
+    _check_finite(nt)
     src = np.repeat(np.arange(nt.n, dtype=np.int64), nt.k_max)
     return replace(mutualize(nt.n, src, nt.indices.ravel(), np.ones(src.size)), table=nt)
 
@@ -196,12 +212,14 @@ def default_k_max(n: int) -> int:
     return min(n - 1, DEFAULT_K_MAX)
 
 
-def reduce_graph(ps: PointSet, k_max: int | None = None) -> ReducedGraph:
+def reduce_graph(ps: PointSet, k_max: int | None = None,
+                 seventh_neighbor: bool = False) -> ReducedGraph:
     """Full reduction pipeline: k-NN -> scales -> affinities -> threshold -> mutual.
 
-    k_max defaults to `default_k_max(N)`."""
+    `graph_from_table` on the table of `build_knn(ps, k_max)`; k_max
+    defaults to `default_k_max(N)`, and `seventh_neighbor` picks the scales."""
     nt = build_knn(ps, default_k_max(ps.n) if k_max is None else k_max)
-    return graph_from_table(nt, compute_scales(nt))
+    return graph_from_table(nt, seventh_neighbor)
 
 
 def component_labels(g: ReducedGraph) -> np.ndarray:

@@ -223,5 +223,6 @@ def seventh_neighbor_scales(nt: NeighborTable) -> LocalScales:
     rank. A zero (duplicate points) falls back to `fd_bin_width` of the table."""
     col = min(7, nt.k_max) - 1
     sigma = nt.distances[:, col].copy()
-    sigma[sigma <= 0] = fd_bin_width(nt.distances)
+    if np.any(sigma <= 0):
+        sigma[sigma <= 0] = fd_bin_width(nt.distances)
     return LocalScales(sigma=sigma, kth=np.full(nt.n, col + 1, dtype=np.int64))

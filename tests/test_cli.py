@@ -322,12 +322,13 @@ class TestReduceAndPairsCommands:
 
     @pytest.mark.parametrize("seventh", [False, True])
     def test_histogram_reuses_table_and_scales(self, tmp_path, monkeypatch, seventh):
-        knn_calls = count_calls(monkeypatch, "build_knn")
-        scale_calls = count_calls(monkeypatch, "compute_scales")
+        # The graph's table and scales come from the library's pipeline.
+        knn_calls = [count_calls(monkeypatch, "build_knn", m) for m in (cli, reduce)]
+        scale_calls = [count_calls(monkeypatch, "compute_scales", m) for m in (cli, reduce)]
         argv = ["reduce", "--synthetic", BLOBS, "--k-max", "20", "--out", str(tmp_path),
                 "--similarity-histogram"] + (["--seventh-neighbor-scale"] if seventh else [])
         assert main(argv) == 0
-        assert len(knn_calls) == 1 and len(scale_calls) == 1
+        assert sum(map(len, knn_calls)) == 1 and sum(map(len, scale_calls)) == 1
         # The histogram shows the adaptive-scale affinities of a fresh table.
         nt = build_knn(gen_synthetic("blobs", parse_synthetic_spec(BLOBS)[1], seed=0), 20)
         values = affinity_rows(nt, compute_scales(nt)).ravel()
@@ -375,10 +376,27 @@ class TestReduceAndPairsCommands:
         assert not (tmp_path / "similarity_histogram.csv").exists()
 
     def test_pairs_builds_one_table(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, "build_knn")
+        calls = [count_calls(monkeypatch, "build_knn", m) for m in (cli, reduce)]
         assert main(["pairs", "--synthetic", BLOBS, "--k-max", "10",
                      "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert sum(map(len, calls)) == 1
+
+    @pytest.mark.parametrize("argv", [["reduce"], ["reduce", "--seventh-neighbor-scale"],
+                                      ["pairs"], ["cluster", "--label-column", "1"],
+                                      ["baseline-knn", "--label-column", "1"]])
+    def test_overflowing_distances_are_one_input_error(self, tmp_path, capsys, argv):
+        # Finite coordinates whose squared distances overflow float64 make
+        # an all-inf k-NN table; no command builds a graph from it.
+        rng = np.random.default_rng(0)
+        points = np.column_stack((1e200 * rng.standard_normal(60), np.repeat([0, 1], 30)))
+        np.savetxt(tmp_path / "huge.csv", points, delimiter=",")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([argv[0], "--input", str(tmp_path / "huge.csv"), *argv[1:],
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: squared distances between points overflow float64\n"
+        assert not (tmp_path / "out").exists()
 
     def test_pairs_writes_jsonl(self, tmp_path):
         code = main(["pairs", "--synthetic", BLOBS, "--k-max", "10",

@@ -12,7 +12,7 @@ from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affini
                        mutual_knn_graph, mutualize, n_components, reduce_graph, save_graph,
                        threshold_row)
 from edgeprune.reduce import component_labels, default_k_max, threshold_survivors
-from edgeprune.scale import LocalScales
+from edgeprune.scale import LocalScales, seventh_neighbor_scales
 
 
 class TestAffinity:
@@ -178,7 +178,7 @@ class TestThresholdSurvivors:
 class TestGraphFromTable:
     def test_equals_reduce_graph(self, dataset_b):
         nt = build_knn(dataset_b, 20)
-        g = graph_from_table(nt, compute_scales(nt))
+        g = graph_from_table(nt)
         ref = reduce_graph(dataset_b, 20)
         for got, want in ((g.src, ref.src), (g.dst, ref.dst), (g.weight, ref.weight)):
             assert np.array_equal(got, want)
@@ -186,11 +186,23 @@ class TestGraphFromTable:
     def test_keeps_its_table_and_refuses_another_size(self, dataset_b):
         # The spectral back end merges components over the graph's own table.
         nt = build_knn(dataset_b, 20)
-        g = graph_from_table(nt, compute_scales(nt))
+        g = graph_from_table(nt)
         assert g.table is nt and mutual_knn_graph(nt).table is nt
         assert reduce_graph(dataset_b, 20).table is not None
         with pytest.raises(InputError, match="table"):
             dataclasses.replace(g, n=g.n + 1)
+
+    def test_seventh_neighbor_graph_equals_its_stages(self, dataset_b):
+        g = reduce_graph(dataset_b, 12, seventh_neighbor=True)
+        nt = build_knn(dataset_b, 12)
+        ls = seventh_neighbor_scales(nt)
+        ref = mutualize(nt.n, *threshold_survivors(affinity_rows(nt, ls), nt))
+        for got, want in ((g.src, ref.src), (g.dst, ref.dst), (g.weight, ref.weight)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(g.scales.sigma, ls.sigma)
+        assert np.array_equal(g.scales.kth, ls.kth)
+        assert np.array_equal(g.table.distances, nt.distances)
+        assert np.array_equal(g.table.indices, nt.indices)
 
 
 def mutualize_two_sorts(n, src, dst, weight):
@@ -398,7 +410,7 @@ class TestSerialization:
     def test_shuffled_file_loads_sorted(self, tmp_path):
         ps = gen_synthetic("moons", {"size": 50, "noise": 0.05}, seed=20)
         nt = build_knn(ps, 15)
-        g = graph_from_table(nt, compute_scales(nt))
+        g = graph_from_table(nt)
         path = tmp_path / "graph.txt"
         save_graph(g, path)
         header, *edges = path.read_text().splitlines(keepends=True)

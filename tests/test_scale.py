@@ -319,6 +319,14 @@ class TestSeventhNeighborScales:
         assert np.array_equal(ls.sigma, nt.distances[:, col])
         assert np.array_equal(ls.kth, np.full(nt.n, col + 1))
 
+    def test_no_zero_seventh_distance_needs_no_table_width(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("fd_bin_width called")
+
+        monkeypatch.setattr(scale, "fd_bin_width", refuse)
+        nt = hand_table(np.outer(np.arange(1.0, 11.0), np.arange(1.0, 9.0)))
+        assert np.array_equal(seventh_neighbor_scales(nt).sigma, nt.distances[:, 6])
+
     def test_zero_seventh_distance_takes_the_table_width(self):
         # Rows 0 and 1 sit among duplicates: their 7th neighbor is at 0.
         d = np.outer(np.arange(1.0, 11.0), np.arange(1.0, 9.0))

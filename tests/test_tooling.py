@@ -90,7 +90,9 @@ def test_commands_call_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     assert len(clustered) == 1 + 3
     assert main(["pairs", "--synthetic", SPEC, "--out", str(tmp_path)]) == 0
-    assert len(saved) == 1
+    assert len(saved) == 1 and len(reduced) == 2
+    assert main(["reduce", "--synthetic", SPEC, "--out", str(tmp_path)]) == 0
+    assert len(reduced) == 3
 
 
 def test_readme_library_example_runs(capsys):
