@@ -8,7 +8,9 @@ row is detected when no cell of the first row parses as a number.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -205,8 +207,10 @@ def _check_array_size(n: int, dim: int, what: str) -> None:
 
 def _check_scale(value, what: str, positive: bool = False) -> None:
     """Refuse a spread, noise, radius or separation that is NaN, infinite
-    or negative, or with `positive` also zero; `what` names it."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    or negative, or with `positive` also zero, or not a real number;
+    `what` names it."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise InputError(f"{what} must be finite and {sign}, got {value!r}")
 
@@ -337,6 +341,11 @@ def gen_synthetic(kind: str, params: dict | None = None, seed: Seed = 0) -> Poin
     if kind not in _GENERATORS:
         raise InputError(f"unknown synthetic kind {kind!r}; choose from {SYNTHETIC_KINDS}")
     params = dict(params or {})
+    accepted = list(inspect.signature(_GENERATORS[kind]).parameters)[1:]  # all but seed
+    for key in params:
+        if key not in accepted:
+            raise InputError(f"{kind}: unknown parameter {key!r}; "
+                             f"{kind} takes {', '.join(accepted)}")
     try:
         return _GENERATORS[kind](seed, **params)
     except TypeError as exc:

@@ -39,7 +39,6 @@ share of N screened per row and the mean number of candidates per row.
 
 from __future__ import annotations
 
-import contextvars
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -214,22 +213,25 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     these bounds may too; mu is then infinite and no block is ruled out.
 
     Threads. Blocks run on min(usable CPUs, blocks, `_SCRATCH_ROWS` /
-    `_CHUNK`) threads, each in a copy of the caller's context, so under
-    its numpy error state. The blocks, in kd order, form groups of
+    `_CHUNK`) threads. The blocks, in kd order, form groups of
     `_SCRATCH_ROWS` / (workers x `_CHUNK`); worker w screens the blocks of
     groups w, w + workers, ... into its own buffers and re-ranks each
     group at once, and its exception is raised here. So at most
-    `_SCRATCH_ROWS` rows are re-ranked at a time over all workers.
+    `_SCRATCH_ROWS` rows are re-ranked at a time over all workers. This
+    thread and the workers ignore numpy's overflow and invalid flags: a
+    non-finite value only makes candidates (see Screen), and the graph
+    builders refuse a table with non-finite distances.
     """
     x = ps.points
     n, dim = x.shape
     if not 1 <= k_max <= n - 1:
         raise InputError(f"k_max must be in [1, {n - 1}], got {k_max}")
 
-    c = x - x.mean(axis=0)
-    sq = (c * c).sum(axis=1)
-    top = sq.max()
-    order, bounds, centres, radii = _kd_blocks(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = x - x.mean(axis=0)
+        sq = (c * c).sum(axis=1)
+        top = sq.max()
+        order, bounds, centres, radii = _kd_blocks(c)
     if top <= np.finfo(np.float64).max / 16:
         radii += (4 * (dim + 7) * 2.0 ** -53 * np.sqrt(top)
                   + 3 * np.sqrt((dim + 4) * np.finfo(np.float64).tiny))
@@ -310,16 +312,13 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     def rank_rows(worker: int) -> np.ndarray:
         # One call per group: a group's arrays are freed before the next one's.
         cells = np.zeros(2, dtype=np.int64)
-        for first in groups[worker::workers]:
-            cells += rank_group(first, buffers[worker])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in groups[worker::workers]:
+                cells += rank_group(first, buffers[worker])
         return cells
 
-    # numpy's error state is a context variable, so each worker runs in a
-    # copy of the caller's context.
-    context = contextvars.copy_context()
     with ThreadPoolExecutor(workers) as pool:
-        screened, candidates = sum(pool.map(lambda worker: context.copy().run(rank_rows, worker),
-                                            range(workers)))
+        screened, candidates = sum(pool.map(rank_rows, range(workers)))
     log.debug("build_knn: N=%d, %d blocks, %.3f of N screened per row, "
               "%.1f candidates per row", n, blocks, screened / n / n, candidates / n)
     return NeighborTable(distances=distances, indices=indices)

@@ -383,20 +383,37 @@ class TestReduceAndPairsCommands:
 
     @pytest.mark.parametrize("argv", [["reduce"], ["reduce", "--seventh-neighbor-scale"],
                                       ["pairs"], ["cluster", "--label-column", "1"],
-                                      ["baseline-knn", "--label-column", "1"]])
+                                      ["baseline-knn", "--label-column", "1"],
+                                      ["sweep", "--label-column", "1", "--param", "k-max",
+                                       "--grid", "2,5"],
+                                      ["sweep", "--label-column", "1", "--param", "baseline-k",
+                                       "--grid", "2"]])
     def test_overflowing_distances_are_one_input_error(self, tmp_path, capsys, argv):
         # Finite coordinates whose squared distances overflow float64 make
-        # an all-inf k-NN table; no command builds a graph from it.
+        # an all-inf k-NN table; no command builds a graph from it, and the
+        # k-NN stage warns of nothing (an error under this suite's filters).
         rng = np.random.default_rng(0)
         points = np.column_stack((1e200 * rng.standard_normal(60), np.repeat([0, 1], 30)))
         np.savetxt(tmp_path / "huge.csv", points, delimiter=",")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([argv[0], "--input", str(tmp_path / "huge.csv"), *argv[1:],
-                         "--out", str(tmp_path / "out")])
+        code = main([argv[0], "--input", str(tmp_path / "huge.csv"), *argv[1:],
+                     "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: squared distances between points overflow float64\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["baseline-knn"],
+                                      ["sweep", "--param", "baseline-k", "--grid", "2",
+                                       "--k-max", "2"],
+                                      ["sweep", "--param", "k-max", "--grid", "2"]])
+    def test_far_clusters_with_a_finite_table_run(self, tmp_path, argv):
+        # Three tight clusters 1e300 apart: their squared norms overflow, but
+        # at k = 2 every neighbor lies in the point's own cluster, so the
+        # table is finite and the run goes through without a warning.
+        far = gen_synthetic("blobs", {"clusters": 3, "size": 3, "separation": 1e300}, seed=1)
+        save_csv(far, tmp_path / "far.csv")
+        assert main([argv[0], "--input", str(tmp_path / "far.csv"), "--label-column", "2",
+                     *argv[1:], "--out", str(tmp_path / "out")]) == 0
 
     def test_pairs_writes_jsonl(self, tmp_path):
         code = main(["pairs", "--synthetic", BLOBS, "--k-max", "10",
@@ -416,6 +433,36 @@ class TestReduceAndPairsCommands:
             main(["--help"])
         assert exc.value.code == 0
         assert "report ACC/ARI/E%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce"], "exactly one of --input and --synthetic is required"),
+    (["reduce", "--input", "two.csv", "--synthetic", "blobs"],
+     "exactly one of --input and --synthetic is required"),
+    (["cluster", "--synthetic", "blobs", "--repeats", "0"], "--repeats must be >= 1"),
+    (["sweep", "--synthetic", "blobs", "--param", "k-max", "--grid", "a,b"],
+     "bad --grid 'a,b': invalid literal for int() with base 10: 'a'"),
+    (["reduce", "--synthetic", "blobs:size=x"], "cannot parse parameter value 'x'"),
+    (["cluster", "--synthetic", "blobs", "--clusters", "1"], "need at least 2 clusters, got 1"),
+    (["reduce", "--input", "empty.csv"], "empty.csv: file is empty"),
+    (["reduce", "--input", "header.csv"], "header.csv: no data rows"),
+    (["cluster", "--input", "two.csv", "--label-column", "5"],
+     "label column 5 out of range for 2 columns"),
+    (["reduce", "--synthetic", "blobs:clusters=0"], "blobs: clusters and dim must be positive"),
+    (["reduce", "--synthetic", "blobs:clusters=2,size=3+4+5"], "blobs: got 3 sizes for 2 groups"),
+    (["reduce", "--synthetic", "blobs:clusters=2,size=1"],
+     "blobs: every group needs at least 2 points"),
+    (["reduce", "--synthetic", "blobs:clusters=2,spread=1+2+3"],
+     "blobs: got 3 values for 2 groups"),
+])
+def test_input_refusals_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header.csv").write_text("x,y\n")
+    np.savetxt(tmp_path / "two.csv", np.arange(20.0).reshape(10, 2), delimiter=",")
+    assert main([*argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["reduce"], ["cluster"], ["pairs"], ["baseline-knn"],
@@ -440,6 +487,19 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"edgeprune {__version__}"
+
+
+def test_far_clusters_run_with_runtime_warnings_as_errors(tmp_path):
+    # A process that turns every RuntimeWarning into an error: the k-NN
+    # stage's overflowing squares must not reach it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "edgeprune",
+                           "baseline-knn", "--synthetic",
+                           "blobs:separation=1e300,clusters=3,size=3", "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_commands_leave_scipy_optimize_and_spatial_unimported(tmp_path):

@@ -99,6 +99,16 @@ class TestPointSet:
         with pytest.raises(InputError):
             PointSet(np.zeros((3, 2)), labels=[0, 2, 2])
 
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros(3), "points must be a 2-D array, got ndim=1"),
+        (np.zeros((3, 0)), "points must have at least one coordinate"),
+        (np.array([[0.0], [np.inf]]), "points contain non-finite coordinates"),
+        (np.array([[0.0], [np.nan]]), "points contain non-finite coordinates"),
+    ], ids=["1-D", "no-columns", "inf", "nan"])
+    def test_unusable_arrays_rejected(self, points, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            PointSet(points)
+
     def test_points_read_only(self):
         ps = PointSet(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -111,6 +121,29 @@ class TestGenerators:
                                      "separation": 15.0, "spread": 1.0}, seed=7)
         assert ps.n == 150
         assert np.array_equal(np.bincount(ps.labels), [50, 50, 50])
+
+    def test_one_dimensional_blobs_lie_on_a_line(self):
+        # In 1-D the centres are separation apart along the one axis.
+        ps = gen_synthetic("blobs", {"clusters": 3, "size": 4, "spread": 0.0,
+                                     "separation": 2.5, "dim": 1}, seed=3)
+        assert np.array_equal(ps.points[:, 0], np.repeat([0.0, 2.5, 5.0], 4))
+        assert np.array_equal(ps.labels, np.repeat([0, 1, 2], 4))
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("blobs", {"separation": [1, 2]},
+         "blobs: separation must be finite and non-negative, got [1, 2]"),
+        ("blobs", {"foo": 1},
+         "blobs: unknown parameter 'foo'; blobs takes clusters, size, spread, "
+         "separation, dim"),
+        ("blobs", {"seed": 5},
+         "blobs: unknown parameter 'seed'; blobs takes clusters, size, spread, "
+         "separation, dim"),
+        ("moons", {"radii": 2}, "moons: unknown parameter 'radii'; moons takes size, noise"),
+    ], ids=["list-separation", "unknown-key", "seed-key", "moons-radii"])
+    def test_unusable_params_are_named(self, kind, params, message):
+        with pytest.raises(InputError) as exc:
+            gen_synthetic(kind, params)
+        assert str(exc.value) == message
 
     def test_circles_zero_noise_unit_ring_exact(self):
         ps = gen_synthetic("circles", {"radii": [1.0, 3.0], "size": 40, "noise": 0.0},

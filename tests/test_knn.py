@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import resource
 import sys
@@ -11,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import tie_heavy_points
-from edgeprune import InputError, PointSet, build_knn, gen_synthetic, knn
+from edgeprune import (InputError, NumericError, PointSet, build_knn, export_pairs,
+                       gen_synthetic, knn, mutual_knn_graph, reduce_graph, spectral_cluster)
 
 
 def allpairs_oracle(points, k):
@@ -289,14 +291,34 @@ def test_worker_exception_reaches_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_workers_run_in_the_callers_error_state(monkeypatch):
-    # numpy's error state is a context variable; a worker started outside
-    # the caller's context would warn (an error under this suite's filters)
-    # on the overflowing squares the caller chose to ignore.
+def test_workers_keep_their_own_error_state(monkeypatch):
+    # The stage sets numpy's error state in this thread and in each worker:
+    # a caller that raises on overflow gets the table all the same.
     many_chunks(monkeypatch)
     points = np.array([[0.0], [1.0], [3.0], [1e200], [-1e200]] * 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_matches_oracle(PointSet(points), 7)
+        dist, idx = allpairs_oracle(points, 7)
+    with np.errstate(over="raise", invalid="raise"):
+        nt = build_knn(PointSet(points), 7)
+    assert nt.indices.tobytes() == idx.tobytes()
+    assert nt.distances.tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("points, k, finite", [
+    (gen_synthetic("blobs", {"clusters": 3, "size": 3, "separation": 1e300}, seed=1).points,
+     2, True),
+    (1e200 * np.arange(8.0)[:, None], 3, False),
+], ids=["far-clusters", "line"])
+def test_matches_oracle_without_a_caller_error_state(points, k, finite):
+    # No np.errstate here: under this suite's filters a RuntimeWarning from
+    # the overflowing squares would be an error. Tight clusters 1e300 apart
+    # keep a finite table at k = 2; the 1e200 line's table is inf.
+    nt = build_knn(PointSet(points), k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist, idx = allpairs_oracle(points, k)
+    assert nt.indices.tobytes() == idx.tobytes()
+    assert nt.distances.tobytes() == dist.tobytes()
+    assert np.isfinite(nt.distances).all() == finite
 
 
 def test_matches_oracle_when_squares_overflow():
@@ -305,6 +327,39 @@ def test_matches_oracle_when_squares_overflow():
     points = np.array([[0.0], [1.0], [3.0], [1e200], [-1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
         assert_matches_oracle(PointSet(points), 3)
+
+
+@st.composite
+def far_scaled_points(draw):
+    """Unit-noise groups up to 1e12 apart, some points duplicated, all
+    scaled by 10**e with e in [-150, 307]; groups sit nearer where the
+    scale would take a coordinate past the float range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 40))
+    points = rng.standard_normal((n, draw(st.integers(1, 3))))
+    e = draw(st.integers(-150, 307))
+    groups = rng.integers(0, draw(st.integers(1, 4)), n)
+    points += 10.0 ** draw(st.integers(0, min(12, 307 - e))) * groups[:, None]
+    copies = draw(st.integers(0, n // 2))
+    points[n - copies:] = points[:copies]
+    return PointSet(points * 10.0 ** e)
+
+
+@given(far_scaled_points(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pipeline_on_far_scaled_points_returns_or_refuses(ps, data):
+    # No np.errstate: under this suite's filters a RuntimeWarning from any
+    # stage is an error, so each call either returns or refuses the input.
+    def refused():
+        return contextlib.suppress(InputError, NumericError)
+
+    with refused():
+        mutual_knn_graph(build_knn(ps, 2))
+    with refused():
+        g = reduce_graph(ps)
+        with refused():
+            list(spectral_cluster(g, data.draw(st.integers(2, min(ps.n, 4))), [0]))
+        export_pairs(g, g.table, 0)
 
 
 def test_collinear_hand_case():

@@ -63,6 +63,13 @@ def ari_contingency_oracle(truth, pred):
     return (index - expected) / (maximum - expected)
 
 
+@pytest.mark.parametrize("truth, pred", [([0, -1, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, -2])],
+                         ids=["truth", "pred"])
+def test_contingency_rejects_negative_labels(truth, pred):
+    with pytest.raises(InputError, match="^label ids must be non-negative$"):
+        contingency(truth, pred)
+
+
 class TestAcc:
     def test_identical_is_one(self):
         assert acc([0, 1, 2, 0], [0, 1, 2, 0]) == 1.0

@@ -66,6 +66,16 @@ class TestAffinityRows:
         a = affinity_rows(nt, ls)
         assert np.unique(a).size == 1
 
+    @pytest.mark.parametrize("sigma, message", [
+        (np.ones(39), "affinity_rows: scales and table disagree on N"),
+        (np.r_[np.ones(39), 0.0], "affinity_rows: scales must be positive"),
+        (np.r_[-1.0, np.ones(39)], "affinity_rows: scales must be positive"),
+    ], ids=["length", "zero", "negative"])
+    def test_unusable_scales_rejected(self, sigma, message):
+        nt, _ = self._table()
+        with pytest.raises(InputError, match=f"^{message}$"):
+            affinity_rows(nt, LocalScales(sigma=sigma, kth=np.ones(len(sigma), np.int64)))
+
     def test_values_in_unit_interval(self):
         nt, ls = self._table(seed=3)
         a = affinity_rows(nt, ls)
@@ -223,6 +233,12 @@ def mutualize_two_sorts(n, src, dst, weight):
 
 
 class TestMutualize:
+    @pytest.mark.parametrize("src, dst, weight", [
+        ([0, 1], [1], [0.5, 0.5]), ([0, 1], [1, 0], [0.5])], ids=["dst", "weight"])
+    def test_unequal_lengths_rejected(self, src, dst, weight):
+        with pytest.raises(InputError, match="survivor arrays must have equal length"):
+            mutualize(3, src, dst, weight)
+
     @given(st.integers(1, 25), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_two_sort_reference(self, n, data):
@@ -404,6 +420,17 @@ class TestSerialization:
         g = reduce_graph(request.getfixturevalue(name))
         save_graph(g, tmp_path / "graph.txt")
         back, _ = load_graph(tmp_path / "graph.txt")
+        for field in ("src", "dst", "weight"):
+            assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ps = gen_synthetic("moons", {"size": 20, "noise": 0.05}, seed=20)
+        g = reduce_graph(ps, 10)
+        path = tmp_path / "graph.txt"
+        save_graph(g, path)
+        header, *edges = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "\n" + "  \n".join(edges) + "\n")
+        back, _ = load_graph(path)
         for field in ("src", "dst", "weight"):
             assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
 

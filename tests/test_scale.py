@@ -83,6 +83,14 @@ class TestHistogram:
         assert h.counts.sum() == 2
         assert h.counts[-1] == 1
 
+    @pytest.mark.parametrize("values, message", [
+        ([], "histogram needs at least one value"),
+        ([0.5, -0.0, -1e-300], "histogram values must be non-negative"),
+    ], ids=["empty", "negative"])
+    def test_unusable_values_rejected(self, values, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            build_histogram(values, 1.0)
+
     def test_bad_width_rejected(self):
         with pytest.raises(InputError):
             build_histogram([1.0], 0.0)

@@ -151,7 +151,7 @@ class TestEmbed:
         with pytest.raises(NumericError):
             embed(laplacian(g), 2)
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch, caplog):
         ps = gen_synthetic("blobs", {"clusters": 2, "size": 40, "separation": 12.0},
                            seed=13)
         g = reduce_graph(ps, 15)
@@ -159,6 +159,22 @@ class TestEmbed:
         from edgeprune.spectral import _iterative_smallest
         vals, _ = _iterative_smallest(laplacian(g), 3)
         assert vals == pytest.approx(dense.eigenvalues, abs=1e-7)
+        # `embed` itself takes the LOBPCG branch above DENSE_EIG_LIMIT.
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", g.n - 1)
+        with caplog.at_level(logging.DEBUG, logger="edgeprune.spectral"):
+            iterative = embed(laplacian(g), 3)
+        assert iterative.eigenvalues == pytest.approx(dense.eigenvalues, abs=1e-7)
+        assert len(iterative.zero_rows) == 0
+        assert np.allclose(np.linalg.norm(iterative.vectors, axis=1), 1.0, atol=1e-12)
+        assert "LOBPCG solver" in caplog.text
+
+    @pytest.mark.parametrize("limit", [3000, 10], ids=["dense", "LOBPCG"])
+    def test_negative_eigenvalue_is_numeric_error(self, monkeypatch, limit):
+        # Not a Laplacian: one eigenvalue is -1.
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", limit)
+        lap = np.diag(np.r_[-1.0, np.linspace(0.0, 2.0, 39)])
+        with pytest.raises(NumericError, match="Laplacian not PSD"):
+            embed(lap, 2)
 
 
 def separable_embedding(rng, n_per=20, centers=((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))):

@@ -4,13 +4,14 @@ import importlib
 import importlib.util
 import json
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import edgeprune
-from edgeprune import spectral
+from edgeprune import save_csv, spectral
 from edgeprune.cli import main
 
 from test_cli import count_calls
@@ -103,3 +104,19 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     acc, ari, edge_pct = map(float, capsys.readouterr().out.split())
     assert 0 <= acc <= 1 and -1 <= ari <= 1 and 0 < edge_pct < 100
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # Every command under "## Command line" runs as written, in a working
+    # directory that holds the example's iris.csv (4-D, labels in column 4).
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("edgeprune ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    save_csv(edgeprune.gen_synthetic("blobs", {"clusters": 3, "size": 50, "dim": 4}, seed=2),
+             tmp_path / "iris.csv")
+    for argv in commands:  # results/ lands in tmp_path
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "results" / "metrics.csv").exists()
