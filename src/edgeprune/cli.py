@@ -40,8 +40,8 @@ from .errors import InputError, NumericError
 from .knn import build_knn
 from .metrics import acc, ari, edge_percentage
 from .pairs import export_pairs, save_pairs
-from .reduce import (ReducedGraph, affinity_rows, component_labels, default_k_max,
-                     graph_from_table, mutual_knn_graph, save_graph)
+from .reduce import (ReducedGraph, affinity_rows, default_k_max, graph_from_table,
+                     mutual_knn_graph, n_components, save_graph)
 # perfbench/spans.py wraps the name `build_reduced` and perfbench/tests patches it.
 from .reduce import reduce_graph as build_reduced
 from .scale import build_histogram, compute_scales, fd_bin_width
@@ -153,9 +153,8 @@ def _score_repeats(cfg: RunConfig, truth: np.ndarray, graph: ReducedGraph,
                    n_clusters: int):
     """Yield one metric row per seeded repeat; repeat i uses seed + i."""
     seeds = [(cfg.seed + i) % SEED_RANGE for i in range(cfg.repeats)]
-    comp = component_labels(graph)  # one pass, shared with the back end
-    shared = {"edge_pct": edge_percentage(graph), "n_components": int(comp.max()) + 1}
-    for i, result in enumerate(spectral_cluster(graph, n_clusters, seeds, comp)):
+    shared = {"edge_pct": edge_percentage(graph), "n_components": n_components(graph)}
+    for i, result in enumerate(spectral_cluster(graph, n_clusters, seeds)):
         yield {"repeat": i, "seed": seeds[i], "acc": acc(truth, result.labels),
                "ari": ari(truth, result.labels), **shared}
 
@@ -198,8 +197,6 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     """
     if not cfg.grid:
         raise InputError("sweep needs a non-empty --grid")
-    if cfg.param not in ("k-max", "baseline-k"):
-        raise InputError("--param must be 'k-max' or 'baseline-k'")
     if cfg.param == "k-max" and cfg.k_max is not None:
         raise InputError("--param k-max takes its values from --grid, not --k-max")
     ps, n_clusters = _labeled_dataset(cfg)

@@ -215,13 +215,18 @@ def _check_scale(value, what: str, positive: bool = False) -> None:
         raise InputError(f"{what} must be finite and {sign}, got {value!r}")
 
 
-def _as_floats(value, groups: int, what: str) -> list[float]:
-    if isinstance(value, (int, float, np.floating, np.integer)):
-        return [float(value)] * groups
-    vals = [float(v) for v in value]
-    if len(vals) != groups:
+def _as_floats(value, groups: int | None, what: str, name: str,
+               positive: bool = False) -> list[float]:
+    """`value` as one float per group: one real for every group, or a list
+    of one per group (with groups None, as many as given). `_check_scale`
+    checks each before it is converted, naming it `what: name`."""
+    listed = np.iterable(value) and not isinstance(value, str)
+    vals = list(value) if listed else [value] * (groups or 1)
+    for v in vals:
+        _check_scale(v, f"{what}: {name}", positive)
+    if groups is not None and len(vals) != groups:
         raise InputError(f"{what}: got {len(vals)} values for {groups} groups")
-    return vals
+    return [float(v) for v in vals]
 
 
 def _unit_vectors(theta: np.ndarray) -> np.ndarray:
@@ -242,9 +247,7 @@ def _gen_blobs(seed, clusters=3, size=50, spread=1.0, separation=10.0, dim=2):
     if clusters < 1 or dim < 1:
         raise InputError("blobs: clusters and dim must be positive")
     counts = _as_counts(size, clusters, "blobs")
-    spreads = _as_floats(spread, clusters, "blobs")
-    for s in spreads:
-        _check_scale(s, "blobs: spread")
+    spreads = _as_floats(spread, clusters, "blobs", "spread")
     _check_scale(separation, "blobs: separation")
     _check_array_size(sum(counts), dim, "blobs")
     centers = np.zeros((clusters, dim))
@@ -265,9 +268,7 @@ def _gen_blobs(seed, clusters=3, size=50, spread=1.0, separation=10.0, dim=2):
 
 
 def _gen_circles(seed, radii=(1.0, 3.0), size=200, noise=0.0):
-    radii = [float(r) for r in (radii if np.iterable(radii) else [radii])]
-    for r in radii:
-        _check_scale(r, "circles: radii", positive=True)
+    radii = _as_floats(radii, None, "circles", "radii", positive=True)
     _check_scale(noise, "circles: noise")
     counts = _as_counts(size, len(radii), "circles")
     _check_array_size(sum(counts), 2, "circles")

@@ -135,8 +135,8 @@ def _kd_blocks(c: np.ndarray) -> tuple:
     Each level splits every block of more than `_CHUNK` points along its
     widest coordinate, at the rank that gives each side whole shares of
     the ceil(size / `_CHUNK`) blocks it needs (the median when that count
-    is even), so blocks end up nearly full. One sort orders every block of
-    a level: by block, then by its coordinate's rank.
+    is even), so blocks end up nearly full. One stable sort orders every
+    block of a level: by block, then by its coordinate, ties in kd order.
     """
     n = len(c)
     order = np.arange(n)
@@ -150,9 +150,7 @@ def _kd_blocks(c: np.ndarray) -> tuple:
         widths = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
         block = np.repeat(np.arange(len(sizes)), sizes)
         key = pts[np.arange(n), np.argmax(widths, axis=1)[block]]
-        rank = np.empty(n, dtype=np.intp)
-        rank[np.argsort(key, kind="stable")] = np.arange(n)
-        order = order[np.argsort(block * n + rank)]
+        order = order[np.lexsort((key, block))]
         cuts = starts + sizes * (need // 2) // need
         bounds = np.sort(np.concatenate([bounds, cuts[need > 1]]))
     centres = np.add.reduceat(pts, starts) / sizes[:, None]
@@ -221,6 +219,20 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     thread and the workers ignore numpy's overflow and invalid flags: a
     non-finite value only makes candidates (see Screen), and the graph
     builders refuse a table with non-finite distances.
+
+    Underflow. Below tiny = 2**-1022, the smallest normal number, results
+    are subnormal and carry an absolute error of up to eps tiny, not a
+    relative one; a square below eps tiny is 0. The exact form adds d
+    non-negative squares, and a sum of subnormals is exact, so e_ij carries
+    at most d eps tiny beyond its relative rounding: at most d eps of e_ij
+    when e_ij >= tiny, but all of it below, where distinct points may get
+    distance 0 (points 1e-165 apart get an all-zero table). The square
+    root is correctly rounded and 2**-511 = sqrt(tiny) is a float, so a
+    table distance is below 2**-511 exactly when its e_ij is below tiny.
+    Only those cells are inspected: each must join two points with equal
+    coordinates, whose distance is exactly 0, or the input is refused. So
+    duplicate points run, and every other distance in the table is at
+    least 2**-511 and as accurate as the rounding bounds above say.
     """
     x = ps.points
     n, dim = x.shape
@@ -319,6 +331,9 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
 
     with ThreadPoolExecutor(workers) as pool:
         screened, candidates = sum(pool.map(rank_rows, range(workers)))
+    low = np.flatnonzero(distances < 2.0 ** -511)  # see Underflow
+    if (x.take(low // k_max, axis=0) != x.take(indices.ravel()[low], axis=0)).any():
+        raise InputError("squared distances between points underflow float64")
     log.debug("build_knn: N=%d, %d blocks, %.3f of N screened per row, "
               "%.1f candidates per row", n, blocks, screened / n / n, candidates / n)
     return NeighborTable(distances=distances, indices=indices)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -89,6 +90,13 @@ class ReducedGraph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n)
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """`component_labels(self)`, found on first use and kept, read-only."""
+        labels = component_labels(self)
+        labels.setflags(write=False)
+        return labels
 
     def to_sparse(self):
         from scipy.sparse import csr_matrix
@@ -228,7 +236,7 @@ def component_labels(g: ReducedGraph) -> np.ndarray:
 
 
 def n_components(g: ReducedGraph) -> int:
-    return int(component_labels(g).max()) + 1 if g.n else 0
+    return int(g.components.max()) + 1 if g.n else 0
 
 
 def save_graph(g: ReducedGraph, path, k_max: int | None = None,

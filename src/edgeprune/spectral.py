@@ -27,7 +27,8 @@ thread count: restarts draw from generators derived from (seed, restart
 index), and the best restart is picked by strict inertia comparison.
 
 The dense solve hands LAPACK a Fortran-ordered matrix it may overwrite,
-so no second N x N copy is made. k-means assigns points to centers the
+so no second N x N copy is made unless that solve fails (see
+`_dense_smallest`). k-means assigns points to centers the
 way `build_knn` ranks neighbors: a Gram-identity screen on the calling
 thread, then the exact difference form on the pairs the screen's
 rounding bound cannot rule out. Labels, inertia and collapse are bit
@@ -61,7 +62,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
 from .knn import _screen_slack
-from .reduce import ReducedGraph, component_labels
+from .reduce import ReducedGraph, n_components
 
 log = logging.getLogger(__name__)
 
@@ -126,11 +127,7 @@ def embed(lap, n_clusters: int) -> Embedding:
     if not 2 <= n_clusters <= n:
         raise InputError(f"cluster count must be in [2, {n}], got {n_clusters}")
     if n <= DENSE_EIG_LIMIT:
-        # In Fortran order eigh works on the array itself rather than on a
-        # hidden copy.
-        vals, vecs = scipy.linalg.eigh(lap.toarray(order="F"),
-                                       subset_by_index=[0, n_clusters - 1], overwrite_a=True)
-        solver = "dense"
+        vals, vecs, solver = _dense_smallest(lap, n_clusters)
     else:
         vals, vecs = _iterative_smallest(lap, n_clusters)
         solver = "LOBPCG"
@@ -146,6 +143,32 @@ def embed(lap, n_clusters: int) -> Embedding:
               n, n_clusters, solver, float(vals[-1]), len(zero_rows))
     return Embedding(vectors=vectors, eigenvalues=np.asarray(vals, dtype=np.float64),
                      zero_rows=zero_rows)
+
+
+def _dense_smallest(lap, k: int):
+    """The k smallest eigenpairs of a dense copy of lap, and the solver's name.
+
+    scipy's `eigh` with `subset_by_index` runs LAPACK's MRRR routine
+    (`evr`), which computes only the k wanted pairs but can fail with
+    "Internal Error" on degenerate spectra, such as a null space of many
+    components. numpy's `eigh`, LAPACK's divide and conquer (`evd`), then
+    solves a fresh copy (the failed call may have overwritten its matrix)
+    for all pairs, at about twice the time, and the k smallest are kept.
+    If that fails too, the solve is a NumericError.
+    """
+    # In Fortran order eigh works on the array itself rather than on a
+    # hidden copy.
+    try:
+        vals, vecs = scipy.linalg.eigh(lap.toarray(order="F"), subset_by_index=[0, k - 1],
+                                       overwrite_a=True)
+        return vals, vecs, "dense"
+    except scipy.linalg.LinAlgError:
+        pass  # solved again below
+    try:
+        vals, vecs = np.linalg.eigh(lap.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"dense eigensolver failed: {exc}") from exc
+    return vals[:k], vecs[:, :k], "dense (evd after evr failed)"
 
 
 def _iterative_smallest(lap, k: int):
@@ -310,8 +333,8 @@ def _lloyd(x: np.ndarray, u: np.ndarray, inverse: np.ndarray, k: int,
     return labels, inertia
 
 
-def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
-    """Seeded k-means++ with the best of KMEANS_RESTARTS restarts by inertia.
+def kmeans(x: np.ndarray, n_clusters: int, seed: Seed) -> ClusterResult:
+    """Seeded k-means++ on the rows of x, the best of KMEANS_RESTARTS restarts by inertia.
 
     Restart r uses a generator derived from (seed, r), so results equal
     sequential execution no matter how restarts are scheduled. Empty
@@ -320,7 +343,6 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     Non-finite vectors, on which no restart has a finite inertia, are refused,
     and so are vectors whose squared distances overflow.
     """
-    x = e.vectors
     if not 1 <= n_clusters <= x.shape[0]:
         raise InputError(f"cluster count must be in [1, {x.shape[0]}], got {n_clusters}")
     if not np.isfinite(x).all():
@@ -337,10 +359,9 @@ def kmeans(e: Embedding, n_clusters: int, seed: Seed) -> ClusterResult:
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
-def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | None = None):
+def _component_partition(g: ReducedGraph, n_clusters: int):
     """The partition the graph's components decide, if they decide one.
 
-    `comp` is `component_labels(g)`, computed here when not given.
     Returns (labels, m, unlinked): labels by cluster rank (0 is the
     largest root), or None when the eigensolver has to decide; m the
     component count; unlinked the components that reach no root.
@@ -355,15 +376,13 @@ def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | No
     between two rooted trees closes a cycle through m and is skipped.
     Without m, a tree's cluster is the rank of its root, if it has one.
     """
-    if comp is None:
-        comp = component_labels(g)
-    m = int(comp.max()) + 1
+    m = n_components(g)
     if m < n_clusters:
         return None, m, 0
-    roots = np.argsort(-np.bincount(comp), kind="stable")[:n_clusters]
+    roots = np.argsort(-np.bincount(g.components), kind="stable")[:n_clusters]
     pair = rank = np.empty(0, dtype=np.int64)
     if g.table is not None:
-        a, b = np.repeat(comp, g.table.k_max), comp[g.table.indices.ravel()]
+        a, b = np.repeat(g.components, g.table.k_max), g.components[g.table.indices.ravel()]
         cross = np.flatnonzero(a != b)
         a, b = a[cross], b[cross]
         pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
@@ -381,25 +400,21 @@ def _component_partition(g: ReducedGraph, n_clusters: int, comp: np.ndarray | No
     cluster[tree[roots]] = np.arange(n_clusters)
     cluster = cluster[tree]
     unlinked = int((cluster < 0).sum())
-    return (None if unlinked else cluster[comp]), m, unlinked
+    return (None if unlinked else cluster[g.components]), m, unlinked
 
 
-def spectral_cluster(g: ReducedGraph, n_clusters: int, seeds: Iterable[Seed],
-                     comp: np.ndarray | None = None) -> Iterator[ClusterResult]:
+def spectral_cluster(g: ReducedGraph, n_clusters: int,
+                     seeds: Iterable[Seed]) -> Iterator[ClusterResult]:
     """One clustering of g per seed, yielded in order.
 
     Nothing runs before the first result is asked for. When the graph's
     components decide the partition (see the module docstring), every
     seed gets it, with inertia 0. Otherwise the graph is embedded once
-    (Laplacian -> `embed`) and each seed gets its own `kmeans`. A caller
-    that already holds `component_labels(g)` passes it as `comp`, so the
-    components are found once per graph.
+    (Laplacian -> `embed`) and each seed gets its own `kmeans`.
     """
     if not 2 <= n_clusters <= g.n:
         raise InputError(f"cluster count must be in [2, {g.n}], got {n_clusters}")
-    if comp is not None and comp.shape != (g.n,):
-        raise InputError(f"graph has {g.n} vertices but {comp.shape} component labels")
-    labels, m, unlinked = _component_partition(g, n_clusters, comp)
+    labels, m, unlinked = _component_partition(g, n_clusters)
     path = ("eigensolver" if labels is None
             else "components" if m == n_clusters else "merged")
     log.debug("spectral_cluster: N=%d, m=%d components for C=%d, %s path, "
@@ -410,4 +425,4 @@ def spectral_cluster(g: ReducedGraph, n_clusters: int, seeds: Iterable[Seed],
         return
     emb = embed(laplacian(g), n_clusters)
     for seed in seeds:
-        yield kmeans(emb, n_clusters, seed)
+        yield kmeans(emb.vectors, n_clusters, seed)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
@@ -152,6 +153,28 @@ class TestClusterCommand:
         assert "eigensolver failed to converge" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_failed_dense_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        def fails(a, **kwargs):
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fails)
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        # Both dense solves fail on a graph the eigensolver decides (m < C).
+        assert main(["cluster", "--synthetic", "blobs:clusters=2,size=30", "--clusters", "3",
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numeric error: dense eigensolver failed: "
+                                           "Internal Error.\n")
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_degenerate_null_space_exits_0(self, tmp_path):
+        # LAPACK's MRRR routine fails on this graph's spectrum (54 components
+        # for 55 clusters); divide and conquer solves it.
+        assert main(["cluster", "--synthetic",
+                     "blobs:clusters=5,size=20,separation=4.424730265399182",
+                     "--seed", "551921340", "--k-max", "6", "--clusters", "55",
+                     "--out", str(tmp_path)]) == 0
+        assert read_rows(tmp_path / "metrics.csv")[0]["n_components"] == "54"
+
     def test_embeds_once_and_matches_spectral_cluster(self, tmp_path, monkeypatch):
         embeds = count_calls(monkeypatch, "embed", spectral)
         kmeans = count_calls(monkeypatch, "kmeans", spectral)
@@ -173,12 +196,14 @@ class TestClusterCommand:
         (["cluster", "--repeats", "3"], 1),
         (["sweep", "--param", "baseline-k", "--grid", "2,4"], 3)], ids=["cluster", "sweep"])
     def test_one_components_pass_per_graph(self, tmp_path, monkeypatch, argv, graphs):
-        # The CSV's n_components and the back end share one
-        # `connected_components` pass, made through `component_labels`.
+        # The CSV's n_components and the back end read the graph's
+        # `components`: one `connected_components` pass per graph, made
+        # through `component_labels`.
         passes = count_calls(monkeypatch, "connected_components", reduce)
-        labels = count_calls(monkeypatch, "component_labels")
+        labels = count_calls(monkeypatch, "component_labels", reduce)
         assert main([*argv, "--synthetic", BLOBS, "--seed", "7", "--out", str(tmp_path)]) == 0
         assert len(passes) == len(labels) == graphs
+        assert len({id(g) for g, in labels}) == graphs
 
 
 class TestSweepCommand:
@@ -400,6 +425,22 @@ class TestReduceAndPairsCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: squared distances between points overflow float64\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["reduce"], ["cluster"]])
+    @pytest.mark.parametrize("scale", [1e-165, 1e-162])
+    def test_underflowing_distances_are_one_input_error(self, tmp_path, capsys, argv, scale):
+        # Three 1-D blobs scaled down until squared distances underflow:
+        # at 1e-165 the exact form gives every pair distance 0, at 1e-162
+        # some pairs; no command builds a graph from such a table.
+        ps = gen_synthetic("blobs", {"clusters": 3, "size": 15, "dim": 1}, seed=1)
+        np.savetxt(tmp_path / "tiny.csv", np.column_stack((scale * ps.points, ps.labels)),
+                   delimiter=",")
+        code = main([argv[0], "--input", str(tmp_path / "tiny.csv"), "--label-column", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: squared distances between points underflow float64\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["baseline-knn"],

@@ -109,6 +109,10 @@ class TestPointSet:
         with pytest.raises(InputError, match=f"^{message}$"):
             PointSet(points)
 
+    def test_class_count_needs_labels(self):
+        with pytest.raises(InputError, match="^point set 'grid' has no labels$"):
+            PointSet(np.zeros((2, 2)), name="grid").n_classes
+
     def test_points_read_only(self):
         ps = PointSet(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -139,7 +143,13 @@ class TestGenerators:
          "blobs: unknown parameter 'seed'; blobs takes clusters, size, spread, "
          "separation, dim"),
         ("moons", {"radii": 2}, "moons: unknown parameter 'radii'; moons takes size, noise"),
-    ], ids=["list-separation", "unknown-key", "seed-key", "moons-radii"])
+        ("blobs", {"spread": "x"}, "blobs: spread must be finite and non-negative, got 'x'"),
+        ("blobs", {"spread": [1, "a"]},
+         "blobs: spread must be finite and non-negative, got 'a'"),
+        ("blobs", {"spread": None}, "blobs: spread must be finite and non-negative, got None"),
+        ("circles", {"radii": "ab"}, "circles: radii must be finite and positive, got 'ab'"),
+    ], ids=["list-separation", "unknown-key", "seed-key", "moons-radii", "text-spread",
+            "text-in-spreads", "none-spread", "text-radii"])
     def test_unusable_params_are_named(self, kind, params, message):
         with pytest.raises(InputError) as exc:
             gen_synthetic(kind, params)

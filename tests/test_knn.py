@@ -329,15 +329,32 @@ def test_matches_oracle_when_squares_overflow():
         assert_matches_oracle(PointSet(points), 3)
 
 
+@pytest.mark.parametrize("gap, refused", [
+    (1e-165, True),  # the square is below the smallest subnormal: distance 0
+    (1e-160, True),  # a subnormal square: distance off by 6e-6, not by rounding
+    (np.nextafter(2.0 ** -511, 0.0), True),  # the largest gap whose square is subnormal
+    (2.0 ** -511, False),  # its square is the smallest normal number
+    (0.0, False),  # exact duplicates
+], ids=["zero", "subnormal", "below-bound", "at-bound", "duplicates"])
+def test_underflowing_distances_are_refused(gap, refused):
+    points = PointSet(np.array([[0.0], [gap], [1.0], [2.0]]))
+    if refused:
+        with pytest.raises(InputError, match="^squared distances between points underflow"):
+            build_knn(points, 2)
+    else:
+        assert_matches_oracle(points, 2)
+
+
 @st.composite
 def far_scaled_points(draw):
     """Unit-noise groups up to 1e12 apart, some points duplicated, all
-    scaled by 10**e with e in [-150, 307]; groups sit nearer where the
-    scale would take a coordinate past the float range."""
+    scaled by 10**e with e in [-170, 307]; groups sit nearer where the
+    scale would take a coordinate past the float range. Below about
+    e = -154 distances underflow and the input is refused."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(3, 40))
     points = rng.standard_normal((n, draw(st.integers(1, 3))))
-    e = draw(st.integers(-150, 307))
+    e = draw(st.integers(-170, 307))
     groups = rng.integers(0, draw(st.integers(1, 4)), n)
     points += 10.0 ** draw(st.integers(0, min(12, 307 - e))) * groups[:, None]
     copies = draw(st.integers(0, n // 2))

@@ -169,15 +169,18 @@ class TestExportPairs:
             assert (p < 3) != (q < 3)  # sampled from the far triangle
         assert per_point.tolist() == [2] * 6
 
-    def test_zero_degree_point_contributes_nothing(self):
+    def test_zero_degree_point_contributes_nothing(self, caplog):
         g = cycle_graph(4)
         g = mutualize(5, g.src, g.dst, g.weight)  # vertex 4 isolated
         theta = 2.0 * np.pi * np.arange(4) / 4
         pts = np.vstack([np.stack([np.cos(theta), np.sin(theta)], 1), [[9.0, 9.0]]])
         nt = build_knn(PointSet(pts), 3)
+        caplog.set_level(logging.DEBUG, logger="edgeprune.pairs")
         result = export_pairs(g, nt, seed=0)
         assert all(p != 4 for p, _ in result.negatives.tolist())
         assert all(4 not in pair for pair in result.positives.tolist())
+        assert [r.getMessage() for r in caplog.records] == [
+            "point 4 has no mutual edges; contributes no pairs"]
 
     def test_positives_independent_of_seed(self, dataset_b):
         g = reduce_graph(dataset_b, 10)

@@ -15,11 +15,10 @@ from edgeprune import (InputError, NumericError, PointSet, ReducedGraph, ari, bu
                        embed, gen_synthetic, kmeans, laplacian, mutual_knn_graph, mutualize,
                        n_components, reduce_graph, spectral_cluster)
 from conftest import tie_heavy_tables
-from edgeprune import spectral
+from edgeprune import reduce, spectral
 from edgeprune.data import spawn_rng
 from edgeprune.reduce import component_labels, load_graph, save_graph
-from edgeprune.spectral import (KMEANS_MAX_ITER, KMEANS_RESTARTS, Embedding, _assign,
-                                _component_partition)
+from edgeprune.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, _assign, _component_partition
 
 
 def complete_block_graph(blocks, weight=1.0):
@@ -168,6 +167,45 @@ class TestEmbed:
         assert np.allclose(np.linalg.norm(iterative.vectors, axis=1), 1.0, atol=1e-12)
         assert "LOBPCG solver" in caplog.text
 
+    def test_degenerate_null_space_is_solved(self):
+        # 54 components for 55 clusters: on this input LAPACK's MRRR routine
+        # stops with "Internal Error" (seen at 1 and 2 BLAS threads).
+        ps = gen_synthetic("blobs", {"clusters": 5, "size": 20,
+                                     "separation": 4.424730265399182}, seed=551921340)
+        g = reduce_graph(ps, 6)
+        assert n_components(g) == 54
+        lap = laplacian(g)
+        emb = embed(lap, 55)
+        assert emb.eigenvalues == pytest.approx(np.linalg.eigvalsh(lap.toarray())[:55],
+                                                abs=1e-8)
+        assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0, atol=1e-12)
+        assert next(spectral_cluster(g, 55, [0])).labels.shape == (100,)
+
+    def test_failed_mrrr_solve_falls_back_to_evd(self, dataset_a, monkeypatch, caplog):
+        lap = laplacian(reduce_graph(dataset_a))
+        expected = embed(lap, 3)
+
+        def mrrr_fails(a, **kwargs):
+            a[:] = np.nan  # a failed call may leave its matrix overwritten
+            raise scipy.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", mrrr_fails)
+        with caplog.at_level(logging.DEBUG, logger="edgeprune.spectral"):
+            emb = embed(lap, 3)
+        assert emb.eigenvalues == pytest.approx(expected.eigenvalues, abs=1e-10)
+        assert ari(dataset_a.labels, kmeans(emb.vectors, 3, 0).labels) == 1.0
+        assert "dense (evd after evr failed) solver" in caplog.text
+
+    def test_failed_dense_solve_is_numeric_error(self, monkeypatch):
+        def fails(a, **kwargs):
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fails)
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        g = complete_block_graph([list(range(6)), list(range(6, 12))])
+        with pytest.raises(NumericError, match="^dense eigensolver failed: Internal Error.$"):
+            embed(laplacian(g), 2)
+
     @pytest.mark.parametrize("limit", [3000, 10], ids=["dense", "LOBPCG"])
     def test_negative_eigenvalue_is_numeric_error(self, monkeypatch, limit):
         # Not a Laplacian: one eigenvalue is -1.
@@ -180,31 +218,27 @@ class TestEmbed:
 def separable_embedding(rng, n_per=20, centers=((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))):
     pts = np.vstack([c + rng.normal(0, 0.1, (n_per, 2)) for c in centers])
     truth = np.repeat(np.arange(len(centers)), n_per)
-    emb = Embedding(vectors=pts, eigenvalues=np.zeros(2),
-                    zero_rows=np.array([], dtype=np.int64))
-    return emb, truth
+    return pts, truth
 
 
 class TestKmeans:
     def test_separable_groups_recovered(self):
-        emb, truth = separable_embedding(np.random.default_rng(0))
-        result = kmeans(emb, 3, seed=5)
+        x, truth = separable_embedding(np.random.default_rng(0))
+        result = kmeans(x, 3, seed=5)
         assert ari(truth, result.labels) == 1.0
         assert not result.collapsed
 
     def test_same_seed_identical(self):
-        emb, _ = separable_embedding(np.random.default_rng(1))
-        a = kmeans(emb, 3, seed=42)
-        b = kmeans(emb, 3, seed=42)
+        x, _ = separable_embedding(np.random.default_rng(1))
+        a = kmeans(x, 3, seed=42)
+        b = kmeans(x, 3, seed=42)
         assert np.array_equal(a.labels, b.labels)
         assert a.inertia == b.inertia
 
     def test_inertia_beats_random_assignments(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 2))
-        emb = Embedding(vectors=x, eigenvalues=np.zeros(2),
-                        zero_rows=np.array([], dtype=np.int64))
-        result = kmeans(emb, 3, seed=1)
+        result = kmeans(x, 3, seed=1)
         for _ in range(50):
             labels = np.concatenate([np.arange(3), rng.integers(0, 3, 27)])
             rng.shuffle(labels)
@@ -215,40 +249,30 @@ class TestKmeans:
     def test_all_ids_used_on_degenerate_data(self):
         x = np.zeros((8, 2))
         x[7] = [5.0, 5.0]
-        emb = Embedding(vectors=x, eigenvalues=np.zeros(2),
-                        zero_rows=np.array([], dtype=np.int64))
-        result = kmeans(emb, 2, seed=0)
+        result = kmeans(x, 2, seed=0)
         assert set(result.labels.tolist()) == {0, 1}
 
     def test_collapse_flagged_on_identical_points(self):
-        emb = Embedding(vectors=np.zeros((6, 2)), eigenvalues=np.zeros(2),
-                        zero_rows=np.array([], dtype=np.int64))
-        result = kmeans(emb, 3, seed=0)
+        result = kmeans(np.zeros((6, 2)), 3, seed=0)
         assert result.collapsed
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vectors_rejected(self, bad):
         x = np.arange(8.0).reshape(4, 2)
         x[2, 1] = bad
-        emb = Embedding(vectors=x, eigenvalues=np.zeros(2),
-                        zero_rows=np.array([], dtype=np.int64))
         with pytest.raises(InputError, match="finite"):
-            kmeans(emb, 2, seed=0)
+            kmeans(x, 2, seed=0)
 
     def test_overflowing_squared_distances_rejected(self):
         # Finite vectors whose squared distances overflow to inf: the
         # seeding's draw probabilities would be NaN.
-        emb = Embedding(vectors=np.array([[0.0], [1e200], [-1e200], [5.0]]),
-                        eigenvalues=np.zeros(2), zero_rows=np.array([], dtype=np.int64))
         with pytest.raises(InputError, match="overflow"):
-            kmeans(emb, 2, seed=0)
+            kmeans(np.array([[0.0], [1e200], [-1e200], [5.0]]), 2, seed=0)
 
     @pytest.mark.parametrize("n_clusters", [0, -1, 5])
     def test_cluster_count_outside_one_to_n_rejected(self, n_clusters):
-        emb = Embedding(vectors=np.arange(8.0).reshape(4, 2), eigenvalues=np.zeros(2),
-                        zero_rows=np.array([], dtype=np.int64))
         with pytest.raises(InputError):
-            kmeans(emb, n_clusters, seed=0)
+            kmeans(np.arange(8.0).reshape(4, 2), n_clusters, seed=0)
 
 
 class TestSpectralCluster:
@@ -300,7 +324,7 @@ class TestSpectralCluster:
         assert len(calls) == 1
         emb = embed(laplacian(g), 2)
         for seed, result in zip([5, 6, 2**64 - 1], results, strict=True):
-            expected = kmeans(emb, 2, seed)
+            expected = kmeans(emb.vectors, 2, seed)
             assert np.array_equal(result.labels, expected.labels)
             assert result.inertia == expected.inertia
             assert result.collapsed == expected.collapsed
@@ -411,7 +435,7 @@ class TestComponentPath:
         # and k-means separates them whatever basis the solver returns.
         g, m = case
         assert n_components(g) == m
-        njw = kmeans(embed(laplacian(g), m), m, seed)
+        njw = kmeans(embed(laplacian(g), m).vectors, m, seed)
         result = next(spectral_cluster(g, m, [seed]))
         assert np.array_equal(canonical(result.labels), canonical(njw.labels))
         assert np.array_equal(canonical(result.labels), canonical(component_labels(g)))
@@ -470,21 +494,28 @@ class TestComponentPath:
         g = mutual_knn_graph(build_knn(dataset_c, 2))
         labels, m, unlinked = _component_partition(g, 2)
         assert (labels, m, unlinked) == (None, 116, 55)
-        expected = kmeans(embed(laplacian(g), 2), 2, 4)
+        expected = kmeans(embed(laplacian(g), 2).vectors, 2, 4)
         embeds = []
         monkeypatch.setattr(spectral, "embed", lambda *a: embeds.append(a) or embed(*a))
         result = next(spectral_cluster(g, 2, [4]))
         assert len(embeds) == 1
         assert result.labels.tobytes() == expected.labels.tobytes()
 
-    def test_given_component_labels_are_used_as_is(self, dataset_c, monkeypatch):
+    def test_components_found_once_per_graph(self, dataset_c, monkeypatch):
+        # The graph keeps its components, so every reader shares one
+        # `connected_components` pass over the vertices.
+        passes = []
+        found = reduce.connected_components
+        monkeypatch.setattr(reduce, "connected_components",
+                            lambda *a, **kw: passes.append(a) or found(*a, **kw))
         g = reduce_graph(dataset_c)  # m = 8 > C = 2: merged
         expected = next(spectral_cluster(g, 2, [0])).labels
-        comp = component_labels(g)
-        monkeypatch.setattr(spectral, "component_labels", None)  # no second pass
-        assert next(spectral_cluster(g, 2, [0], comp)).labels.tobytes() == expected.tobytes()
-        with pytest.raises(InputError, match="component labels"):
-            next(spectral_cluster(g, 2, [0], comp[:-1]))
+        assert n_components(g) == n_components(g) == 8
+        assert next(spectral_cluster(g, 2, [0])).labels.tobytes() == expected.tobytes()
+        assert len(list(spectral_cluster(g, 3, [0, 1]))) == 2
+        assert len(passes) == 1
+        assert not g.components.flags.writeable
+        assert g.components.tobytes() == component_labels(g).tobytes()
 
     def test_graph_without_table_uses_components_only_when_m_equals_c(self, tmp_path,
                                                                        dataset_a,
@@ -641,8 +672,7 @@ class TestAssign:
         # distance is finite; the labels are still the exact ones.
         x = 1e160 + np.array([[0.0], [1e153], [2e153], [3e153]])
         assert_assign_matches(x, x[[0, 3]])
-        result = kmeans(Embedding(vectors=x, eigenvalues=np.zeros(2),
-                                  zero_rows=np.array([], dtype=np.int64)), 2, seed=0)
+        result = kmeans(x, 2, seed=0)
         assert result.labels.tolist() in ([0, 0, 1, 1], [1, 1, 0, 0])
 
     def test_allocates_no_point_center_coordinate_tensor(self):
@@ -667,9 +697,7 @@ def manyclust_embedding(seed):
 
 
 def assert_kmeans_matches(x, n_clusters, seed):
-    emb = Embedding(vectors=x, eigenvalues=np.zeros(n_clusters),
-                    zero_rows=np.array([], dtype=np.int64))
-    result = kmeans(emb, n_clusters, seed)
+    result = kmeans(x, n_clusters, seed)
     labels, inertia, collapsed = reference_kmeans(x, n_clusters, seed)
     assert result.labels.tobytes() == labels.tobytes()
     assert np.float64(result.inertia).tobytes() == np.float64(inertia).tobytes()
@@ -729,10 +757,9 @@ class TestKmeansMatchesTensorForm:
 
         rng = np.random.default_rng(3)
         x = np.repeat(np.eye(40), 50, axis=0) + 0.05 * rng.standard_normal((2000, 40))
-        emb = Embedding(vectors=x / np.linalg.norm(x, axis=1, keepdims=True),
-                        eigenvalues=np.zeros(40), zero_rows=np.array([], dtype=np.int64))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
         time.sleep(0.5)  # let threads started by earlier tests go idle
-        kmeans(emb, 40, seed=0)
+        kmeans(x, 40, seed=0)
         before = cpu_s()
         time.sleep(0.3)
         assert cpu_s() - before < 0.05
@@ -827,8 +854,7 @@ class TestKmeansOnDistinctRows:
 
         x = np.asarray(np.repeat(manyclust_embedding(3).vectors, 5, axis=0), order=order)
         monkeypatch.setattr(spectral, "_assign", recording)
-        kmeans(Embedding(vectors=x, eigenvalues=np.zeros(40),
-                         zero_rows=np.array([], dtype=np.int64)), 40, seed=1)
+        kmeans(x, 40, seed=1)
         distinct = distinct_row_count(x)
         assert distinct <= len(x) // 5
         assert seen and max(seen) <= distinct
@@ -838,7 +864,7 @@ class TestLogging:
     def test_embed_and_kmeans_report_at_debug(self, dataset_a, caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="edgeprune.spectral")
         emb = embed(laplacian(reduce_graph(dataset_a)), 3)
-        result = kmeans(emb, 3, seed=0)
+        result = kmeans(emb.vectors, 3, seed=0)
         assert [r.getMessage() for r in caplog.records] == [
             f"embed: N=300, C=3, dense solver, largest eigenvalue {float(emb.eigenvalues[-1])!r}, "
             "0 zero rows",
