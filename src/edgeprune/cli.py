@@ -234,16 +234,16 @@ def cmd_reduce(cfg: RunConfig) -> ReducedGraph:
     """Build the reduced graph and save it (plus optional diagnostics)."""
     graph = build_reduced(load_dataset(cfg), cfg.k_max, cfg.seventh_neighbor_scale)
     nt = graph.table
-    path = _output(cfg, "graph.txt")
-    save_graph(graph, path, k_max=nt.k_max, seed=cfg.seed)
-    print(f"n={graph.n} ordered_edges={graph.edge_count} "
-          f"e%={edge_percentage(graph):.4f}")
-    print(f"wrote {path}")
     if cfg.similarity_histogram:
-        # The histogram always shows the adaptive-scale affinities.
+        # Always the adaptive-scale affinities; made first, so a failed run writes nothing.
         scales = compute_scales(nt) if cfg.seventh_neighbor_scale else graph.scales
         values = affinity_rows(nt, scales).ravel()
         hist = build_histogram(values, fd_bin_width(values))
+    path = _output(cfg, "graph.txt")
+    save_graph(graph, path, k_max=nt.k_max, seed=cfg.seed)
+    print(f"n={graph.n} ordered_edges={graph.edge_count} e%={edge_percentage(graph):.4f}")
+    print(f"wrote {path}")
+    if cfg.similarity_histogram:
         edges = hist.edges.tolist()
         _write_csv(cfg, "similarity_histogram.csv", ["bin_lo", "bin_hi", "count"],
                    [{"bin_lo": lo, "bin_hi": hi, "count": count}

@@ -217,10 +217,10 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     group at once, and its exception is raised here. So at most
     `_SCRATCH_ROWS` rows are re-ranked at a time over all workers. This
     thread and the workers ignore numpy's overflow and invalid flags: a
-    non-finite value only makes candidates (see Screen), and the graph
-    builders refuse a table with non-finite distances.
+    non-finite value only makes candidates (see Screen), and a non-finite
+    table distance is refused (see Range).
 
-    Underflow. Below tiny = 2**-1022, the smallest normal number, results
+    Range. Below tiny = 2**-1022, the smallest normal number, results
     are subnormal and carry an absolute error of up to eps tiny, not a
     relative one; a square below eps tiny is 0. The exact form adds d
     non-negative squares, and a sum of subnormals is exact, so e_ij carries
@@ -230,9 +230,11 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     root is correctly rounded and 2**-511 = sqrt(tiny) is a float, so a
     table distance is below 2**-511 exactly when its e_ij is below tiny.
     Only those cells are inspected: each must join two points with equal
-    coordinates, whose distance is exactly 0, or the input is refused. So
-    duplicate points run, and every other distance in the table is at
-    least 2**-511 and as accurate as the rounding bounds above say.
+    coordinates, whose distance is exactly 0, or the input is refused. At
+    the other end, e_ij overflows for points sqrt(max) = 1.34e154 apart
+    (max the largest float64), and such a table is refused too. So duplicate
+    points run, and every other distance is in [2**-511, fl(sqrt(max))],
+    as accurate as the rounding bounds above say, and squares to a normal.
     """
     x = ps.points
     n, dim = x.shape
@@ -331,9 +333,11 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
 
     with ThreadPoolExecutor(workers) as pool:
         screened, candidates = sum(pool.map(rank_rows, range(workers)))
-    low = np.flatnonzero(distances < 2.0 ** -511)  # see Underflow
+    low = np.flatnonzero(distances < 2.0 ** -511)  # see Range
     if (x.take(low // k_max, axis=0) != x.take(indices.ravel()[low], axis=0)).any():
         raise InputError("squared distances between points underflow float64")
+    if not np.isfinite(distances).all():  # see Range
+        raise InputError("squared distances between points overflow float64")
     log.debug("build_knn: N=%d, %d blocks, %.3f of N screened per row, "
               "%.1f candidates per row", n, blocks, screened / n / n, candidates / n)
     return NeighborTable(distances=distances, indices=indices)

@@ -11,9 +11,9 @@ entries at or above the cutoff survive, so the maximum always does. An
 edge enters the final graph only when it survived the rows of both of
 its endpoints.
 
-The surviving edge set is invariant under uniform coordinate scaling:
-distances and scales stretch together, so the affinities - and hence the
-row statistics and thresholds - do not move.
+The graph reads only ratios: scaling every coordinate by a power of 2
+leaves it invariant, or refused where a distance or a scale product leaves
+float64's normal range (bar a subnormal square in a normal distance sum).
 """
 
 from __future__ import annotations
@@ -114,14 +114,24 @@ def affinity(d: float, sigma_p: float, sigma_q: float) -> float:
 
 
 def affinity_rows(nt: NeighborTable, ls: LocalScales) -> np.ndarray:
-    """Affinity of every (point, neighbor) cell of the table, shape (N, k_max)."""
+    """Affinity of every (point, neighbor) cell of the table, shape (N, k_max).
+
+    Each scale product s = sigma_p * sigma_q is formed once and must be a
+    normal float64 (finite, >= tiny = 2**-1022), or the input is refused.
+    With d^2 0 or normal (`build_knn`, Range), scaling the coordinates by
+    2**e then keeps the bits of r = d^2 / s. A subnormal s is off by up to
+    eps tiny (eps = 2**-53), and where d > 0, d^2 >= tiny > s: r and exp(-r)
+    are off by up to eps r^2 relative, 5.6e5 eps where exp(-r) > 0 (r < 745).
+    """
     if ls.sigma.shape[0] != nt.n:
         raise InputError("affinity_rows: scales and table disagree on N")
     if np.any(ls.sigma <= 0):
         raise InputError("affinity_rows: scales must be positive")
-    sigma_p = ls.sigma[:, None]
-    sigma_q = ls.sigma[nt.indices]
-    return np.exp(-(nt.distances * nt.distances) / (sigma_p * sigma_q))
+    with np.errstate(over="ignore"):  # products refused below; ratios give exp(-inf) = 0
+        s = ls.sigma[:, None] * ls.sigma[nt.indices]
+        if not (s.min() >= np.finfo(np.float64).tiny and np.isfinite(s.max())):
+            raise InputError("scale products sigma_p * sigma_q leave float64's normal range")
+        return np.exp(-(nt.distances * nt.distances) / s)
 
 
 def threshold_row(row) -> tuple[np.ndarray, RowThreshold]:
@@ -189,19 +199,12 @@ def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):
     return src, nt.indices[src, col], affinities[src, col]
 
 
-def _check_finite(nt: NeighborTable) -> None:
-    """Refuse a table with non-finite distances: build_knn's, where squares overflow."""
-    if not np.all(np.isfinite(nt.distances)):
-        raise InputError("squared distances between points overflow float64")
-
-
 def graph_from_table(nt: NeighborTable, seventh_neighbor: bool = False) -> ReducedGraph:
     """Table-to-graph half of the pipeline: scales -> affinities -> threshold -> mutual.
 
     The scales are `compute_scales`, or with `seventh_neighbor` the fixed
     `seventh_neighbor_scales` of comparison runs; the graph keeps them and the table.
     """
-    _check_finite(nt)
     ls = seventh_neighbor_scales(nt) if seventh_neighbor else compute_scales(nt)
     a = affinity_rows(nt, ls)
     return replace(mutualize(nt.n, *threshold_survivors(a, nt)), table=nt, scales=ls)
@@ -209,7 +212,6 @@ def graph_from_table(nt: NeighborTable, seventh_neighbor: bool = False) -> Reduc
 
 def mutual_knn_graph(nt: NeighborTable) -> ReducedGraph:
     """The comparison foil: unit-weight edge iff each point is in the other's k-NN."""
-    _check_finite(nt)
     src = np.repeat(np.arange(nt.n, dtype=np.int64), nt.k_max)
     return replace(mutualize(nt.n, src, nt.indices.ravel(), np.ones(src.size)), table=nt)
 

@@ -26,13 +26,11 @@ every thread count. The NJW path is deterministic for a fixed seed and
 thread count: restarts draw from generators derived from (seed, restart
 index), and the best restart is picked by strict inertia comparison.
 
-The dense solve hands LAPACK a Fortran-ordered matrix it may overwrite,
-so no second N x N copy is made unless that solve fails (see
-`_dense_smallest`). k-means assigns points to centers the
-way `build_knn` ranks neighbors: a Gram-identity screen on the calling
-thread, then the exact difference form on the pairs the screen's
-rounding bound cannot rule out. Labels, inertia and collapse are bit
-for bit those of the exact form on every (point, center) pair.
+k-means assigns points to centers the way `build_knn` ranks neighbors:
+a Gram-identity screen on the calling thread, then the exact difference
+form on the pairs the screen's rounding bound cannot rule out. Labels,
+inertia and collapse are bit for bit those of the exact form on every
+(point, center) pair.
 
 k-means does its distance work once per distinct embedding row: row
 normalization maps each connected component to one point, so thousands
@@ -120,27 +118,26 @@ def embed(lap, n_clusters: int) -> Embedding:
     Rows whose norm is numerically zero (isolated vertices) are left zero
     and reported in `zero_rows`. `lap` may be dense or sparse; it is read
     as CSR, and a dense array is never modified. Up to DENSE_EIG_LIMIT
-    vertices it is solved densely, above it by LOBPCG.
+    vertices it is solved densely, above it by LOBPCG; any residual
+    |Lv - lambda v| above 1e-6 is a NumericError.
     """
     lap = scipy.sparse.csr_matrix(lap)
     n = lap.shape[0]
     if not 2 <= n_clusters <= n:
         raise InputError(f"cluster count must be in [2, {n}], got {n_clusters}")
-    if n <= DENSE_EIG_LIMIT:
-        vals, vecs, solver = _dense_smallest(lap, n_clusters)
-    else:
-        vals, vecs = _iterative_smallest(lap, n_clusters)
-        solver = "LOBPCG"
+    solve = _dense_smallest if n <= DENSE_EIG_LIMIT else _iterative_smallest
+    vals, vecs, solver = solve(lap, n_clusters)
+    worst = float(np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max())
+    if not worst <= 1e-6:  # NaN fails this test too
+        raise NumericError(f"eigensolver failed to converge: residual {worst:.3e}")
     if not vals[0] >= -1e-9:  # NaN fails this test too
         raise NumericError(f"Laplacian not PSD: smallest eigenvalue {vals[0]:.3e}")
     norms = np.linalg.norm(vecs, axis=1)
     zero_rows = np.nonzero(norms <= _ZERO_ROW_TOL)[0]
-    safe = norms.copy()
-    safe[norms <= _ZERO_ROW_TOL] = 1.0
-    vectors = vecs / safe[:, None]
+    vectors = vecs / np.where(norms <= _ZERO_ROW_TOL, 1.0, norms)[:, None]
     vectors[zero_rows] = 0.0
-    log.debug("embed: N=%d, C=%d, %s solver, largest eigenvalue %r, %d zero rows",
-              n, n_clusters, solver, float(vals[-1]), len(zero_rows))
+    log.debug("embed: N=%d, C=%d, %s solver, worst residual %.3g, largest eigenvalue %r, "
+              "%d zero rows", n, n_clusters, solver, worst, float(vals[-1]), len(zero_rows))
     return Embedding(vectors=vectors, eigenvalues=np.asarray(vals, dtype=np.float64),
                      zero_rows=zero_rows)
 
@@ -157,7 +154,7 @@ def _dense_smallest(lap, k: int):
     If that fails too, the solve is a NumericError.
     """
     # In Fortran order eigh works on the array itself rather than on a
-    # hidden copy.
+    # hidden copy, so no second N x N copy is made unless this solve fails.
     try:
         vals, vecs = scipy.linalg.eigh(lap.toarray(order="F"), subset_by_index=[0, k - 1],
                                        overwrite_a=True)
@@ -172,7 +169,7 @@ def _dense_smallest(lap, k: int):
 
 
 def _iterative_smallest(lap, k: int):
-    """Smallest eigenpairs by blocked iteration (LOBPCG).
+    """The k smallest eigenpairs by blocked iteration (LOBPCG), and the solver's name.
 
     A block of k vectors resolves degenerate eigenvalues (one zero per
     connected component) that single-vector Lanczos would miss. The
@@ -182,15 +179,11 @@ def _iterative_smallest(lap, k: int):
     n = lap.shape[0]
     x0 = np.random.default_rng(np.random.SeedSequence(0x5EED)).standard_normal((n, k))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # convergence is checked via residuals
+        warnings.simplefilter("ignore")  # `embed` checks convergence by residuals
         vals, vecs = scipy.sparse.linalg.lobpcg(lap, x0, largest=False,
                                                 tol=1e-10, maxiter=5000)
-    residual = lap @ vecs - vecs * vals
-    worst = float(np.linalg.norm(residual, axis=0).max())
-    if not worst <= 1e-6:  # NaN fails this test too
-        raise NumericError(f"eigensolver failed to converge: residual {worst:.3e}")
     order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], "LOBPCG"
 
 
 def _assign(x: np.ndarray, centers: np.ndarray):

@@ -63,3 +63,16 @@ def tie_heavy_tables(draw, max_n=40):
     """k-NN table of a `tie_heavy_points` set, at a drawn k_max."""
     ps = draw(tie_heavy_points(max_n))
     return build_knn(ps, draw(st.integers(1, ps.n - 1)))
+
+
+def copies_beside_simplex(dim: int, copies: int, seed: int) -> np.ndarray:
+    """`copies` copies of the origin beside the `dim` vertices of a unit
+    simplex whose coordinates are jittered by 1e-15.
+
+    At a k_max below `copies`, each copy's k-NN row is all zero, so its
+    local scale falls back to the table's Freedman-Diaconis width, about
+    1e-15 of the simplex's.
+    """
+    rng = np.random.default_rng(seed)
+    simplex = np.eye(dim) + 1e-15 * rng.standard_normal((dim, dim))
+    return np.vstack([np.zeros((copies, dim)), simplex])

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from conftest import copies_beside_simplex
 from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
                        build_histogram, build_knn, compute_scales, fd_bin_width,
                        gen_synthetic, mutual_knn_graph, n_components, save_csv,
@@ -395,10 +396,10 @@ class TestReduceAndPairsCommands:
         rng = np.random.default_rng(0)
         save_csv(PointSet(np.eye(12) + 1e-12 * rng.standard_normal((12, 12))),
                  tmp_path / "simplex.csv")
+        # The histogram is made before graph.txt is written, so nothing is.
         assert main(["reduce", "--input", str(tmp_path / "simplex.csv"),
-                     "--similarity-histogram", "--out", str(tmp_path)]) == 3
-        assert (tmp_path / "graph.txt").exists()
-        assert not (tmp_path / "similarity_histogram.csv").exists()
+                     "--similarity-histogram", "--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_pairs_builds_one_table(self, tmp_path, monkeypatch):
         calls = [count_calls(monkeypatch, "build_knn", m) for m in (cli, reduce)]
@@ -441,6 +442,43 @@ class TestReduceAndPairsCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: squared distances between points underflow float64\n"
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def copies_csv(tmp_path, scale):
+        # Labels in column 10: the three copies are class 0, the simplex 1.
+        points = np.column_stack((scale * copies_beside_simplex(10, 3, 0),
+                                  np.repeat([0, 1], [3, 10])))
+        np.savetxt(tmp_path / "copies.csv", points, delimiter=",")
+        return ["--input", str(tmp_path / "copies.csv"), "--label-column", "10"]
+
+    @pytest.mark.parametrize("argv", [["reduce"], ["pairs"], ["cluster"]],
+                             ids=["reduce", "pairs", "cluster"])
+    @pytest.mark.parametrize("mode", [[], ["--seventh-neighbor-scale"]], ids=["adaptive", "7th"])
+    def test_underflowing_scale_products_are_one_input_error(self, tmp_path, capsys, argv,
+                                                              mode):
+        # Three copies of the origin beside a simplex, scaled by 1e-150: the
+        # copies' scales, about 1e-165, multiply to 0. At scale 1 the graph
+        # is the copies' triangle.
+        assert main(["reduce", *self.copies_csv(tmp_path, 1.0), "--k-max", "2", *mode,
+                     "--out", str(tmp_path / "one")]) == 0
+        assert json.loads((tmp_path / "one" / "graph.txt").read_text().splitlines()[0])[
+            "edges"] == 6
+        capsys.readouterr()
+        assert main([*argv, *self.copies_csv(tmp_path, 1e-150), "--k-max", "2", *mode,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: scale products sigma_p * sigma_q "
+                                           "leave float64's normal range\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_similarity_histogram_writes_nothing(self, tmp_path, capsys):
+        # At k_max 3, 33 of the 39 affinities are exp(-3) to within 1e-15, so
+        # the Freedman-Diaconis width is 1.6e-16: the copies' affinities of 1
+        # would need 6.27e15 bins.
+        assert main(["reduce", *self.copies_csv(tmp_path, 1.0), "--k-max", "3",
+                     "--similarity-histogram", "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric error: histogram would need 6.27e+15 bins")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["baseline-knn"],

@@ -293,15 +293,22 @@ def test_worker_exception_reaches_caller(monkeypatch):
 
 def test_workers_keep_their_own_error_state(monkeypatch):
     # The stage sets numpy's error state in this thread and in each worker:
-    # a caller that raises on overflow gets the table all the same.
+    # a caller that raises on overflow gets the table all the same. Three
+    # tight clusters 1e300 apart, screened three rows at a time: their
+    # squares overflow, but every row's 7 neighbors are in its own cluster.
     many_chunks(monkeypatch)
-    points = np.array([[0.0], [1.0], [3.0], [1e200], [-1e200]] * 4)
+    points = gen_synthetic("blobs", {"clusters": 3, "size": 10, "separation": 1e300},
+                           seed=2).points
     with np.errstate(over="ignore", invalid="ignore"):
         dist, idx = allpairs_oracle(points, 7)
     with np.errstate(over="raise", invalid="raise"):
         nt = build_knn(PointSet(points), 7)
     assert nt.indices.tobytes() == idx.tobytes()
     assert nt.distances.tobytes() == dist.tobytes()
+    assert np.isfinite(nt.distances).all()
+
+
+OVERFLOW = "^squared distances between points overflow float64$"
 
 
 @pytest.mark.parametrize("points, k, finite", [
@@ -312,21 +319,30 @@ def test_workers_keep_their_own_error_state(monkeypatch):
 def test_matches_oracle_without_a_caller_error_state(points, k, finite):
     # No np.errstate here: under this suite's filters a RuntimeWarning from
     # the overflowing squares would be an error. Tight clusters 1e300 apart
-    # keep a finite table at k = 2; the 1e200 line's table is inf.
-    nt = build_knn(PointSet(points), k)
+    # keep a finite table at k = 2; the 1e200 line's table would be inf,
+    # and is refused.
     with np.errstate(over="ignore", invalid="ignore"):
         dist, idx = allpairs_oracle(points, k)
+    assert np.isfinite(dist).all() == finite
+    if not finite:
+        with pytest.raises(InputError, match=OVERFLOW):
+            build_knn(PointSet(points), k)
+        return
+    nt = build_knn(PointSet(points), k)
     assert nt.indices.tobytes() == idx.tobytes()
     assert nt.distances.tobytes() == dist.tobytes()
-    assert np.isfinite(nt.distances).all() == finite
 
 
 def test_matches_oracle_when_squares_overflow():
     # Squared norms overflow, so every screened value is non-finite and each
-    # row falls back to all its points; the near pairs still rank exactly.
+    # row falls back to all its points. The oracle's table holds inf (the
+    # far points' neighbors are 1e200 away), and exactly then the input is
+    # refused.
     points = np.array([[0.0], [1.0], [3.0], [1e200], [-1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_matches_oracle(PointSet(points), 3)
+        assert not np.isfinite(allpairs_oracle(points, 3)[0]).all()
+        with pytest.raises(InputError, match=OVERFLOW):
+            build_knn(PointSet(points), 3)
 
 
 @pytest.mark.parametrize("gap, refused", [

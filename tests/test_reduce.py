@@ -2,10 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tie_heavy_tables
+from conftest import copies_beside_simplex, tie_heavy_points, tie_heavy_tables
 from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affinity,
                        affinity_rows, build_knn, compute_scales, export_pairs,
                        fd_bin_width, gen_synthetic, graph_from_table, load_graph,
@@ -75,6 +75,29 @@ class TestAffinityRows:
         nt, _ = self._table()
         with pytest.raises(InputError, match=f"^{message}$"):
             affinity_rows(nt, LocalScales(sigma=sigma, kth=np.ones(len(sigma), np.int64)))
+
+    TINY = np.finfo(np.float64).tiny
+
+    @pytest.mark.parametrize("sigma, d, expected", [
+        ((1.0, TINY), 2.0 ** -511, np.exp(-1.0)),  # s = 2**-1022, the smallest normal
+        ((1.0, np.nextafter(TINY, 0.0)), 2.0 ** -511, None),  # the largest subnormal s
+        ((1e-170, 1e-170), 2.0 ** -511, None),  # s rounds to 0
+        ((1.0, np.finfo(np.float64).max), 2.0 ** -511, 1.0),  # the largest finite s
+        ((1e155, 1e155), 2.0 ** -511, None),  # s overflows to inf
+        ((1.0, np.nan), 2.0 ** -511, None),
+        ((1.0, TINY), 1e154, 0.0),  # d^2 / s overflows: the affinity is 0
+    ], ids=["at-bound", "below-bound", "zero", "at-max", "overflow", "nan", "ratio-overflow"])
+    def test_scale_products_outside_the_normal_range_are_refused(self, sigma, d, expected):
+        # Two points d apart; at d = 2**-511, d^2 = 2**-1022, so at s = 2**-1022
+        # the ratio is 1. No np.errstate: no overflow warns.
+        nt = NeighborTable(distances=np.full((2, 1), d), indices=np.array([[1], [0]]))
+        ls = LocalScales(sigma=np.array(sigma), kth=np.ones(2, np.int64))
+        if expected is None:
+            with pytest.raises(InputError, match=r"^scale products sigma_p \* sigma_q "
+                                                 r"leave float64's normal range$"):
+                affinity_rows(nt, ls)
+        else:
+            assert affinity_rows(nt, ls).tolist() == [[expected]] * 2
 
     def test_values_in_unit_interval(self):
         nt, ls = self._table(seed=3)
@@ -357,6 +380,51 @@ class TestReduceGraph:
         g = reduce_graph(ps)  # N - 1 = 19 < 50
         assert g.n == 20
         assert g.edge_set() == reduce_graph(ps, 19).edge_set()
+
+
+@st.composite
+def scalable_cases(draw):
+    """(points, k_max, e): copies of the origin beside a jittered simplex at
+    a k_max below the copy count, or a tie-heavy set at any k_max; e keeps
+    every nonzero coordinate normal and finite when scaled by 2**e, so the
+    scaled points are exactly the drawn ones times 2**e. Half the draws
+    take e in [-520, -440], where the copies' scale products underflow."""
+    if draw(st.booleans()):
+        copies = draw(st.integers(2, 5))
+        points = copies_beside_simplex(draw(st.integers(2, 10)), copies,
+                                       draw(st.integers(0, 2**32 - 1)))
+        k = draw(st.integers(1, copies - 1))
+    else:
+        points = draw(tie_heavy_points()).points
+        k = draw(st.integers(1, len(points) - 1))
+    exponents = np.frexp(np.abs(points[points != 0]))[1]
+    lo, hi = -1021 - exponents.min(initial=0), 1024 - exponents.max(initial=0)
+    e = draw(st.one_of(st.integers(lo, hi), st.integers(max(lo, -520), min(hi, -440))))
+    return points, k, int(e)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("seventh", [False, True], ids=["adaptive", "seventh"])
+    @given(scalable_cases())
+    # Three copies beside a 10-D simplex scaled by about 1e-150: the copies'
+    # scale products underflow to 0, which once gave a graph of no edges.
+    @example((copies_beside_simplex(10, 3, 0), 2, -498))
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_keeps_the_graph_or_refuses(self, seventh, case):
+        # No np.errstate: under this suite's filters a RuntimeWarning from any
+        # stage is an error, so each call either returns or refuses the input.
+        points, k, e = case
+
+        def graph(x):
+            try:
+                return reduce_graph(PointSet(x), k, seventh)
+            except (InputError, NumericError):
+                return None
+
+        base, scaled = graph(points), graph(np.ldexp(points, e))
+        if base is not None and scaled is not None:
+            for attr in ("src", "dst", "weight"):
+                assert np.array_equal(getattr(scaled, attr), getattr(base, attr)), attr
 
 
 class TestComponents:

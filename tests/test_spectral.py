@@ -156,7 +156,7 @@ class TestEmbed:
         g = reduce_graph(ps, 15)
         dense = embed(laplacian(g), 3)
         from edgeprune.spectral import _iterative_smallest
-        vals, _ = _iterative_smallest(laplacian(g), 3)
+        vals, _, _ = _iterative_smallest(laplacian(g), 3)
         assert vals == pytest.approx(dense.eigenvalues, abs=1e-7)
         # `embed` itself takes the LOBPCG branch above DENSE_EIG_LIMIT.
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", g.n - 1)
@@ -204,6 +204,28 @@ class TestEmbed:
         monkeypatch.setattr(np.linalg, "eigh", fails)
         g = complete_block_graph([list(range(6)), list(range(6, 12))])
         with pytest.raises(NumericError, match="^dense eigensolver failed: Internal Error.$"):
+            embed(laplacian(g), 2)
+
+    @pytest.mark.parametrize("path", ["evr", "evd", "LOBPCG"])
+    def test_every_solve_has_its_residual_checked(self, monkeypatch, path):
+        # Each solver returns the true eigenvalues, with 1e-3 of another
+        # eigenvector added to each vector; `embed` refuses them whatever ran.
+        g = complete_block_graph([list(range(6)), list(range(6, 12))])
+        vals, vecs = np.linalg.eigh(laplacian(g).toarray())
+        off = 1e-3 * np.roll(vecs, 1, axis=1)
+
+        def solve(a, x0=None, subset_by_index=None, **kwargs):
+            if path == "evd" and subset_by_index is not None:
+                raise scipy.linalg.LinAlgError("Internal Error.")
+            k = (x0.shape[1] if x0 is not None
+                 else subset_by_index[1] + 1 if subset_by_index else len(vals))
+            return vals[:k], vecs[:, :k] + off[:, :k]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", solve)
+        monkeypatch.setattr(np.linalg, "eigh", solve)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", solve)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10 if path == "LOBPCG" else 3000)
+        with pytest.raises(NumericError, match="^eigensolver failed to converge: residual "):
             embed(laplacian(g), 2)
 
     @pytest.mark.parametrize("limit", [3000, 10], ids=["dense", "LOBPCG"])
@@ -863,11 +885,15 @@ class TestKmeansOnDistinctRows:
 class TestLogging:
     def test_embed_and_kmeans_report_at_debug(self, dataset_a, caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="edgeprune.spectral")
-        emb = embed(laplacian(reduce_graph(dataset_a)), 3)
+        lap = laplacian(reduce_graph(dataset_a))
+        emb = embed(lap, 3)
         result = kmeans(emb.vectors, 3, seed=0)
+        vals, vecs, _ = spectral._dense_smallest(lap, 3)
+        worst = np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max()
+        assert 0 < worst <= 1e-6
         assert [r.getMessage() for r in caplog.records] == [
-            f"embed: N=300, C=3, dense solver, largest eigenvalue {float(emb.eigenvalues[-1])!r}, "
-            "0 zero rows",
+            f"embed: N=300, C=3, dense solver, worst residual {worst:.3g}, "
+            f"largest eigenvalue {float(emb.eigenvalues[-1])!r}, 0 zero rows",
             # Three components, each embedded as one point.
             f"kmeans: 3 distinct rows of 300, best inertia {result.inertia!r}, collapsed False",
         ]

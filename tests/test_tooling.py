@@ -77,6 +77,28 @@ def test_benchmark_counts_the_pairs_it_writes(tmp_path):
     assert values["pairs.negatives"] == labels.count(0) > 0
 
 
+def test_benchmark_traces_the_eigensolver_path(tmp_path):
+    # Three blobs 2 apart make one component for three clusters (m < C), so
+    # the op builds one graph, embeds it once, densely, and runs k-means
+    # per repeat: a signature change in `laplacian`, `embed` or `kmeans`
+    # that the tracer cannot follow fails here.
+    tracer = load_spans().Tracer(edgeprune)
+    tracer.install()
+    try:
+        assert tracer.run_op(lambda: main(["cluster", "--synthetic",
+                                           "blobs:clusters=3,size=40,separation=2",
+                                           "--repeats", "2", "--out", str(tmp_path / "out")])) == 0
+        tracer.finish_op(tmp_path / "scratch")
+    finally:
+        tracer.uninstall()
+    values = tracer.op_values[0]
+    assert values["reduce.components"] == 1
+    assert values["spectral.embed.calls"] == 1
+    assert values["spectral.dense_calls"] == 1
+    assert values["spectral.embed_useful_ratio"] == 1.0
+    assert len(set(tracer.graph_shas[0])) == 1
+
+
 def test_commands_call_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
     # The tracer sees a call only when it goes through the name it wraps
     # in cli's globals.
