@@ -40,7 +40,7 @@ def spawn_rng(seed: Seed, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *stream]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """N points in R^d with optional ground-truth labels.
 

@@ -62,7 +62,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborTable:
     """Per-point sorted nearest neighbors: row r lists r's k_max closest points."""
 

@@ -57,10 +57,6 @@ class PairCounts:
     n01: int
     n10: int
 
-    @property
-    def total(self) -> int:
-        return self.n11 + self.n00 + self.n01 + self.n10
-
     @classmethod
     def from_labels(cls, truth, pred) -> "PairCounts":
         m = contingency(truth, pred)
@@ -111,5 +107,7 @@ def ari(truth, pred) -> float:
 
 
 def edge_percentage(g: ReducedGraph) -> float:
-    """Surviving ordered pairs over the full graph size N*N."""
+    """Surviving ordered pairs over the full graph size N*N, N >= 1."""
+    if g.n == 0:
+        raise InputError("edge_percentage: graph has no vertices")
     return g.edge_count / float(g.n * g.n)

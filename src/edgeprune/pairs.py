@@ -24,7 +24,7 @@ from .reduce import ReducedGraph
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
     """Training pairs as read-only (P, 2) int64 arrays, one pair per row."""
 

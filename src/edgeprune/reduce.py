@@ -32,21 +32,8 @@ from .scale import LocalScales, compute_scales, seventh_neighbor_scales
 
 DEFAULT_K_MAX = 50
 
-BRANCH_HIGH = "high"
-BRANCH_LOW = "low"
 
-
-@dataclass(frozen=True)
-class RowThreshold:
-    """Cutoff chosen for one affinity row: mu + sd or mu - sd."""
-
-    mu: float
-    sd: float
-    t: float
-    branch: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedGraph:
     """Sparse mutual affinity graph on n vertices.
 
@@ -65,8 +52,8 @@ class ReducedGraph:
     directed_src: np.ndarray
     directed_dst: np.ndarray
     directed_weight: np.ndarray
-    table: NeighborTable | None = field(default=None, compare=False, repr=False)
-    scales: LocalScales | None = field(default=None, compare=False, repr=False)
+    table: NeighborTable | None = field(default=None, repr=False)
+    scales: LocalScales | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for arr in (self.src, self.dst, self.weight,
@@ -104,13 +91,25 @@ class ReducedGraph:
         return csr_matrix((self.weight, (self.src, self.dst)), shape=(self.n, self.n))
 
 
+def _scaled_exp(d, sigma_p, sigma_q):
+    """exp(-d^2 / s) with s = sigma_p * sigma_q, elementwise, or InputError
+    when some product s is not a normal float64 (finite, >= tiny = 2**-1022)."""
+    with np.errstate(over="ignore"):  # products refused below; ratios give exp(-inf) = 0
+        s = sigma_p * sigma_q
+        if not (s.min() >= np.finfo(np.float64).tiny and np.isfinite(s.max())):
+            raise InputError("scale products sigma_p * sigma_q leave float64's normal range")
+        return np.exp(-(d * d) / s)
+
+
 def affinity(d: float, sigma_p: float, sigma_q: float) -> float:
-    """Similarity of two points: exp(-d^2 / (sigma_p * sigma_q)), in (0, 1]."""
-    if not (np.isfinite(d) and np.isfinite(sigma_p) and np.isfinite(sigma_q)):
-        raise InputError("affinity: inputs must be finite")
+    """Similarity of two points: exp(-d^2 / (sigma_p * sigma_q)), in [0, 1].
+
+    The scalar reference for `affinity_rows`, with its range rule."""
+    if not np.isfinite(d):
+        raise InputError("affinity: distance must be finite")
     if sigma_p <= 0 or sigma_q <= 0:
         raise InputError(f"affinity: scales must be positive, got {sigma_p}, {sigma_q}")
-    return float(np.exp(-(d * d) / (sigma_p * sigma_q)))
+    return float(_scaled_exp(np.float64(d), np.float64(sigma_p), np.float64(sigma_q)))
 
 
 def affinity_rows(nt: NeighborTable, ls: LocalScales) -> np.ndarray:
@@ -127,32 +126,24 @@ def affinity_rows(nt: NeighborTable, ls: LocalScales) -> np.ndarray:
         raise InputError("affinity_rows: scales and table disagree on N")
     if np.any(ls.sigma <= 0):
         raise InputError("affinity_rows: scales must be positive")
-    with np.errstate(over="ignore"):  # products refused below; ratios give exp(-inf) = 0
-        s = ls.sigma[:, None] * ls.sigma[nt.indices]
-        if not (s.min() >= np.finfo(np.float64).tiny and np.isfinite(s.max())):
-            raise InputError("scale products sigma_p * sigma_q leave float64's normal range")
-        return np.exp(-(nt.distances * nt.distances) / s)
+    return _scaled_exp(nt.distances, ls.sigma[:, None], ls.sigma[nt.indices])
 
 
-def threshold_row(row) -> tuple[np.ndarray, RowThreshold]:
-    """Indices of surviving entries of one affinity row, plus the cutoff used.
+def threshold_row(row) -> tuple[np.ndarray, float]:
+    """Indices of surviving entries of one affinity row, and the cutoff t.
 
-    Branch selection is strict (max > mu + sd chooses the high branch);
-    retention keeps entries >= cutoff, so the kept set is never empty.
-    This is the per-row reference that `threshold_survivors` reproduces
-    on every row of an affinity table.
+    With mu and sd the row's mean and population std, t is mu + sd when
+    max > mu + sd (strictly), otherwise mu - sd; entries >= t survive, so
+    the kept set is never empty. This is the per-row reference that
+    `threshold_survivors` reproduces on every row of an affinity table.
     """
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.size == 0:
         raise InputError("threshold_row: empty row")
     mu = float(row.mean())
     sd = float(row.std())
-    if float(row.max()) > mu + sd:
-        t, branch = mu + sd, BRANCH_HIGH
-    else:
-        t, branch = mu - sd, BRANCH_LOW
-    kept = np.nonzero(row >= t)[0]
-    return kept, RowThreshold(mu=mu, sd=sd, t=t, branch=branch)
+    t = mu + sd if float(row.max()) > mu + sd else mu - sd
+    return np.nonzero(row >= t)[0], t
 
 
 def mutualize(n: int, src, dst, weight) -> ReducedGraph:
@@ -189,8 +180,10 @@ def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):
 
     All rows are thresholded at once; the survivors of row p are those
     `threshold_row(affinities[p])` keeps, in row order, with rows in
-    ascending order.
+    ascending order. The rows are read in C order, as `threshold_row`
+    reads each one: their sums then add the same terms in the same order.
     """
+    affinities = np.ascontiguousarray(affinities)
     mu = affinities.mean(axis=1)
     sd = affinities.std(axis=1)
     high = affinities.max(axis=1) > mu + sd

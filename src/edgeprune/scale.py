@@ -33,7 +33,7 @@ from .knn import NeighborTable
 MAX_BINS = 2**24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Fixed-width histogram anchored at 0."""
 
@@ -41,7 +41,7 @@ class Histogram:
     counts: np.ndarray  # per-bin value counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalScales:
     """sigma[p] > 0 is the scale of point p, read from its first kth[p] neighbors."""
 

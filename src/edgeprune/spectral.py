@@ -17,8 +17,9 @@ looks at the components first:
     skipped. When m = C, the roots alone are the answer;
   * when m < C, or when some component reaches no root (as with any
     graph without a table and m > C), it falls back to NJW: Laplacian,
-    eigenvectors of the smallest C eigenvalues with row normalization,
-    then seeded k-means with KMEANS_RESTARTS restarts.
+    eigenvectors of the smallest C eigenvalues with row normalization
+    (a row of numerically zero norm, as an isolated vertex can give, is
+    left zero), then seeded k-means with KMEANS_RESTARTS restarts.
 
 The component path uses no seed, and its tree weighs edges by whole
 ranks, exact in float64, so its labels are the same for every seed and
@@ -73,16 +74,16 @@ KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
-    """Spectral coordinates: rows are unit length unless flagged as zero."""
+    """Spectral coordinates: each row is unit length, or zero where the
+    eigenvectors leave it numerically zero (an isolated vertex)."""
 
     vectors: np.ndarray     # (N, C)
     eigenvalues: np.ndarray  # ascending, length C
-    zero_rows: np.ndarray   # indices of rows left identically zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterResult:
     """One clustering: a label per vertex, with the k-means inertia and
     collapse flag. On the component path there is no k-means: the inertia
@@ -116,7 +117,7 @@ def embed(lap, n_clusters: int) -> Embedding:
     """Eigenvectors of the C smallest eigenvalues, rows normalized to unit length.
 
     Rows whose norm is numerically zero (isolated vertices) are left zero
-    and reported in `zero_rows`. `lap` may be dense or sparse; it is read
+    and counted in the DEBUG line. `lap` may be dense or sparse; it is read
     as CSR, and a dense array is never modified. Up to DENSE_EIG_LIMIT
     vertices it is solved densely, above it by LOBPCG; any residual
     |Lv - lambda v| above 1e-6 is a NumericError.
@@ -133,13 +134,12 @@ def embed(lap, n_clusters: int) -> Embedding:
     if not vals[0] >= -1e-9:  # NaN fails this test too
         raise NumericError(f"Laplacian not PSD: smallest eigenvalue {vals[0]:.3e}")
     norms = np.linalg.norm(vecs, axis=1)
-    zero_rows = np.nonzero(norms <= _ZERO_ROW_TOL)[0]
-    vectors = vecs / np.where(norms <= _ZERO_ROW_TOL, 1.0, norms)[:, None]
-    vectors[zero_rows] = 0.0
+    zero = norms <= _ZERO_ROW_TOL
+    vectors = vecs / np.where(zero, 1.0, norms)[:, None]
+    vectors[zero] = 0.0
     log.debug("embed: N=%d, C=%d, %s solver, worst residual %.3g, largest eigenvalue %r, "
-              "%d zero rows", n, n_clusters, solver, worst, float(vals[-1]), len(zero_rows))
-    return Embedding(vectors=vectors, eigenvalues=np.asarray(vals, dtype=np.float64),
-                     zero_rows=zero_rows)
+              "%d zero rows", n, n_clusters, solver, worst, float(vals[-1]), zero.sum())
+    return Embedding(vectors=vectors, eigenvalues=np.asarray(vals, dtype=np.float64))
 
 
 def _dense_smallest(lap, k: int):

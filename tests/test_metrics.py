@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeprune import InputError, PairCounts, acc, ari, edge_percentage, mutualize
+from edgeprune import (InputError, PairCounts, acc, ari, edge_percentage, load_graph,
+                       mutualize)
 from edgeprune.metrics import contingency
 
 from conftest import random_labels
@@ -202,7 +203,7 @@ class TestAri:
 def test_pair_counts_sum_identity(n, c, seed):
     rng = np.random.default_rng(seed)
     counts = PairCounts.from_labels(random_labels(rng, n, c), random_labels(rng, n, c))
-    assert counts.total == n * (n - 1) // 2
+    assert counts.n11 + counts.n00 + counts.n01 + counts.n10 == n * (n - 1) // 2
 
 
 @given(st.integers(4, 30), st.integers(2, 4), st.integers(0, 10_000))
@@ -235,6 +236,13 @@ class TestEdgePercentage:
     def test_empty_graph_zero(self):
         g = mutualize(4, np.array([], int), np.array([], int), np.array([]))
         assert edge_percentage(g) == 0.0
+
+    def test_graph_without_vertices_rejected(self, tmp_path):
+        # load_graph accepts n = 0; its graph has no N*N to divide by.
+        (tmp_path / "g.txt").write_text('{"edges": 0, "n": 0}\n')
+        g, _ = load_graph(tmp_path / "g.txt")
+        with pytest.raises(InputError, match="^edge_percentage: graph has no vertices$"):
+            edge_percentage(g)
 
     def test_complete_mutual_graph(self):
         n = 5

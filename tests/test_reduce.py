@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import copies_beside_simplex, tie_heavy_points, tie_heavy_tables
 from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affinity,
-                       affinity_rows, build_knn, compute_scales, export_pairs,
-                       fd_bin_width, gen_synthetic, graph_from_table, load_graph,
-                       mutual_knn_graph, mutualize, n_components, reduce_graph, save_graph,
-                       threshold_row)
+                       affinity_rows, build_histogram, build_knn, compute_scales, embed,
+                       export_pairs, fd_bin_width, gen_synthetic, graph_from_table, kmeans,
+                       laplacian, load_graph, mutual_knn_graph, mutualize, n_components,
+                       reduce_graph, save_graph, threshold_row)
 from edgeprune.reduce import component_labels, default_k_max, threshold_survivors
 from edgeprune.scale import LocalScales, seventh_neighbor_scales
 
@@ -89,15 +89,18 @@ class TestAffinityRows:
     ], ids=["at-bound", "below-bound", "zero", "at-max", "overflow", "nan", "ratio-overflow"])
     def test_scale_products_outside_the_normal_range_are_refused(self, sigma, d, expected):
         # Two points d apart; at d = 2**-511, d^2 = 2**-1022, so at s = 2**-1022
-        # the ratio is 1. No np.errstate: no overflow warns.
+        # the ratio is 1. No np.errstate: no overflow warns. The scalar
+        # reference applies the same rule.
         nt = NeighborTable(distances=np.full((2, 1), d), indices=np.array([[1], [0]]))
         ls = LocalScales(sigma=np.array(sigma), kth=np.ones(2, np.int64))
         if expected is None:
-            with pytest.raises(InputError, match=r"^scale products sigma_p \* sigma_q "
-                                                 r"leave float64's normal range$"):
-                affinity_rows(nt, ls)
+            for call in (lambda: affinity_rows(nt, ls), lambda: affinity(d, *sigma)):
+                with pytest.raises(InputError, match=r"^scale products sigma_p \* sigma_q "
+                                                     r"leave float64's normal range$"):
+                    call()
         else:
             assert affinity_rows(nt, ls).tolist() == [[expected]] * 2
+            assert affinity(d, *sigma) == expected
 
     def test_values_in_unit_interval(self):
         nt, ls = self._table(seed=3)
@@ -107,25 +110,25 @@ class TestAffinityRows:
 
 class TestThresholdRow:
     def test_high_branch_hand_case(self):
-        kept, rt = threshold_row([0.9, 0.1, 0.1, 0.1])
-        assert rt.branch == "high"
-        assert rt.mu == pytest.approx(0.3)
-        assert rt.sd == pytest.approx(np.sqrt(0.12))
-        assert rt.t == pytest.approx(0.3 + np.sqrt(0.12))
+        # mu = 0.3, sd = sqrt(0.12): the max 0.9 exceeds mu + sd, so the
+        # cutoff is the high branch's.
+        kept, t = threshold_row([0.9, 0.1, 0.1, 0.1])
+        assert t == pytest.approx(0.3 + np.sqrt(0.12))
         assert kept.tolist() == [0]
 
     def test_constant_row_low_branch_keeps_all(self):
-        kept, rt = threshold_row([0.5, 0.5, 0.5])
-        assert rt.branch == "low"
-        assert rt.sd == 0.0
-        assert rt.t == 0.5
+        # sd = 0, so both branches give t = mu.
+        kept, t = threshold_row([0.5, 0.5, 0.5])
+        assert t == 0.5
         assert kept.tolist() == [0, 1, 2]
 
     def test_max_equal_to_cutoff_takes_low_branch(self):
         # mu = 0.5, sd = 0.3: the max 0.8 equals mu + sd, and the branch
         # test is strict, so the low branch keeps both entries.
-        kept, rt = threshold_row([0.2, 0.8])
-        assert rt.branch == "low"
+        row = np.array([0.2, 0.8])
+        assert row.max() == row.mean() + row.std()
+        kept, t = threshold_row(row)
+        assert t == row.mean() - row.std()
         assert kept.tolist() == [0, 1]
 
     def test_empty_row_rejected(self):
@@ -137,17 +140,15 @@ class TestThresholdRow:
     @settings(max_examples=200, deadline=None)
     def test_never_empty_and_branch_rule(self, row):
         row = np.asarray(row)
-        kept, rt = threshold_row(row)
+        kept, t = threshold_row(row)
         assert kept.size >= 1
         assert int(np.argmax(row)) in kept.tolist()
+        # threshold_row sums the row as this test does, so t has these bits.
         mu, sd = row.mean(), row.std()
-        if row.max() > mu + sd:
-            assert rt.branch == "high" and rt.t == pytest.approx(mu + sd)
-        else:
-            assert rt.branch == "low" and rt.t == pytest.approx(mu - sd)
-        assert np.all(row[kept] >= rt.t)
+        assert t == (mu + sd if row.max() > mu + sd else mu - sd)
+        assert np.all(row[kept] >= t)
         dropped = np.setdiff1d(np.arange(row.size), kept)
-        assert np.all(row[dropped] < rt.t)
+        assert np.all(row[dropped] < t)
 
 
 def graph_from_pairs(n, pairs, weight=0.5):
@@ -207,12 +208,37 @@ class TestThresholdSurvivors:
         nt = NeighborTable(distances=np.zeros((n, k)), indices=indices)
         assert_survivors_match_rows(a, nt)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_row_in_either_memory_layout(self, order):
+        # Summed column by column, as a Fortran-ordered table's rows would
+        # be, this row's cutoff rounds to 0.2000000000000001 and drops column 7.
+        a = np.array(np.tile([0.1, 0.7, 0.6, 0.6, 0.7, 0.6, 0.1, 0.2], (2, 1)), order=order)
+        nt = NeighborTable(distances=np.zeros((2, 8)), indices=np.tile(np.arange(8), (2, 1)))
+        kept, t = threshold_row(a[0])
+        assert kept.tolist() == [1, 2, 3, 4, 5, 7] and t == 0.19999999999999996
+        assert_survivors_match_rows(a, nt)
+        assert threshold_survivors(a, nt)[1].tolist() == kept.tolist() * 2
+
+    @pytest.mark.parametrize("fixture", ["dataset_a", "dataset_b", "dataset_c"])
+    def test_fortran_ordered_fixtures(self, fixture, request):
+        nt = build_knn(request.getfixturevalue(fixture), 50)
+        assert_survivors_match_rows(np.asfortranarray(affinity_rows(nt, compute_scales(nt))), nt)
+
 
 class TestGraphFromTable:
     def test_equals_reduce_graph(self, dataset_b):
         nt = build_knn(dataset_b, 20)
         g = graph_from_table(nt)
         ref = reduce_graph(dataset_b, 20)
+        for got, want in ((g.src, ref.src), (g.dst, ref.dst), (g.weight, ref.weight)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fixture", ["dataset_a", "dataset_b", "dataset_c"])
+    def test_fortran_ordered_table(self, fixture, request):
+        nt = build_knn(request.getfixturevalue(fixture), 50)
+        ft = NeighborTable(distances=np.asfortranarray(nt.distances),
+                           indices=np.asfortranarray(nt.indices))
+        g, ref = graph_from_table(ft), graph_from_table(nt)
         for got, want in ((g.src, ref.src), (g.dst, ref.dst), (g.weight, ref.weight)):
             assert np.array_equal(got, want)
 
@@ -236,6 +262,24 @@ class TestGraphFromTable:
         assert np.array_equal(g.scales.kth, ls.kth)
         assert np.array_equal(g.table.distances, nt.distances)
         assert np.array_equal(g.table.indices, nt.indices)
+
+
+def test_array_records_compare_by_identity():
+    # Field-wise equality of array fields would raise on two distinct
+    # records; each array record is its own value instead, and hashable.
+    ps = gen_synthetic("blobs", {"clusters": 2, "size": 20}, seed=3)
+    g, twin = reduce_graph(ps, 10), reduce_graph(ps, 10)
+    assert g == g and g != twin
+    assert np.array_equal(g.weight, twin.weight)
+    emb = embed(laplacian(g), 2)
+    records = [ps, g.table, g.scales, build_histogram(g.table.distances.ravel(), 0.5), g,
+               emb, kmeans(emb.vectors, 2, 0), export_pairs(g, g.table, 0)]
+    assert [type(r).__name__ for r in records] == [
+        "PointSet", "NeighborTable", "LocalScales", "Histogram", "ReducedGraph",
+        "Embedding", "ClusterResult", "PairSet"]
+    for r in records:
+        assert r == r and r != dataclasses.replace(r)
+        assert len({r, r, dataclasses.replace(r)}) == 2
 
 
 def mutualize_two_sorts(n, src, dst, weight):

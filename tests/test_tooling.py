@@ -1,5 +1,6 @@
 """Checks on the test configuration and on the names the benchmark relies on."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -57,6 +58,19 @@ def test_benchmark_traced_names_exist():
         for name in names:
             assert callable(getattr(package_module, name, None)), f"{module}.{name}"
     assert isinstance(spectral.DENSE_EIG_LIMIT, int)
+
+
+def test_benchmark_reads_these_record_fields():
+    # perfbench/tests builds a ReducedGraph from its first seven fields by
+    # position; the tracer reads the other fields named here.
+    def names(record):
+        return [f.name for f in dataclasses.fields(record)]
+
+    assert names(edgeprune.ReducedGraph)[:7] == [
+        "n", "src", "dst", "weight", "directed_src", "directed_dst", "directed_weight"]
+    assert "kth" in names(edgeprune.LocalScales)
+    assert {"inertia", "collapsed"} <= set(names(edgeprune.ClusterResult))
+    assert {"positives", "negatives"} <= set(names(edgeprune.PairSet))
 
 
 def test_benchmark_counts_the_pairs_it_writes(tmp_path):
