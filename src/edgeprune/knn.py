@@ -27,14 +27,26 @@ The blocks run on a pool of threads, one per usable CPU (the process's
 affinity set). Each block writes only its own rows of the table, and each
 row is the exact one whichever thread screens it, so the table does not
 depend on the worker count or the scheduling; the pool is joined before
-`build_knn` returns. The product is numpy's own einsum loop, never BLAS:
-a threaded BLAS product leaves its worker threads spinning on the other
-cores for about 0.1 s after each call, longer than the whole k-NN stage
-at a few thousand points, so the stages after it would run beside busy
-cores and their time would depend on what else the machine runs.
+`build_knn` returns. The products run on BLAS, but only on the calling
+thread: a threaded BLAS product leaves its worker threads spinning on the
+other cores for about 0.1 s after each call, longer than the whole k-NN
+stage at a few thousand points, so the stages after it would run beside
+busy cores and their time would depend on what else the machine runs.
+`_product` therefore computes a product in tiles of at most
+`_BLAS_SERIAL_MNK` = 262,144 multiply-adds (M x N x K): OpenBLAS runs a
+matrix product of at most SMP_THRESHOLD_MIN x GEMM_MULTITHREAD_THRESHOLD
+= 65536 x 4 multiply-adds on the calling thread, whatever its thread
+count. (numpy sends a one-row or one-column tile to gemv, which OpenBLAS
+keeps serial up to a larger size.) Rows are split only when
+K > 262,144 / M, and tiles are split evenly, so a tile is one row by one
+column (a dot product, which OpenBLAS threads above 10,000 terms) only
+when the whole product is, or when K > 131,072. The screen's slack holds
+for any product kernel (see `_screen_slack`), so the tiling moves no bit
+of the table.
 
 At DEBUG, the `edgeprune.knn` logger reports the block count, the mean
-share of N screened per row and the mean number of candidates per row.
+share of N screened per row, the mean number of candidates per row, the
+number of BLAS product calls and the largest call's multiply-adds.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ log = logging.getLogger(__name__)
 
 _CHUNK = 64           # points per kd block: the rows one worker screens at once
 _SCRATCH_ROWS = 256   # rows in flight over all workers: caps workers and re-rank groups
+_BLAS_SERIAL_MNK = 262_144  # multiply-adds per product call (see the module docstring)
 
 
 def _usable_cpus() -> int:
@@ -101,7 +114,8 @@ def _screen_slack(norm_sums: np.ndarray, dim: int) -> np.ndarray:
     s = fl(Q_a + Q_b - 2 a.b) for the screened value, with Q the computed
     squared norms, and e = fl(sum((a - b)**2)) for the exact form. With
     the standard model fl(x op y) = (x op y)(1 + delta), |delta| <= u, and
-    any summation order (so any product kernel):
+    any summation order (so any product kernel; a fused multiply-add rounds
+    once where the model allows two, so it is covered too):
       * screen: the norms and the dot product carry gamma_d q each
         (|a.b| <= q / 2 before the factor 2); the sum and the subtraction
         at most 3u q, using r <= 2q. So |s - r| <= (2d + 3) u q.
@@ -124,6 +138,35 @@ def _screen_slack(norm_sums: np.ndarray, dim: int) -> np.ndarray:
     norm_sums *= 4 * (dim + 6) * 2.0 ** -53
     norm_sums += (dim + 4) * np.finfo(np.float64).tiny
     return norm_sums
+
+
+def _spans(total: int, most: int) -> list:
+    """The fewest consecutive slices that cover range(total) with at most
+    `most` each; their lengths differ by at most one."""
+    count = max(1, -(-total // most))
+    edges = [i * total // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _tiles(m: int, n: int, k: int) -> tuple:
+    """Row and column slices tiling an (m x k) by (k x n) product: every
+    tile has at most `_BLAS_SERIAL_MNK` multiply-adds when k is at most
+    that, and rows are split only when a one-column tile would exceed it."""
+    rows = _spans(m, max(1, _BLAS_SERIAL_MNK // max(k, 1)))
+    height = -(-m // len(rows))
+    return rows, _spans(n, max(1, _BLAS_SERIAL_MNK // (max(height, 1) * max(k, 1))))
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> tuple:
+    """`a @ b` into `out`, one BLAS call per tile of `_tiles`, each on the
+    calling thread (see the module docstring). Returns the number of calls
+    and the largest call's multiply-adds."""
+    (m, k), n = a.shape, b.shape[1]
+    rows, cols = _tiles(m, n, k)
+    for r in rows:
+        for c in cols:
+            np.matmul(a[r], b[:, c], out=out[r, c])
+    return len(rows) * len(cols), -(-m // len(rows)) * -(-n // len(cols)) * k
 
 
 def _kd_blocks(c: np.ndarray) -> tuple:
@@ -255,7 +298,9 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     blocks = len(sizes)
     block_of = np.empty(n, dtype=np.intp)
     block_of[order] = np.repeat(np.arange(blocks), sizes)
-    ct = np.ascontiguousarray(c.T)  # (d, N): einsum's inner loop runs along N
+    # (d, N): each product tile reads a (d, columns) slice of the screened
+    # columns; an (N, d) right operand, transposed, was slower.
+    ct = np.ascontiguousarray(c.T)
     del c  # the workers read ct
     distances = np.empty((n, k_max), dtype=np.float64)
     indices = np.empty((n, k_max), dtype=np.int64)
@@ -273,7 +318,8 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
 
     def screen_block(b: int, scratch: tuple) -> tuple:
         """Block b's rows, each row's candidate count, the candidates (row by
-        row, ascending ids) and the number of cells screened."""
+        row, ascending ids) and the cells screened, product calls and
+        largest call's multiply-adds."""
         rows = order[bounds[b]:bounds[b + 1]]
         gap = centres - centres[b]
         dist = np.sqrt((gap * gap).sum(axis=1))
@@ -287,8 +333,7 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         u, keep, part = (a[:shape[0] * shape[1]].reshape(shape) for a in scratch)
         near = scratch[2][:dim * len(cols)].reshape(dim, len(cols))
         np.take(ct, cols, axis=1, out=near, mode="clip")  # "clip" writes unbuffered
-        # einsum without `optimize` never calls BLAS (see the module docstring).
-        np.einsum("ki,kj->ij", 2.0 * ct[:, rows], near, out=u)
+        calls, largest = _product(2.0 * ct[:, rows].T, near, u)
         np.subtract(sq[cols], u, out=u)
         u[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf  # exclude self
         np.copyto(part, u)  # over `near`, which the product has consumed
@@ -297,12 +342,12 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         np.greater(u, limit[:, None], out=keep)
         np.logical_not(keep, out=keep)
         row, col = np.divmod(np.flatnonzero(keep), len(cols))
-        return rows, np.bincount(row, minlength=len(rows)), cols[col], u.size
+        return rows, np.bincount(row, minlength=len(rows)), cols[col], (u.size, calls, largest)
 
     def rank_group(first: int, scratch: tuple) -> np.ndarray:
         """Screen and re-rank the group of blocks from `first`; returns its
-        screened cells and candidates."""
-        rows, count, ids, cells = zip(*(screen_block(b, scratch)
+        screened cells, candidates, product calls and largest call."""
+        rows, count, ids, stats = zip(*(screen_block(b, scratch)
                                         for b in range(first, min(first + per_group, blocks))))
         rows, count, ids = map(np.concatenate, (rows, count, ids))
         # Pack each row's candidates left-aligned; pad with index n, which
@@ -321,23 +366,24 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         best = np.argsort(dist, axis=1, kind="stable")[:, :k_max]
         indices[rows] = np.take_along_axis(cand, best, axis=1)
         distances[rows] = np.take_along_axis(dist, best, axis=1)
-        return np.array([sum(cells), len(ids)])
+        cells, calls, largest = np.array(stats).T
+        return np.array([cells.sum(), len(ids), calls.sum(), largest.max()])
 
-    def rank_rows(worker: int) -> np.ndarray:
+    def rank_rows(worker: int) -> list:
         # One call per group: a group's arrays are freed before the next one's.
-        cells = np.zeros(2, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
-            for first in groups[worker::workers]:
-                cells += rank_group(first, buffers[worker])
-        return cells
+            return [rank_group(first, buffers[worker]) for first in groups[worker::workers]]
 
     with ThreadPoolExecutor(workers) as pool:
-        screened, candidates = sum(pool.map(rank_rows, range(workers)))
+        stats = np.array([group for worker in pool.map(rank_rows, range(workers))
+                          for group in worker])
+    screened, candidates, calls = stats[:, :3].sum(axis=0)
     low = np.flatnonzero(distances < 2.0 ** -511)  # see Range
     if (x.take(low // k_max, axis=0) != x.take(indices.ravel()[low], axis=0)).any():
         raise InputError("squared distances between points underflow float64")
     if not np.isfinite(distances).all():  # see Range
         raise InputError("squared distances between points overflow float64")
     log.debug("build_knn: N=%d, %d blocks, %.3f of N screened per row, "
-              "%.1f candidates per row", n, blocks, screened / n / n, candidates / n)
+              "%.1f candidates per row, %d products of at most %d multiply-adds",
+              n, blocks, screened / n / n, candidates / n, calls, stats[:, 3].max())
     return NeighborTable(distances=distances, indices=indices)

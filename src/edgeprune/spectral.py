@@ -60,7 +60,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
-from .knn import _screen_slack
+from .knn import _product, _screen_slack
 from .reduce import ReducedGraph, n_components
 
 log = logging.getLogger(__name__)
@@ -217,12 +217,14 @@ def _assign(x: np.ndarray, centers: np.ndarray):
         # runs as C - 1 passes along contiguous rows, not N reductions of
         # length C.
         norm_sums = (centers * centers).sum(axis=1)[:, None] + (x * x).sum(axis=1)
-        # einsum without `optimize` never calls BLAS, so no worker threads
-        # are left spinning (see the knn module docstring). Unlike the k-NN
+        # The product is tiled as the k-NN screen's, so BLAS leaves no worker
+        # threads spinning (see the knn module docstring). Unlike the k-NN
         # screen, k-means stays on the calling thread: its restarts on a
         # thread pool saved about a tenth of a call, nothing measurable per
         # command, and cost resident memory.
-        screen = norm_sums - 2.0 * np.einsum("jk,ik->ji", centers, x)
+        product = np.empty_like(norm_sums)
+        _product(centers, x.T, product)
+        screen = norm_sums - 2.0 * product
         slack = _screen_slack(norm_sums, dim)  # overwrites norm_sums, not read again
         bound = (screen + slack).min(axis=0)
         screen -= slack

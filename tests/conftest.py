@@ -1,3 +1,6 @@
+import resource
+import time
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -76,3 +79,21 @@ def copies_beside_simplex(dim: int, copies: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     simplex = np.eye(dim) + 1e-15 * rng.standard_normal((dim, dim))
     return np.vstack([np.zeros((copies, dim)), simplex])
+
+
+def cpu_s_after(call) -> float:
+    """CPU seconds this process uses in the 0.3 s after `call()` returns.
+
+    A threaded BLAS product keeps its worker threads spinning for about
+    0.1 s after each call, which shows here as up to 0.1 s per other core;
+    a process left idle uses well under 0.05 s.
+    """
+    def cpu_s():
+        r = resource.getrusage(resource.RUSAGE_SELF)
+        return r.ru_utime + r.ru_stime
+
+    time.sleep(0.5)  # let threads started by earlier tests go idle
+    call()
+    before = cpu_s()
+    time.sleep(0.3)
+    return cpu_s() - before

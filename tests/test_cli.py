@@ -634,23 +634,28 @@ sys.exit(main(sys.argv[2:]))
     assert outs[0] and outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command,extra,name", [
-    ("cluster", [], "metrics.csv"),
-    ("baseline-knn", ["--baseline-k", "6"], "baseline_metrics.csv")],
-    ids=["cluster", "baseline-knn"])
-def test_metrics_do_not_depend_on_blas_threads(tmp_path, command, extra, name):
-    # Fixture (c): its reduced graph has 8 components and its 6-NN foil 4,
-    # for 2 clusters (m > C). An eigensolver returns its own basis of the
-    # null space, which changes with the BLAS thread count; the component
-    # path does not solve.
+# Fixture (c): its reduced graph has 8 components and its 6-NN foil 4, for
+# 2 clusters (m > C). An eigensolver returns its own basis of the null
+# space, which changes with the BLAS thread count; the component path does
+# not solve.
+FIXTURE_C = ("mixed-density:size-dense=200,size-sparse=100,spread-dense=0.3,"
+             "spread-sparse=2.0,separation=10")
+
+
+@pytest.mark.parametrize("command,spec,extra,name", [
+    ("cluster", FIXTURE_C, ["--repeats", "3"], "metrics.csv"),
+    ("baseline-knn", FIXTURE_C, ["--repeats", "3", "--baseline-k", "6"],
+     "baseline_metrics.csv"),
+    # At 32-D the k-NN screen's BLAS products are split into column tiles.
+    ("reduce", "blobs:clusters=2,size=500,separation=10,dim=32", [], "graph.txt")],
+    ids=["cluster", "baseline-knn", "reduce-32d"])
+def test_metrics_do_not_depend_on_blas_threads(tmp_path, command, spec, extra, name):
     src = Path(__file__).resolve().parents[1] / "src"
-    spec = ("mixed-density:size-dense=200,size-sparse=100,spread-dense=0.3,"
-            "spread-sparse=2.0,separation=10")
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         proc = subprocess.run([sys.executable, "-m", "edgeprune", command, "--synthetic", spec,
-                               "--seed", "5", "--repeats", "3", *extra, "--out", str(out)],
+                               "--seed", "5", *extra, "--out", str(out)],
                               env={**os.environ, "PYTHONPATH": str(src),
                                    "OPENBLAS_NUM_THREADS": threads},
                               capture_output=True, text=True, timeout=120)

@@ -1,9 +1,7 @@
 import contextlib
 import logging
-import resource
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import tie_heavy_points
+from conftest import cpu_s_after, tie_heavy_points
 from edgeprune import (InputError, NumericError, PointSet, build_knn, export_pairs,
                        gen_synthetic, knn, mutual_knn_graph, reduce_graph, spectral_cluster)
 
@@ -164,8 +162,11 @@ def test_logs_blocks_screened_share_and_candidates(caplog, capsys):
     head, _, rest = message.rpartition(" of N screened per row, ")
     assert head.startswith("build_knn: N=1000, 16 blocks, ")
     assert 0 < share < 1
-    candidates = float(rest.split()[0])
-    assert 20 <= candidates < 1000
+    candidates, _, products = rest.partition(" candidates per row, ")
+    assert 20 <= float(candidates) < 1000
+    calls, _, largest = products.partition(" products of at most ")
+    assert int(calls) >= 16  # one or more per block
+    assert 1 <= int(largest.removesuffix(" multiply-adds")) <= knn._BLAS_SERIAL_MNK
     assert capsys.readouterr().out == ""
 
 
@@ -445,19 +446,68 @@ def test_determinism():
     assert np.array_equal(a.indices, b.indices)
 
 
-def test_leaves_no_threads_busy_after_return():
-    # A threaded BLAS product keeps its worker threads spinning for about
-    # 0.1 s after each call; the screen must leave the process idle.
-    def cpu_s():
-        r = resource.getrusage(resource.RUSAGE_SELF)
-        return r.ru_utime + r.ru_stime
+@pytest.mark.parametrize("n,dim,k", [(1200, 8, 50), (2000, 32, 50), (64, 8192, 5)],
+                         ids=["8d", "blobs32d-2k", "row-tiles"])
+def test_leaves_no_threads_busy_after_return(n, dim, k):
+    # The screen's products are BLAS calls; each must run on the calling
+    # thread. At 32-D a block's product is split into column tiles; at
+    # 8192-D one column of a 64-row block is over the cap, so rows are
+    # split too.
+    ps = PointSet(np.random.default_rng(2).standard_normal((n, dim)))
+    assert cpu_s_after(lambda: build_knn(ps, k)) < 0.05
 
-    points = np.random.default_rng(2).standard_normal((1200, 8))
-    time.sleep(0.5)  # let threads started by earlier tests go idle
-    build_knn(PointSet(points), 50)
-    before = cpu_s()
-    time.sleep(0.3)
-    assert cpu_s() - before < 0.05
+
+@pytest.mark.parametrize("m,n,k", [(64, 2000, 32), (63, 1999, 32), (2, 2, 2), (64, 300, 2),
+                                   (40, 40, 16384), (33, 7, 16384), (64, 5, 8192),
+                                   (1, 5000, 40), (40, 1, 40), (1, 1, 9000),
+                                   (5, 3, 262_144), (3, 3, 300_000)])
+def test_tiles_cover_the_product_once_within_the_cap(m, n, k):
+    rows, cols = knn._tiles(m, n, k)
+    cover = np.zeros((m, n), dtype=int)
+    for r in rows:
+        for c in cols:
+            cover[r, c] += 1
+            height, width = r.stop - r.start, c.stop - c.start
+            assert height >= 1 and width >= 1
+            if k <= knn._BLAS_SERIAL_MNK:
+                assert height * width * k <= knn._BLAS_SERIAL_MNK
+            # One row by one column is a dot product, threaded above 10,000 terms.
+            if (height, width) == (1, 1) and (m, n) != (1, 1):
+                assert k > knn._BLAS_SERIAL_MNK // 2
+    assert (cover == 1).all()
+    # Rows are split only when one column of all of them is over the cap.
+    assert (len(rows) > 1) == (m * k > knn._BLAS_SERIAL_MNK)
+
+
+def test_product_reports_its_calls_and_largest_call():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((40, 16384)), rng.standard_normal((16384, 7))
+    out = np.empty((40, 7))
+    assert knn._product(a, b, out) == (3 * 7, 14 * 1 * 16384)
+    # einsum's own loop: an untiled BLAS reference would leave threads spinning.
+    np.testing.assert_allclose(out, np.einsum("ik,kj->ij", a, b), rtol=1e-12, atol=1e-9)
+
+
+# The screen's products at one multiply-add per call (1 x 1 tiles, every
+# one a dot product) and at one call per block: the table is the same.
+PRODUCT_CAPS = pytest.mark.parametrize("cap", [1, 2 ** 62], ids=["cap-1", "no-cap"])
+
+
+@PRODUCT_CAPS
+@given(screen_hard_points(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_matches_oracle_at_any_product_cap(cap, ps, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "_BLAS_SERIAL_MNK", cap)
+        assert_matches_oracle(ps, data.draw(st.integers(1, ps.n - 1)))
+
+
+@PRODUCT_CAPS
+def test_high_dimension_matches_oracle_at_any_product_cap(monkeypatch, cap):
+    monkeypatch.setattr(knn, "_BLAS_SERIAL_MNK", cap)
+    ps = gen_synthetic("blobs", {"clusters": 2, "size": 150, "separation": 10, "dim": 32},
+                       seed=1)
+    assert_matches_oracle(ps, 50)
 
 
 @pytest.mark.parametrize("bad_k", [0, -1, 100])

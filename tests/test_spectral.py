@@ -1,7 +1,5 @@
 import dataclasses
 import logging
-import resource
-import time
 import tracemalloc
 
 import numpy as np
@@ -14,8 +12,8 @@ from hypothesis import strategies as st
 from edgeprune import (InputError, NumericError, PointSet, ReducedGraph, ari, build_knn,
                        embed, gen_synthetic, kmeans, laplacian, mutual_knn_graph, mutualize,
                        n_components, reduce_graph, spectral_cluster)
-from conftest import tie_heavy_tables
-from edgeprune import reduce, spectral
+from conftest import cpu_s_after, tie_heavy_tables
+from edgeprune import knn, reduce, spectral
 from edgeprune.data import spawn_rng
 from edgeprune.reduce import component_labels, load_graph, save_graph
 from edgeprune.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, _assign, _component_partition
@@ -774,20 +772,20 @@ class TestKmeansMatchesTensorForm:
         assert len(calls) < 1000
 
     def test_leaves_no_threads_busy_after_return(self):
-        # Same guard as build_knn's: a threaded BLAS product in the
-        # assignment would leave worker threads spinning after kmeans returns.
-        def cpu_s():
-            r = resource.getrusage(resource.RUSAGE_SELF)
-            return r.ru_utime + r.ru_stime
-
+        # Same guard as build_knn's: the assignment's product is a BLAS
+        # call, and each must run on the calling thread.
         rng = np.random.default_rng(3)
         x = np.repeat(np.eye(40), 50, axis=0) + 0.05 * rng.standard_normal((2000, 40))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        time.sleep(0.5)  # let threads started by earlier tests go idle
-        kmeans(x, 40, seed=0)
-        before = cpu_s()
-        time.sleep(0.3)
-        assert cpu_s() - before < 0.05
+        assert cpu_s_after(lambda: kmeans(x, 40, seed=0)) < 0.05
+
+    @pytest.mark.parametrize("cap", [1, 2 ** 62], ids=["cap-1", "no-cap"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_any_product_cap_gives_the_same_bits(self, monkeypatch, cap, order):
+        # One multiply-add per BLAS call (1 x 1 tiles, every one a dot
+        # product) or one call per assignment.
+        monkeypatch.setattr(knn, "_BLAS_SERIAL_MNK", cap)
+        assert_kmeans_matches(np.asarray(manyclust_embedding(21).vectors, order=order), 40, 21)
 
 
 @st.composite
