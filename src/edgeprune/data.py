@@ -19,8 +19,10 @@ import numpy as np
 from .errors import InputError
 
 # A seed is a plain unsigned 64-bit integer. All randomized steps derive
-# their generators from it through `spawn_rng`, so equal seeds give
-# bit-identical results everywhere downstream.
+# their generators from it through `spawn_rng`, or, where many keyed
+# generators would each draw a few samples, take those same draws from
+# `_spawn_choices` at once; so equal seeds give bit-identical results
+# everywhere downstream.
 Seed = int
 
 # Seeds lie in [0, SEED_RANGE); derived seeds wrap around at it.
@@ -36,8 +38,304 @@ def check_seed(seed: Seed) -> int:
 
 
 def spawn_rng(seed: Seed, *stream: int) -> np.random.Generator:
-    """Deterministic generator for `seed`, optionally keyed by a sub-stream."""
+    """Deterministic generator for `seed`, optionally keyed by a sub-stream.
+
+    `_spawn_choices(seed, stream, keys, ...)` gives, bit for bit, what
+    `spawn_rng(seed, stream, key).choice(...)` draws for each key, without
+    building the generators.
+    """
     return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *stream]))
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): 32-bit constants.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill 2014).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Draws per block of lanes in `_spawn_choices`, which bounds its scratch
+# (under 100 bytes a draw).
+_CHOICE_DRAWS = 2**13
+
+
+def _words32(value: int) -> list[int]:
+    """An integer's little-endian uint32 words, as SeedSequence reads it."""
+    words = [value & _M32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hashes(mult: int, init: int, count: int) -> np.ndarray:
+    """SeedSequence's first `count` hash constants from `init`, as (xor,
+    multiplier) pairs: (2, count, 1) uint32 for broadcasting over lanes."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _M32)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)[:, :, None]
+
+
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 `value` rows with `consts` from `_hashes`."""
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return value ^ (value >> 16)
+
+
+def _seed_words(seed: Seed, stream: int, keys: np.ndarray) -> np.ndarray:
+    """`SeedSequence([seed, stream, key]).generate_state(4, np.uint64)` for
+    every key below 2**32, as a (4, lanes) uint64 array.
+
+    The pool of 4 words runs as one (4, lanes) uint32 array; numpy wraps
+    uint32 array arithmetic mod 2**32 without a warning.
+    """
+    prefix = [*_words32(check_seed(seed)), *_words32(stream)]
+    entropy = np.zeros((max(len(prefix) + 1, 4), keys.size), dtype=np.uint32)  # 0-padded
+    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix)] = keys
+    consts = _hashes(_MULT_A, _INIT_A, 4 + 12 + 4 * (entropy.shape[0] - 4))
+    pool = _hash(entropy[:4], consts[:, :4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[:, 4 + 3 * src:7 + 3 * src]))
+    for i, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hash(word, consts[:, 16 + 4 * i:20 + 4 * i]))
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hashes(_MULT_B, _INIT_B, 8)).astype(np.uint64)
+    return state[0::2] | (state[1::2] << 32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """(a * b) mod 2**128 on (high, low) uint64 words; numpy wraps uint64
+    array products mod 2**64, so the low word is a_lo * b_lo and the high
+    one adds the carry of that product from its 32-bit halves."""
+    x0, x1, y0, y1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
+    mid = x1 * y0 + ((x0 * y0) >> 32)
+    carry = (x0 * y1 + (mid & _M32)) >> 32
+    return x1 * y1 + (mid >> 32) + carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _lcg_jumps(steps: int) -> np.ndarray:
+    """(A_t, C_t) for t < steps, as (4, steps) uint64 words (A high, A low,
+    C high, C low): t steps of PCG64's LCG take state s to A_t s + C_t inc,
+    with A_t = MULT**t and C_t = MULT**(t - 1) + ... + 1, mod 2**128."""
+    out, a, c = [], 1, 0
+    for _ in range(steps):
+        out.append((a >> 64, a & 2**64 - 1, c >> 64, c & 2**64 - 1))
+        a, c = (a * _PCG_MULT) & 2**128 - 1, (c * _PCG_MULT + 1) & 2**128 - 1
+    return np.array(out, dtype=np.uint64).reshape(-1, 4).T
+
+
+def _pcg64_start(words: np.ndarray) -> np.ndarray:
+    """The PCG64s that (4, lanes) uint64 `words` seed, one per column, as
+    SeedSequence's `generate_state(4, np.uint64)` gives them: (4, lanes)
+    uint64 rows s high, s low, inc high, inc low.
+
+    Seeding takes initstate = words (0, 1) and inc = words (2, 3) shifted
+    left by one, plus 1, then sets state = (initstate + inc) * MULT + inc;
+    s is initstate + inc.
+    """
+    w0, w1, w2, w3 = words
+    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    s_lo = w1 + inc_lo
+    return np.array([w0 + inc_hi + (s_lo < w1), s_lo, inc_hi, inc_lo])
+
+
+def _pcg64_outputs(start: np.ndarray, index: np.ndarray,
+                   jumps: np.ndarray | None = None) -> np.ndarray:
+    """Output `index` (from 0) of each PCG64 in `start` ((4, M) words of
+    `_pcg64_start`, one column per index): `random_raw(index + 1)[index]`.
+
+    Every output steps the state first, so output t reads state A s + C inc
+    with (A, C) = `_lcg_jumps` at t + 2 (`jumps`, built here when it is too
+    short), the same factors for every generator; the output is XSL-RR.
+    """
+    steps = int(index.max(initial=0)) + 3
+    if jumps is None or jumps.shape[1] < steps:
+        jumps = _lcg_jumps(steps)
+    index = index + 2
+    hi, lo = _mul128(jumps[0].take(index), jumps[1].take(index), start[0], start[1])
+    hi2, lo2 = _mul128(jumps[2].take(index), jumps[3].take(index), start[2], start[3])
+    lo += lo2
+    hi += hi2
+    hi += lo < lo2
+    lo ^= hi
+    rot = hi >> 58
+    return (lo >> rot) | (lo << ((64 - rot) & 63))
+
+
+def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
+    """For each lane i, `spawn_rng(seed, stream, keys[i]).choice(sizes[i],
+    size=counts[i], replace=False)`, concatenated lane by lane, computed
+    for all lanes at once without a Generator (checked against numpy 2.4.6).
+
+    Keys must be below 2**32 and sizes below 2**31: numpy draws 32-bit
+    bounded integers below 2**32, and a lane's sort keys pack a position
+    and a draw into one int64. Each lane's stream is numpy's:
+      * seeding: `_seed_words` (SeedSequence), `_pcg64_start` and
+        `_pcg64_outputs` (PCG64); a 32-bit draw takes an output's low
+        half, then its high half;
+      * bounded(r), uniform on [0, r]: Lemire's method, m = u * (r + 1)
+        redrawn while m mod 2**32 < (2**32 - r - 1) mod (r + 1), result
+        m >> 32; bounded(0) draws nothing;
+      * a size above 10,000 with a count above size // 50: a tail shuffle
+        of arange(size), swapping i with bounded(i) for i = size - 1 down
+        to max(size - count, 1), keeping the last count;
+      * otherwise Floyd's algorithm: for j in [size - count, size), v =
+        bounded(j), taking j if v is already taken, else v; then a
+        Fisher-Yates pass on the count values, swapping i with bounded(i)
+        for i = count - 1 down to 1.
+    Lanes run in blocks of at most 2 * `_CHOICE_DRAWS` draws; a lane with
+    more runs alone.
+    """
+    keys, sizes, counts = (np.asarray(a, dtype=np.int64) for a in (keys, sizes, counts))
+    if (keys >= 2**32).any() or (sizes >= 2**31).any():
+        raise ValueError("keys must be below 2**32 and sizes below 2**31")
+    start = _pcg64_start(_seed_words(seed, stream, keys))
+    tail = (sizes > 10_000) & (counts > sizes // 50)
+    low = np.where(tail, np.maximum(sizes - counts, 1), 1)
+    top = np.where(tail, sizes, counts)             # positions the swaps run over
+    pre = np.where(tail, 0, counts)                 # Floyd's draws
+    draws = pre + np.maximum(top - low, 0)
+    # 32-bit words a lane reads without rejections: one a draw, but none
+    # for bounded(0), Floyd's first draw when the count is the size.
+    words = draws - (pre == sizes) * (pre > 0)
+    jumps = _lcg_jumps(int(words.max(initial=0)) // 2 + 3)
+    big = np.flatnonzero(draws > _CHOICE_DRAWS)
+    cuts = np.unique(np.concatenate((
+        [0, keys.size], big, big + 1,
+        1 + np.flatnonzero(np.diff(np.cumsum(draws) // _CHOICE_DRAWS)))))
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        _choice_block(start[:, a:b], jumps, sizes[a:b], counts[a:b], tail[a:b], low[a:b],
+                      top[a:b], pre[a:b], draws[a:b], words[a:b])
+        for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+def _choice_block(start, jumps, sizes, counts, tail, low, top, pre, draws, words):
+    """`_spawn_choices` on one block of lanes; the lane arrays as set there.
+    Each lane draws in its stream's order: Floyd's draws, then the swaps'."""
+    t = np.arange(draws.sum()) - np.repeat(np.cumsum(draws) - draws, draws)
+    floyd = t < np.repeat(pre, draws)
+    # Bounds: Floyd's j = size - count + t, then the swaps' i, descending.
+    bound = np.where(floyd, t + np.repeat(sizes - counts, draws),
+                     np.repeat(top - 1 + pre, draws) - t)
+    del t
+    value = _bounded(start, jumps, bound, draws, words)
+    taken = _floyd(value[floyd], sizes - counts, pre)
+    # The swaps map each kept position to the position it started at; a
+    # Floyd lane's positions hold its taken values, a tail lane's their own.
+    source = _swap_sources(value[~floyd], top, low, counts)
+    from_floyd = np.repeat(~tail, counts)
+    source[from_floyd] = taken[(source + np.repeat(np.cumsum(pre) - pre, counts))[from_floyd]]
+    return source
+
+
+def _bounded(start, jumps, bound, draws, words):
+    """bounded(bound) for every draw of each lane's PCG64 in `start`, in
+    order, reading `words` 32-bit words per lane when nothing rejects."""
+    drawn = bound > 0
+    word = np.cumsum(drawn) - drawn - np.repeat(np.cumsum(words) - words, draws)
+    span = (bound + 1).astype(np.uint64)
+    outputs = words // 2 + 1
+    first = np.cumsum(outputs) - outputs
+    out = _pcg64_outputs(np.repeat(start, outputs, axis=1),
+                         np.arange(outputs.sum()) - np.repeat(first, outputs), jumps)
+    m = (out[np.repeat(first, draws) + (word >> 1)] >> (32 * (word & 1)).astype(np.uint64)) & _M32
+    m *= span
+    # A lane whose draw rejects reads every later draw one word on. The
+    # test m mod 2**32 < (2**32 - span) mod span can only hold below span.
+    at = np.arange(bound.size)
+    end, lane = np.cumsum(draws), np.repeat(np.arange(draws.size), draws)
+    while True:
+        low = at[(m[at] & _M32) < span[at]]
+        reject = low[(m[low] & _M32) < (2**32 - span[low]) % span[low]]
+        if not reject.size:
+            return (m >> 32).astype(np.int64)
+        lead = reject[np.diff(lane[reject], prepend=-1) != 0]
+        shift = np.zeros(bound.size + 1, dtype=np.int64)
+        shift[lead] += 1
+        shift[end[lane[lead]]] -= 1
+        at = np.flatnonzero(np.cumsum(shift[:-1]))
+        word[at] += 1
+        out = _pcg64_outputs(start[:, lane[at]], word[at] >> 1, jumps)
+        m[at] = ((out >> (32 * (word[at] & 1)).astype(np.uint64)) & _M32) * span[at]
+
+
+def _floyd(v, offset, pre):
+    """Floyd's picks from his draws v (`pre` per lane, j = offset + t for
+    draw t): every earlier v is taken, so v_t is a repeat, and j_t taken in
+    its place, when it equals an earlier v, or the j of an earlier repeat
+    s = v_t - offset. Sorted keys (lane, v, t) find the earlier v."""
+    first = np.cumsum(pre) - pre
+    t = np.arange(v.size) - np.repeat(first, pre)
+    vbits, tbits = int(v.max(initial=0)).bit_length(), int(pre.max(initial=0)).bit_length()
+    key = np.sort((((np.repeat(np.arange(pre.size), pre) << vbits) | v) << tbits) | t)
+    dup = np.empty(v.size, dtype=bool)
+    dup[first[key >> (vbits + tbits)] + (key & ((1 << tbits) - 1))] = \
+        np.diff(key >> tbits, prepend=-1) == 0
+    s = v - np.repeat(offset, pre)
+    earlier = (s >= 0) & (s < t)
+    at_s = np.arange(v.size) + np.where(earlier, s - t, 0)   # draw s of the same lane
+    repeat = dup
+    while not np.array_equal(repeat, nxt := dup | (earlier & repeat[at_s])):
+        repeat = nxt
+    return np.where(repeat, t + np.repeat(offset, pre), v)
+
+
+def _swap_sources(target, top, low, counts):
+    """Where each kept value started, after each lane's swaps.
+
+    Lane l swaps position i with target(i) <= i for i = top[l] - 1 down to
+    low[l]; `target` lists them lane by lane in that order. Returns, for
+    the positions [top - count, top) of each lane in order (count <= top -
+    low + 1), the position whose starting value ends there.
+
+    Just before swap i, position p holds what the first swap after it
+    with target p moved there (the least i' > i with target(i') = p),
+    which is what i' held just before its own swap; without such a swap,
+    p's starting value. Pointer jumping follows these links for all at
+    once.
+    """
+    # Hot positions [low - 1, top) of each lane, numbered lane by lane;
+    # a target below them gets a number of its own past the hot ones.
+    swaps, hot_n = np.maximum(top - low, 0), np.maximum(top - low + 1, 0)
+    hot_first = np.cumsum(hot_n) - hot_n
+    hot = int(hot_n.sum())
+    hot_pos = np.arange(hot) - np.repeat(hot_first - low + 1, hot_n)
+    # Swap u of a lane is at position top - 1 - u, hot number hot_first + hot_n - 1 - u.
+    at = np.repeat(hot_first + hot_n - 1 + np.cumsum(swaps) - swaps, swaps) - np.arange(target.size)
+    onto = np.where(target >= np.repeat(low - 1, swaps),
+                    target + np.repeat(hot_first - low + 1, swaps),
+                    target + np.repeat(np.cumsum(low - 1) - (low - 1) + hot, swaps))
+    target_of = np.zeros(hot, dtype=np.int64)
+    target_of[at] = target
+    # Swaps sorted by (target, position): each target's swaps in a run.
+    bits = hot.bit_length()
+    key = np.sort((onto << bits) | at)
+    at, onto = key & ((1 << bits) - 1), key >> bits
+    same = np.append(onto[1:] == onto[:-1], False)   # the next swap has this one's target
+    later = np.full(hot, -1)
+    later[at] = np.where(same, np.append(at[1:], -1), -1)
+    # A hot target's first swap after itself: its run's first, or the
+    # second when the first is the swap at the target itself.
+    run = np.flatnonzero(np.diff(onto, prepend=-1) != 0)
+    run = run[onto[run] < hot]
+    follow = np.full(hot, -1)
+    follow[onto[run]] = np.where(at[run] > onto[run], at[run], later[at[run]])
+    root = np.where(follow < 0, np.arange(hot), follow)
+    while not np.array_equal(root, jumped := root[root]):
+        root = jumped
+    began = hot_pos[root]
+
+    kept = np.arange(counts.sum()) + np.repeat(hot_first + hot_n - np.cumsum(counts), counts)
+    return np.where(hot_pos[kept] < np.repeat(low, counts), began[kept],
+                    np.where(later[kept] >= 0, began[later[kept]], target_of[kept]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,6 +66,7 @@ log = logging.getLogger(__name__)
 _CHUNK = 64           # points per kd block: the rows one worker screens at once
 _SCRATCH_ROWS = 256   # rows in flight over all workers: caps workers and re-rank groups
 _BLAS_SERIAL_MNK = 262_144  # multiply-adds per product call (see the module docstring)
+_RERANK_BYTES = 2**22  # a re-rank group's difference tensor per slice of candidate columns
 
 
 def _usable_cpus() -> int:
@@ -258,7 +259,11 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
     `_SCRATCH_ROWS` / (workers x `_CHUNK`); worker w screens the blocks of
     groups w, w + workers, ... into its own buffers and re-ranks each
     group at once, and its exception is raised here. So at most
-    `_SCRATCH_ROWS` rows are re-ranked at a time over all workers. This
+    `_SCRATCH_ROWS` rows are re-ranked at a time over all workers, each
+    group in slices of candidate columns whose difference tensor (rows x
+    columns x d) takes at most `_RERANK_BYTES`, so the re-rank's memory
+    does not grow with d (2000 points of 32-D blobs at k_max 50 need one
+    slice, 3 MiB at 256 rows). This
     thread and the workers ignore numpy's overflow and invalid flags: a
     non-finite value only makes candidates (see Screen), and a non-finite
     table distance is refused (see Range).
@@ -356,12 +361,18 @@ def build_knn(ps: PointSet, k_max: int) -> NeighborTable:
         cand[np.arange(cand.shape[1]) < count[:, None]] = ids
 
         # Re-rank: the exact form over the contiguous last axis, as on all
-        # pairs. Candidates ascend by id, so a stable sort by distance is
+        # pairs, in slices of candidate columns whose difference tensor
+        # stays within `_RERANK_BYTES`; a pair's sum is the same in any
+        # slice. Candidates ascend by id, so a stable sort by distance is
         # the (distance, index) order.
-        diff = x.take(np.minimum(cand, n - 1), axis=0)
-        np.subtract(x[rows, None, :], diff, out=diff)
-        diff *= diff
-        dist = np.sqrt(diff.sum(axis=2))
+        dist = np.empty(cand.shape)
+        step = max(1, _RERANK_BYTES // (8 * dim * len(rows)))
+        here = x[rows, None, :]
+        for c in range(0, cand.shape[1], step):
+            diff = x.take(np.minimum(cand[:, c:c + step], n - 1), axis=0)
+            np.subtract(here, diff, out=diff)
+            diff *= diff
+            np.sqrt(diff.sum(axis=2), out=dist[:, c:c + step])
         dist[(cand == rows[:, None]) | (cand == n)] = np.inf
         best = np.argsort(dist, axis=1, kind="stable")[:, :k_max]
         indices[rows] = np.take_along_axis(cand, best, axis=1)

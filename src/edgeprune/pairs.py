@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Seed, spawn_rng
+from .data import Seed, _spawn_choices, spawn_rng
 from .errors import InputError
 from .knn import NeighborTable
 from .reduce import ReducedGraph
@@ -55,7 +55,13 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     in-row negatives) map rank j to the id j + #{b : b - rank(b) <= j},
     since b - rank(b) counts the pool members below b. numpy's choice
     draws the same ranks from the pool's size as from the pool array,
-    which it then indexes, so the sample is the same.
+    which it then indexes, so the sample is the same. Point p's ranks are
+    `spawn_rng(seed, 1, p).choice(pool size, size=count, replace=False)`,
+    computed for all short points at once by `data._spawn_choices`
+    (equal to numpy's own choice, checked on numpy 2.4.6).
+
+    At DEBUG, one line gives the points with edges, the points that fell
+    back, the ranks drawn and the points left short of negatives.
     """
     if g.n != nt.n:
         raise InputError(f"graph has {g.n} vertices but table has {nt.n} rows")
@@ -78,12 +84,17 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     other = cand[anchor, col]
 
     short = np.flatnonzero(in_row < need)
+    drawn = np.empty(0, dtype=np.int64)
     if short.size:
         drawn_by, drawn = _fallback(csr, short, cand[short], non_edge[short],
                                     in_row[short], need[short], seed)
         # Each point's sampled negatives go right after its in-row ones.
         at = np.searchsorted(anchor, drawn_by, side="right")
         anchor, other = np.insert(anchor, at, drawn_by), np.insert(other, at, drawn)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("export_pairs: %d of %d points have edges, %d fell back, %d ranks drawn, "
+                  "%d short of negatives", np.count_nonzero(need), n, short.size, drawn.size,
+                  np.count_nonzero(np.bincount(anchor, minlength=n) < need))
     return PairSet(positives=g.pairs(), negatives=np.column_stack((anchor, other)))
 
 
@@ -106,7 +117,10 @@ def _fallback(csr, short, cand, non_edge, in_row, need, seed):
     The other arguments are their rows; each point draws from every
     point that is neither itself, a graph neighbor nor an in-row
     negative, and the result is grouped by anchor in the order of
-    `short`.
+    `short`. One `_spawn_choices` call draws every point's ranks: for
+    point p they equal `spawn_rng(seed, 1, p).choice(pool, size=extra,
+    replace=False)` bit for bit (checked on numpy 2.4.6; the per-point
+    generators are not built).
     """
     n = csr.shape[0]
     # Blocked ids of every short point s at once, as sorted keys
@@ -128,12 +142,10 @@ def _fallback(csr, short, cand, non_edge, in_row, need, seed):
 
     pool = n - size
     extra = np.minimum(need - in_row, pool)
-    ranks = [spawn_rng(seed, 1, p).choice(k, size=e, replace=False)
-             for p, k, e in zip(short.tolist(), pool.tolist(), extra.tolist()) if e > 0]
+    rank = _spawn_choices(seed, 1, short, pool, extra)
     for i in np.flatnonzero(in_row + extra < need).tolist():
         log.warning("point %d: only %d of %d negatives available",
                     short[i], in_row[i] + extra[i], need[i])
-    rank = np.concatenate([np.empty(0, dtype=np.int64), *ranks])
     segment = np.repeat(s, extra)
     drawn = rank + np.searchsorted(below, segment * n + rank, side="right") - first[segment]
     return short[segment], drawn

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeprune import InputError, PointSet, gen_synthetic, load_csv, save_csv
-from edgeprune.data import check_seed
+from edgeprune.data import _spawn_choices, check_seed, spawn_rng
 
 
 def write(tmp_path, text, name="points.csv"):
@@ -255,3 +257,56 @@ class TestSeed:
     def test_non_integer_rejected(self):
         with pytest.raises(InputError):
             check_seed(1.5)
+
+
+def choices_loop(seed, lanes):
+    """`_spawn_choices`' reference: one numpy Generator per lane."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        spawn_rng(seed, 1, key).choice(size, size=count, replace=False)
+        for key, size, count in lanes])
+
+
+@st.composite
+def choice_lanes(draw):
+    """(key, size, count) lanes: Floyd's sizes, and sizes above 10,000 where
+    numpy takes its tail shuffle once the count passes size // 50; counts
+    run from 0 to the size."""
+    lanes = []
+    for _ in range(draw(st.integers(0, 5))):
+        size = draw(st.one_of(st.integers(1, 300), st.integers(10_001, 10_400)))
+        count = draw(st.one_of(st.just(0), st.just(size), st.integers(0, min(size, 600))))
+        lanes.append((draw(st.integers(0, 2**32 - 1)), size, count))
+    return lanes
+
+
+class TestSpawnChoices:
+    """`_spawn_choices` against numpy's own Generator.choice, lane by lane."""
+
+    @given(st.integers(0, 2**64 - 1), choice_lanes())
+    @settings(max_examples=200, deadline=None)
+    @example(0, [(0, 1, 1), (1, 1, 0), (2, 7, 7), (3, 7, 0)])
+    @example(2**64 - 1, [(4, 10_001, 10_001), (5, 12_000, 241), (6, 12_000, 240)])
+    @example(3, [(7, 10_001, 9_000), (8, 300, 300), (9, 10_200, 5_000)])  # several blocks
+    @example(0, [(5664, 10**6, 3)])  # a Lemire rejection, see below
+    def test_matches_one_generator_per_lane(self, seed, lanes):
+        keys, sizes, counts = np.array(lanes, dtype=np.int64).reshape(-1, 3).T
+        got = _spawn_choices(seed, 1, keys, sizes, counts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, choices_loop(seed, lanes))
+
+    def test_pinned_lane_rejects_a_draw(self):
+        # Seed 0, key 5664, size 10**6, count 3: Floyd's first draw is
+        # bounded(999_997), and Lemire's method rejects the stream's first
+        # 32-bit word (m mod 2**32 below (2**32 - span) mod span), which
+        # happens with probability about 2e-4 at this bound.
+        raw = np.random.PCG64(np.random.SeedSequence([0, 1, 5664])).random_raw(1)
+        span = 10**6 - 3 + 1
+        assert (int(raw[0]) & 0xFFFFFFFF) * span % 2**32 < (2**32 - span) % span
+        assert np.array_equal(_spawn_choices(0, 1, [5664], [10**6], [3]),
+                              choices_loop(0, [(5664, 10**6, 3)]))
+
+    def test_keys_and_sizes_in_range(self):
+        with pytest.raises(ValueError):
+            _spawn_choices(0, 1, [2**32], [5], [1])
+        with pytest.raises(ValueError):
+            _spawn_choices(0, 1, [0], [2**31], [1])

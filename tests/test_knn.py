@@ -279,6 +279,25 @@ def test_scratch_memory_at_32_dimensions(monkeypatch):
     assert peak <= 10.5 * 2**20
 
 
+def test_rerank_memory_at_1024_dimensions(monkeypatch):
+    # One re-rank group of 128 rows with up to 127 candidates each: as one
+    # (rows x candidates x d) difference tensor that peaked at 54 MiB. In
+    # slices of candidate columns it stays near `_RERANK_BYTES` per worker,
+    # and every distance keeps its bits.
+    ps = PointSet(np.random.default_rng(7).standard_normal((128, 1024)))
+    monkeypatch.setattr(knn, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        nt = build_knn(ps, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"build_knn peaked at {peak / 2**20:.2f} MiB"
+    dist, idx = allpairs_oracle(ps.points, 50)
+    assert nt.indices.tobytes() == idx.tobytes()
+    assert nt.distances.tobytes() == dist.tobytes()
+
+
 def test_worker_exception_reaches_caller(monkeypatch):
     many_chunks(monkeypatch)
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,18 @@ def graphs_on_tables(draw):
     return nt, mutualize(n, p, q, np.ones(p.size))
 
 
+def logged_counts(caplog, g, nt, seed):
+    """export_pairs' result and the counts of its DEBUG line: points with
+    edges, points, fallbacks, ranks drawn and points short of negatives."""
+    caplog.set_level(logging.DEBUG, logger="edgeprune.pairs")
+    result = export_pairs(g, nt, seed)
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("export_pairs: ")]
+    match = re.fullmatch(r"export_pairs: (\d+) of (\d+) points have edges, (\d+) fell back, "
+                         r"(\d+) ranks drawn, (\d+) short of negatives", message)
+    return result, [int(count) for count in match.groups()]
+
+
 def hexagon():
     """Six points on a unit circle; each vertex's nearest two are its ring
     neighbors, the next two sit one step further."""
@@ -179,8 +192,27 @@ class TestExportPairs:
         result = export_pairs(g, nt, seed=0)
         assert all(p != 4 for p, _ in result.negatives.tolist())
         assert all(4 not in pair for pair in result.positives.tolist())
+        # Each ring point's row holds its two edges and the opposite point,
+        # so it draws its second negative: point 4, the only one left.
         assert [r.getMessage() for r in caplog.records] == [
-            "point 4 has no mutual edges; contributes no pairs"]
+            "point 4 has no mutual edges; contributes no pairs",
+            "export_pairs: 4 of 5 points have edges, 4 fell back, 4 ranks drawn, "
+            "0 short of negatives"]
+
+    def test_logs_points_fallbacks_draws_and_shortfalls(self, caplog):
+        # Forty points, ten copies each, k_max = 9: every row holds only
+        # edges, so every point falls back and draws all its negatives.
+        ps = PointSet(np.repeat(np.random.default_rng(4).normal(size=(40, 2)) * 10, 10, axis=0))
+        g = reduce_graph(ps, 9)
+        result, counts = logged_counts(caplog, g, build_knn(ps, 9), seed=11)
+        assert counts == [400, 400, 400, len(result.negatives), 0]
+        # The complete graph on five points leaves every point short.
+        n = 5
+        p, q = np.nonzero(~np.eye(n, dtype=bool))
+        caplog.clear()
+        _, counts = logged_counts(caplog, mutualize(n, p, q, np.ones(p.size)),
+                                  build_knn(PointSet(np.arange(10.0).reshape(n, 2)), 2), seed=0)
+        assert counts == [5, 5, 5, 0, 5]
 
     def test_positives_independent_of_seed(self, dataset_b):
         g = reduce_graph(dataset_b, 10)

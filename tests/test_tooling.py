@@ -11,8 +11,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import edgeprune
-from edgeprune import save_csv, spectral
+from edgeprune import data, save_csv, spectral
 from edgeprune.cli import main
 
 from test_cli import count_calls
@@ -156,3 +158,27 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     for argv in commands:  # results/ lands in tmp_path
         assert main(argv[1:]) == 0, argv
     assert (tmp_path / "results" / "metrics.csv").exists()
+
+
+def test_batched_draws_follow_numpy_layer_by_layer():
+    # export_pairs' fallback draws recompute numpy's streams for many
+    # points at once (data._spawn_choices). A numpy release that changes
+    # a layer fails here, and the message names the layer.
+    keys = np.array([0, 1, 1199, 2**32 - 1])
+    for seed in (0, 3, 2**32 - 1, 2**32, 2**64 - 1):
+        sequences = [np.random.SeedSequence([seed, 1, int(key)]) for key in keys]
+        words = data._seed_words(seed, 1, keys)
+        want = np.array([s.generate_state(4, np.uint64) for s in sequences]).T
+        assert np.array_equal(words, want), \
+            f"SeedSequence.generate_state moved (seed {seed}) under numpy {np.__version__}"
+        start = np.repeat(data._pcg64_start(words), 40, axis=1)
+        got = data._pcg64_outputs(start, np.tile(np.arange(40), keys.size))
+        want = np.concatenate([np.random.PCG64(s).random_raw(40) for s in sequences])
+        assert np.array_equal(got, want), \
+            f"PCG64.random_raw moved (seed {seed}) under numpy {np.__version__}"
+        sizes, counts = np.array([5, 1170, 12_000, 12_000]), np.array([5, 8, 240, 241])
+        got = data._spawn_choices(seed, 1, keys, sizes, counts)
+        want = np.concatenate([np.random.default_rng(s).choice(k, size=e, replace=False)
+                               for s, k, e in zip(sequences, sizes, counts)])
+        assert np.array_equal(got, want), \
+            f"Generator.choice moved (seed {seed}) under numpy {np.__version__}"
