@@ -26,6 +26,7 @@ Exit codes: 0 success, 2 input error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -263,7 +264,9 @@ def cmd_pairs(cfg: RunConfig):
     return pair_set
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="edgeprune",
         description="Parameter-free k-NN graph reduction, spectral clustering "

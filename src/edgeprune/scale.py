@@ -15,10 +15,18 @@ strictly exceeds its own smoothed value is read as a spike of neighbors
 with different surrounding density; only neighbors in earlier bins enter
 sigma_p. When no spike exists, or when it sits in the very first bin (so
 no earlier neighbors exist), the whole row is used.
+
+`compute_scales` finds every row's K without building a histogram. Its
+bins come from one true division by the width, divided again with
+numpy's floor_divide only on the few cells where the two can part. It
+then scans each row's runs of equal bin from the start and stops at the
+row's first spike. Counts along runs that do not spike must grow fast,
+so at k_max <= 81 no row's scan goes past its third run.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -31,6 +39,11 @@ from .knn import NeighborTable
 # next to the values, and the histogram's arrays take about 32 bytes a
 # bin, so the count could exhaust memory.
 MAX_BINS = 2**24
+
+# numpy's floor_divide equals the floor of the true quotient below this.
+_EXACT_QUOTIENT = 2.0**51
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +170,24 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
 
     The Freedman-Diaconis width is computed once over all N * k_max
     distances and shared by the rows; each row keeps its own bin count,
-    ceil(row max / width). Because a row is ascending, its bin indices
-    are non-decreasing, so its occupied bins are the runs of equal bin
-    index. An empty bin can never exceed its non-negative smoothed value,
-    so only runs are tested for a spike. The result equals
+    ceil(row max / width). Bins are floor(d / width), from one true
+    division; only cells where that can differ from numpy's
+    `d // width` (a positive whole quotient, or one of 2**51 or more)
+    are divided again (`_floor_divide` derives the rule). Because a row
+    is ascending, its bin indices are non-decreasing, so its occupied
+    bins are the runs of equal bin index. An empty bin can never exceed
+    its non-negative smoothed value, so only runs are tested for a
+    spike. Each row's runs are scanned from its start, and a row leaves
+    the scan at its first spiking run; at k_max <= 81 no row visits more
+    than 3 runs (`_first_spikes` derives the bound). The result equals
     `local_scale_row(nt.distances[p], width)` for every row p that the
-    reference can histogram; no bins are allocated here, so rows above
-    MAX_BINS bins are scaled too. A row whose bin count does not fit in
+    reference can histogram; no histogram is allocated here, so rows
+    above MAX_BINS bins are scaled too. A row whose bin count does not fit in
     int64 (a width below 2**-63 of the row maximum) raises NumericError.
+
+    At DEBUG, one line gives the width, the rows with K < k_max, the
+    runs the deepest row's scan visited and the cells the floor fix-up
+    divided again.
     """
     d = nt.distances
     width = fd_bin_width(d)
@@ -172,38 +195,23 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
         raise InputError("compute_scales: distances must be non-negative")
     n, k_max = d.shape
     with np.errstate(over="ignore"):  # an infinite span is refused below
-        span = d.max(axis=1) / width
+        q = np.divide(d, width, order="C")
+    # Division by a positive constant keeps the order, so this is the
+    # row maximum divided by the width.
+    span = q.max(axis=1)
     if not np.all(span < 2.0**63):
         raise NumericError(f"compute_scales: a row spans {span.max():.3g} bins of width "
                            f"{width:.3g}, more than int64 can count")
     nbins = np.maximum(np.ceil(span).astype(np.int64), 1)
-    bins = np.minimum((d // width).astype(np.int64), nbins[:, None] - 1).ravel()
-
-    # Runs of equal bin index within a row, in row-major order.
-    starts = np.ones(bins.size, dtype=bool)
-    starts[1:] = bins[1:] != bins[:-1]
-    starts[::k_max] = True
-    first = np.flatnonzero(starts)
-    row = first // k_max
-    col = first % k_max
-    b = bins[first]
-    count = np.diff(np.append(first, bins.size))
-    # Two consecutive runs share a smoothing window only when they sit in
-    # adjacent bins of the same row. The window's rank sum is b (0 for
-    # the first bin) + (b + 1), plus b + 2 unless b is the row's last bin.
-    adjacent = (row[1:] == row[:-1]) & (b[1:] == b[:-1] + 1)
-    num = count.astype(np.float64)
-    num[1:] += np.where(adjacent, count[:-1], 0)
-    num[:-1] += np.where(adjacent, count[1:], 0)
-    den = 2 * b + 1 + np.where(b + 1 < nbins[row], b + 2, 0)
-    spike = count > num / den
-
-    # K is the position of the first spiking run; a spike in the row's
-    # first run (position 0) or no spike at all keeps the full row.
-    kth = np.full(n, k_max, dtype=np.int64)
-    spike_rows, at = np.unique(row[spike], return_index=True)
-    first_spike = col[spike][at]
-    kth[spike_rows] = np.where(first_spike > 0, first_spike, k_max)
+    bins, redone = _floor_divide(d, width, q, span)
+    del q  # each N * k_max temporary is freed once read, to bound the peak
+    np.minimum(bins, nbins[:, None] - 1, out=bins)
+    kth, depth = _first_spikes(bins, nbins)
+    del bins
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("compute_scales: width %.6g, %d of %d rows with K < k_max, deepest run "
+                  "scanned %d, %d cells divided again", width, np.count_nonzero(kth < k_max), n,
+                  depth, redone)
 
     sigma = np.empty(n, dtype=np.float64)
     for k in np.unique(kth).tolist():
@@ -214,6 +222,97 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
         smallest = np.where(d[zero] > 0, d[zero], np.inf).min(axis=1)
         sigma[zero] = np.where(np.isfinite(smallest), smallest, width)
     return LocalScales(sigma=sigma, kth=kth)
+
+
+def _floor_divide(d, width, q, span) -> tuple[np.ndarray, int]:
+    """`d // width` as int64, from the true quotients q = d / width.
+
+    Returns the bins and the number of cells divided again. Every
+    quotient must be below 2**63 (`span` holds each row's largest).
+
+    numpy's floor_divide(a, b), for finite a >= 0 and b > 0, takes the
+    exact remainder m = fmod(a, b) and rounds (a - m) / b to the nearest
+    whole number. (a - m) / b lies within a few ulps of trunc(a / b),
+    a whole number, so below 2**51 that rounding lands on trunc(a / b)
+    exactly. The correctly rounded quotient q = fl(a / b) is monotone in
+    a / b, so floor(q) is trunc(a / b) too unless q rounded up onto a
+    whole number; q can only round down onto a whole number that a / b
+    already reaches. So a cell is divided again only where q is a
+    positive whole number, or where q >= 2**51, in the rows whose span
+    reaches it. A zero quotient needs no second division: it means
+    a < b, where both rules give 0. Casting q >= 0 to int64 truncates,
+    which is its floor.
+    """
+    bins = q.astype(np.int64)
+    again = bins == q
+    big = np.flatnonzero(span >= _EXACT_QUOTIENT)
+    if big.size:
+        again[big] |= q[big] >= _EXACT_QUOTIENT
+    cells = np.flatnonzero(again)
+    cells = cells[q.ravel()[cells] > 0]
+    if cells.size:
+        at = np.unravel_index(cells, d.shape)
+        bins[at] = (d[at] // width).astype(np.int64)
+    return bins, cells.size
+
+
+def _first_spikes(bins, nbins) -> tuple[np.ndarray, int]:
+    """K of every row, scanning its runs of equal bin from the start.
+
+    Returns kth and the number of runs the deepest row visited. A row
+    stops at its first spiking run; only rows still undecided go on to
+    their next run. A run of count c in bin b has smoothing window
+    (prev + c + next) / den, where prev and next count the adjacent runs
+    in bins b - 1 and b + 1, and den = 3b + 3, or 2b + 1 in the row's
+    last bin. It fails to spike only when prev + next >= (den - 1) * c.
+
+    Depth bound. In an ascending row, bins rise along the runs, so run i
+    sits in bin b_i >= i - 1 and only run i + 1 can follow it in bin
+    b_i + 1. A run that fails to spike outside the row's last bin needs
+    prev + next >= (3 b_i + 2) * c_i. For the first run (no prev) that
+    is c_2 >= 2 c_1; by induction c_i >= 2 c_{i-1}, so
+    c_{i+1} >= (3 b_i + 2) c_i - c_{i-1} >= (3 i - 1.5) c_i. So the
+    counts of a chain of runs that do not spike grow at least as
+    1, 2, 9, 70, ..., and the scan reaches its m-th run only when the
+    row holds c_1 + ... + c_m cells: 3 for the 2nd run, 12 for the 3rd,
+    82 for the 4th. So at k_max <= 81 (the default is at most 50) it
+    visits at most 3 runs, whatever the table, and its cost stays a few
+    passes over N * k_max. The scan
+    needs no bound to be exact: a row that runs out of runs keeps
+    K = k_max.
+    """
+    n, k_max = bins.shape
+    # ends[p, j]: column j is the last of a run of row p not yet visited.
+    ends = np.ones((n, k_max), dtype=bool)
+    np.not_equal(bins[:, 1:], bins[:, :-1], out=ends[:, :-1])
+    kth = np.full(n, k_max, dtype=np.int64)
+    rows = np.arange(n)
+    start = np.zeros(n, dtype=np.int64)
+    stop = ends.argmax(axis=1) + 1
+    prev_bin = prev_count = np.zeros(n, dtype=np.int64)
+    depth = 0
+    while rows.size:
+        depth += 1
+        # Consume each run's end but the row's last; the next run ends
+        # at the first end left. A row's last run is its own next run,
+        # of count 0.
+        last = stop == k_max
+        ends[rows, stop - 1] = last
+        next_stop = ends[rows].argmax(axis=1) + 1
+        b = bins[rows, start]
+        count = stop - start
+        num = count.astype(np.float64)
+        num += np.where(prev_bin == b - 1, prev_count, 0)
+        num += np.where(bins[rows, next_stop - 1] == b + 1, next_stop - stop, 0)
+        den = 2 * b + 1 + np.where(b + 1 < nbins[rows], b + 2, 0)
+        spike = count > num / den
+        # A spike in the row's first run keeps the full row.
+        cut = spike & (start > 0)
+        kth[rows[cut]] = start[cut]
+        go = ~(spike | last)
+        rows, start, stop = rows[go], stop[go], next_stop[go]
+        prev_bin, prev_count = b[go], count[go]
+    return kth, depth
 
 
 def seventh_neighbor_scales(nt: NeighborTable) -> LocalScales:

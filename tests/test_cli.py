@@ -514,6 +514,29 @@ class TestReduceAndPairsCommands:
         assert "report ACC/ARI/E%" in capsys.readouterr().out
 
 
+def test_one_parser_serves_calls_in_a_row(tmp_path, capsys):
+    # `main` builds its parser once per process, so a parse must leave
+    # nothing behind: each call writes what it writes on its own.
+    calls = [["pairs", "--synthetic", BLOBS, "--k-max", "10"], ["cluster", "--synthetic", BLOBS]]
+
+    def written(argv, out):
+        assert main([*argv, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    alone = []
+    for i, argv in enumerate(calls):
+        cli._build_parser.cache_clear()
+        alone.append(written(argv, tmp_path / f"alone{i}"))
+    cli._build_parser.cache_clear()
+    assert [written(argv, tmp_path / f"row{i}") for i, argv in enumerate(calls)] == alone
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "report ACC/ARI/E%" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["reduce"], "exactly one of --input and --synthetic is required"),
     (["reduce", "--input", "two.csv", "--synthetic", "blobs"],

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +319,153 @@ def hand_table(d):
     n, k = d.shape
     return NeighborTable(distances=d, indices=np.array([[q for q in range(n) if q != p][:k]
                                                         for p in range(n)]))
+
+
+def floor_bins(d, width):
+    """`scale._floor_divide` on a table whose quotients are all below 2**63."""
+    q = d / width
+    return scale._floor_divide(d, width, q, q.max(axis=1))
+
+
+@st.composite
+def quotient_tables(draw):
+    """A width and a table of cells where one true division and numpy's
+    floor_divide can part: whole multiples m * width as rounded, the floats
+    just below and above them, zeros, and quotients from 2**51 to 2**62
+    (half of them below 2**52, where a quotient can still fall between
+    whole numbers).
+
+    Widths run from 1e-3 to 1e3 and down into the subnormal range.
+    """
+    width = draw(st.one_of(st.floats(1e-3, 1e3),
+                           st.floats(2.0**-1022, 2.0**-1000),
+                           st.integers(1, 2**20).map(lambda i: i * 2.0**-1074)))
+    cell = st.one_of(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 10**6)),
+                     st.tuples(st.just(0), st.just(0)),
+                     st.tuples(st.just(0), st.floats(2.0**51, 2.0**52)
+                               | st.floats(2.0**52, 2.0**62)))
+    values = []
+    for step, m in draw(st.lists(cell, min_size=1, max_size=64)):
+        v = m * width
+        values.append(np.nextafter(v, step * np.inf) if step else v)
+    values += [0.0] * (-len(values) % 8)
+    return np.asarray(values).reshape(-1, 8), width
+
+
+class TestFloorRule:
+    """Bins from one true division equal numpy's floor_divide."""
+
+    @given(quotient_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_floor_divide(self, table):
+        d, width = table
+        bins, _ = floor_bins(d, width)
+        assert np.array_equal(bins, (d // width).astype(np.int64))
+
+    def test_needs_its_fix_up(self):
+        # Both kinds of cell the rule divides again occur here: a quotient
+        # that rounded up onto a whole number below 2**51, and one above
+        # 2**51 whose floor is not floor_divide's. Without the fix-up the
+        # bins differ from floor_divide on each.
+        rng = np.random.default_rng(0)
+        width = rng.uniform(0.5, 2.0)
+        m = rng.integers(1, 10**6, 4000).astype(np.float64)
+        d = np.concatenate([np.nextafter(m * width, 0), m * width,
+                            rng.uniform(2.0**51, 2.0**52, 4000) * width]).reshape(-1, 8)
+        q = d / width
+        wrong = np.floor(q) != d // width
+        assert np.any(wrong & (q < 2.0**51)) and np.any(wrong & (q >= 2.0**51))
+        bins, redone = floor_bins(d, width)
+        assert np.array_equal(bins, (d // width).astype(np.int64))
+        assert redone >= np.count_nonzero(wrong)
+
+
+@st.composite
+def staircase_tables(draw):
+    """Tables whose bin width is exactly 1 and a fifth of whose rows climb
+    a staircase of runs that need not spike.
+
+    A staircase row puts runs in consecutive unit bins from bin 0, 1 or 2.
+    Each run after the first holds about the least count that keeps the
+    run before it from spiking: (3b + 2) * c - prev for a run of count c
+    in bin b after a run of count prev, i.e. 1, 2, 9, ... from bin 0. The
+    other rows repeat 0.5, so the IQR is 0 and the width falls back to
+    (max - min) / ceil(sqrt(N * k)), which row 0's last cell sets to 1.
+    """
+    n = draw(st.integers(10, 30))
+    k = draw(st.integers(12, 50))
+    d = np.full((n, k), 0.5)
+    for r in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=n // 5, unique=True)):
+        b = draw(st.integers(0, 2))
+        count, prev, row = draw(st.integers(1, 3)), 0, []
+        while len(row) < k:
+            row += [b + draw(st.sampled_from([0.25, 0.5, 0.75]))] * count
+            prev, count = count, max(1, (3 * b + 2) * count - prev + draw(st.integers(-1, 2)))
+            b += 1
+        d[r] = row[:k]
+    d[0, -1] = d.min() + math.ceil(math.sqrt(n * k))
+    assume(fd_bin_width(d) == 1.0)
+    return hand_table(d)
+
+
+class TestFirstSpikeScan:
+    """The scan stops at each row's first spike, within its depth bound."""
+
+    def test_staircase_rows(self):
+        # At k_max <= 50 a row's scan visits at most 3 runs (see
+        # `scale._first_spikes`); K is the start of the last run visited.
+        depths = []
+
+        @given(staircase_tables())
+        @settings(max_examples=200, deadline=None)
+        def check(nt):
+            assert_matches_rows(nt)
+            ls = compute_scales(nt)
+            for p in np.flatnonzero(ls.kth < nt.k_max).tolist():
+                depths.append(np.unique(nt.distances[p, :ls.kth[p]] // 1.0).size + 1)
+
+        check()
+        assert max(depths) == 3
+
+    def test_logs_width_short_rows_depth_and_divisions(self, caplog):
+        # Width 1: row 1 is the staircase 1, 2, 9 from bin 0, which first
+        # spikes in its third run (K = 3); row 2's twelve cells sit on a
+        # whole number of widths, so each is divided again.
+        d = np.full((10, 12), 0.5)
+        d[0, -1] = 11.5
+        d[1] = [0.5] + [1.5] * 2 + [2.5] * 9
+        d[2] = 3.0
+        nt = hand_table(d)
+        caplog.set_level(logging.DEBUG, logger="edgeprune.scale")
+        ls = compute_scales(nt)
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "edgeprune.scale"]
+        found = re.fullmatch(r"compute_scales: width (\S+), (\d+) of (\d+) rows with "
+                             r"K < k_max, deepest run scanned (\d+), (\d+) cells divided again",
+                             message)
+        assert found, message
+        assert float(found[1]) == fd_bin_width(d) == 1.0
+        assert [int(v) for v in found.groups()[1:]] == [1, 10, 3, 12]
+        assert ls.kth.tolist() == [12, 3] + [12] * 8
+        assert_matches_rows(nt)
+
+    def test_no_log_line_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="edgeprune.scale")
+        compute_scales(hand_table(np.outer(np.arange(1.0, 6.0), np.arange(1.0, 4.0))))
+        assert not [r for r in caplog.records if r.name == "edgeprune.scale"]
+
+    def test_peak_memory_on_a_20k_table(self):
+        # The whole-table run analysis peaked at 10.2 times the table's
+        # bytes here; the scan keeps the bins, one Boolean table and the
+        # rows still undecided.
+        d = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, (20_000, 50)), axis=1)
+        nt = NeighborTable(distances=d, indices=np.zeros(d.shape, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            compute_scales(nt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * d.nbytes
 
 
 class TestSeventhNeighborScales:
