@@ -416,9 +416,16 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
     cells must parse as finite reals. Parse failures report the 1-based
     row number of the offending line. A leading UTF-8 byte-order mark, as
     Excel writes, is skipped.
+
+    Cells are parsed a column at a time: every line is split once, and
+    each numeric column is one `map(float, ...)`, which strips the
+    whitespace of its cells as `float(cell.strip())` does. Only when that
+    fails (a row of the wrong arity, a cell that is not a number, a
+    non-finite value or a NaN label) do the rows run one at a time, to
+    name the first offending row.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+        lines = fh.read().split("\n")  # universal newlines: every line ends in \n
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise InputError(f"{path}: file is empty")
@@ -433,6 +440,39 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
     if label_column is not None and not 0 <= label_column < arity:
         raise InputError(f"label column {label_column} out of range for {arity} columns")
 
+    coords, raw_labels = (_parse_columns(rows, arity, label_column)
+                          or _parse_rows(path, rows, arity, label_column))
+    if len(coords) < 2:
+        raise InputError(f"{path}: need at least 2 data rows, got {len(coords)}")
+    labels = _encode_labels(raw_labels) if label_column is not None else None
+    return PointSet(np.array(coords, dtype=np.float64), labels,
+                    name=os.path.basename(str(path)))
+
+
+def _parse_columns(rows, arity, label_column):
+    """(coordinates, raw labels) of `rows`, parsed by column; None when
+    some row is bad, for `_parse_rows` to name."""
+    split = [line.split(",") for _, line in rows]
+    if any(len(cells) != arity for cells in split):
+        return None
+    columns = list(zip(*split))
+    raw_labels: list[str] = []
+    if label_column is not None:
+        raw_labels = [cell.strip() for cell in columns.pop(label_column)]
+        if any(math.isnan(_parse_number(cell) or 0.0) for cell in raw_labels):
+            return None
+    coords = np.empty((len(rows), len(columns)), dtype=np.float64)
+    try:
+        for j, column in enumerate(columns):
+            coords[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=len(rows))
+    except ValueError:
+        return None
+    return (coords, raw_labels) if np.isfinite(coords).all() else None
+
+
+def _parse_rows(path, rows, arity, label_column):
+    """(coordinates, raw labels) of `rows`, parsed one row at a time; the
+    first bad row raises InputError naming it."""
     coords: list[list[float]] = []
     raw_labels: list[str] = []
     for rownum, line in rows:
@@ -454,12 +494,7 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
                 raise InputError(f"{path}: row {rownum}: cannot parse {cell!r} as a number")
             vec.append(value)
         coords.append(vec)
-
-    if len(coords) < 2:
-        raise InputError(f"{path}: need at least 2 data rows, got {len(coords)}")
-    labels = _encode_labels(raw_labels) if label_column is not None else None
-    return PointSet(np.array(coords, dtype=np.float64), labels,
-                    name=os.path.basename(str(path)))
+    return coords, raw_labels
 
 
 def save_csv(ps: PointSet, path) -> None:

@@ -49,6 +49,14 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     sampled uniformly from its non-neighbors; if even those run out the
     point simply gets fewer negatives.
 
+    Farthest first is one sort of one int64 key per cell,
+    (k_max - run) * n + tie_rank[id], where run counts the distinct
+    distances of the row up to the cell: rows ascend, so equal distances
+    share a run. Within a row the keys are distinct, so this is the
+    order of `lexsort((tie_rank[ids], -distances))`. Edges are read from
+    the graph's own arrays, which are sorted by (src, dst): no sparse
+    matrix is built.
+
     A point costs O(degree + k_max) plus its draw, never O(N): its pool
     of non-neighbors is not built. The draw picks ranks in the pool, and
     the sorted blocked ids b (the point, its graph neighbors and its
@@ -71,14 +79,10 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
         for p in np.flatnonzero(need == 0).tolist():
             log.debug("point %d has no mutual edges; contributes no pairs", p)
 
-    # Farthest first; the row is ascending by distance, equal distances
-    # fall back to the seeded rank. Only non-edges are candidates, and a
-    # point takes as many of them as its degree.
-    tie_rank = spawn_rng(seed, 0).permutation(n)
-    cand = np.take_along_axis(
-        nt.indices, np.lexsort((tie_rank[nt.indices], -nt.distances), axis=1), axis=1)
-    csr = g.to_sparse()
-    non_edge = _non_edges(csr, cand)
+    # Only non-edges are candidates, and a point takes as many of them as
+    # its degree.
+    cand = _farthest_first(nt, seed)
+    non_edge = _non_edges(g, cand)
     in_row = non_edge.sum(axis=1)
     anchor, col = np.nonzero(non_edge & (np.cumsum(non_edge, axis=1) <= need[:, None]))
     other = cand[anchor, col]
@@ -86,8 +90,8 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     short = np.flatnonzero(in_row < need)
     drawn = np.empty(0, dtype=np.int64)
     if short.size:
-        drawn_by, drawn = _fallback(csr, short, cand[short], non_edge[short],
-                                    in_row[short], need[short], seed)
+        drawn_by, drawn = _fallback(g, need, short, cand[short], non_edge[short],
+                                    in_row[short], seed)
         # Each point's sampled negatives go right after its in-row ones.
         at = np.searchsorted(anchor, drawn_by, side="right")
         anchor, other = np.insert(anchor, at, drawn_by), np.insert(other, at, drawn)
@@ -98,44 +102,71 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     return PairSet(positives=g.pairs(), negatives=np.column_stack((anchor, other)))
 
 
-def _non_edges(csr, cand):
-    """Whether each id q in row p of `cand` is not an edge (p, q) of `csr`.
+def _farthest_first(nt, seed):
+    """Each row's ids, farthest first; equal distances by the seeded rank.
 
-    The CSR keys p * n + q are sorted and distinct, so one searchsorted
-    finds every query; the sentinel n * n tops them all.
+    One sort of the keys (k_max - run) * n + tie_rank[id] per row (see
+    `export_pairs`); they stay below k_max * n, the table's cell count. A
+    key modulo n is tie_rank[id], and tie_rank is a permutation, so the
+    sorted keys give the ids themselves.
     """
-    n = csr.shape[0]
-    keys = np.append(np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(csr.indptr))
-                     + csr.indices, n * n)
+    n, k_max = nt.distances.shape
+    tie_rank = spawn_rng(seed, 0).permutation(n)
+    key = np.ones((n, k_max), dtype=np.int64)
+    np.not_equal(nt.distances[:, 1:], nt.distances[:, :-1], out=key[:, 1:])
+    np.cumsum(key, axis=1, out=key)  # the run of each cell
+    np.subtract(k_max, key, out=key)
+    key *= n
+    key += tie_rank[nt.indices]
+    key.sort(axis=1)
+    key %= n
+    ids = np.empty(n, dtype=np.int64)
+    ids[tie_rank] = np.arange(n)
+    return ids[key]
+
+
+def _non_edges(g, cand):
+    """Whether each id q in row p of `cand` is not an edge (p, q) of `g`.
+
+    The graph's keys p * n + q are sorted, since its edges are, so one
+    searchsorted finds every query; the sentinel n * n tops them all.
+    """
+    n = g.n
+    keys = np.append(g.src * n + g.dst, n * n)
     query = np.arange(n, dtype=np.int64)[:, None] * n + cand
-    return keys[np.searchsorted(keys, query)] != query
+    found = np.searchsorted(keys, query)
+    # Every query is below the sentinel, so every position is in range.
+    return keys.take(found, out=found, mode="clip") != query
 
 
-def _fallback(csr, short, cand, non_edge, in_row, need, seed):
+def _fallback(g, degrees, short, cand, non_edge, in_row, seed):
     """Sampled negatives (anchors, ids) of the exhausted points `short`.
 
-    The other arguments are their rows; each point draws from every
-    point that is neither itself, a graph neighbor nor an in-row
-    negative, and the result is grouped by anchor in the order of
-    `short`. One `_spawn_choices` call draws every point's ranks: for
-    point p they equal `spawn_rng(seed, 1, p).choice(pool, size=extra,
-    replace=False)` bit for bit (checked on numpy 2.4.6; the per-point
-    generators are not built).
+    `degrees` are the graph's; the other arguments are the rows of
+    `short`. Each point draws from every point that is neither itself, a
+    graph neighbor nor an in-row negative, and the result is grouped by
+    anchor in the order of `short`. A point's graph neighbors are its
+    slice of `g.dst`, as the edges are sorted by (src, dst). One
+    `_spawn_choices` call draws every point's ranks: for point p they
+    equal `spawn_rng(seed, 1, p).choice(pool, size=extra, replace=False)`
+    bit for bit (checked on numpy 2.4.6; the per-point generators are not
+    built).
     """
-    n = csr.shape[0]
+    n = g.n
+    need = degrees[short]
     # Blocked ids of every short point s at once, as sorted keys
     # s * n + id. Dropping repeats absorbs self-loops and repeated edges
     # (np.unique would hash them first, twenty times slower here).
     s = np.arange(short.size, dtype=np.int64)
-    adjacent = csr[short]
+    by = np.repeat(s, need)
+    start = (np.cumsum(degrees) - degrees)[short]  # each short point's first edge
+    edge = np.arange(by.size) + np.repeat(start - (np.cumsum(need) - need), need)
     row, col = np.nonzero(non_edge)
-    blocked = np.sort(np.concatenate([
-        s * n + short,
-        np.repeat(s, np.diff(adjacent.indptr)) * n + adjacent.indices,
-        row * n + cand[row, col]]))
+    blocked = np.sort(np.concatenate([s * n + short, by * n + g.dst[edge],
+                                      row * n + cand[row, col]]))
     blocked = blocked[np.concatenate(([True], blocked[1:] != blocked[:-1]))]
-    size = np.bincount(blocked // n, minlength=short.size)
-    first = np.cumsum(size) - size
+    first = np.searchsorted(blocked, s * n)
+    size = np.diff(first, append=blocked.size)
     # s * n + b - rank(b) over the blocked b of s is sorted, and the
     # count of its values <= s * n + j is #{b : b - rank(b) <= j}.
     below = blocked - (np.arange(blocked.size) - np.repeat(first, size))
@@ -151,17 +182,35 @@ def _fallback(csr, short, cand, non_edge, in_row, need, seed):
     return short[segment], drawn
 
 
-# Records save_pairs formats per write; bounds its extra memory.
+# Records save_pairs writes per block; bounds its extra memory.
 _BLOCK = 4096
 
 
 def save_pairs(ps: PairSet, path) -> None:
-    """Write pairs as JSON lines: {"p": ..., "q": ..., "label": 1|0}."""
-    # Formatted directly, byte-identical to json.dumps of each record:
-    # one % of a repeated line template per block of records.
+    """Write pairs as JSON lines: {"p": ..., "q": ..., "label": 1|0}.
+
+    The bytes are those of json.dumps of each record. Each id's decimal
+    string is formed once per call: ids below min(max id + 1, record
+    count) come from one table of strings, so its size follows the
+    records, not the largest id, and any other id is formatted with
+    str() in its own block. A block of records is gathered from the
+    table into one list of pieces and written with one join.
+    """
+    groups = ((1, ps.positives), (0, ps.negatives))
+    top = max((int(pairs.max()) + 1 for _, pairs in groups if pairs.size), default=0)
+    # Never empty, so that `take` always has an entry to clip to.
+    table = np.fromiter(map(str, range(max(min(top, ps.total), 1))), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for label, pairs in ((1, ps.positives), (0, ps.negatives)):
-            line = '{"p": %s, "q": %s, "label": ' + str(label) + '}\n'
+        for label, pairs in groups:
+            # Each record's pieces: p, ', "q": ', q, and its end joined to
+            # the next record's start; the block's first start is added
+            # and its last is cut.
+            end = ', "label": %d}\n{"p": ' % label
             for i in range(0, len(pairs), _BLOCK):
-                block = pairs[i:i + _BLOCK]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+                ids = pairs[i:i + _BLOCK].ravel()
+                text = table.take(ids, mode="clip")
+                for j in np.flatnonzero((ids < 0) | (ids >= table.size)).tolist():
+                    text[j] = str(int(ids[j]))
+                pieces = [None, ', "q": ', None, end] * (ids.size // 2)
+                pieces[::2] = text.tolist()
+                fh.write('{"p": ' + "".join(pieces)[:-len('{"p": ')])

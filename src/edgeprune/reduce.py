@@ -152,8 +152,10 @@ def mutualize(n: int, src, dst, weight) -> ReducedGraph:
     The inputs are parallel arrays of directed survivor edges; the output
     stores both directions of every mutual edge, each with the weight the
     forward survivor carried. Edges are found by their keys p*n + q, so
-    n**2 must stay below 2**63.
+    n**2 must stay below 2**63; a larger n is refused.
     """
+    if int(n) * int(n) >= 2**63:
+        raise InputError(f"mutualize: {n} vertices give keys n * n of 2**63 or more")
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     weight = np.asarray(weight, dtype=np.float64)

@@ -213,10 +213,13 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
                   "scanned %d, %d cells divided again", width, np.count_nonzero(kth < k_max), n,
                   depth, redone)
 
-    sigma = np.empty(n, dtype=np.float64)
-    for k in np.unique(kth).tolist():
-        rows = np.flatnonzero(kth == k)
-        sigma[rows] = d[rows, :k].mean(axis=1)
+    if np.all(kth == k_max):  # every row's mean, without a gathered copy
+        sigma = np.ascontiguousarray(d).mean(axis=1)
+    else:
+        sigma = np.empty(n, dtype=np.float64)
+        for k in np.unique(kth).tolist():
+            rows = np.flatnonzero(kth == k)
+            sigma[rows] = d[rows, :k].mean(axis=1)
     zero = np.flatnonzero(sigma == 0.0)
     if zero.size:
         smallest = np.where(d[zero] > 0, d[zero], np.inf).min(axis=1)

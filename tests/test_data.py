@@ -77,6 +77,44 @@ class TestLoadCsv:
         marked = load_csv(write(tmp_path, "\ufeff" + text, name="bom.csv"))
         assert marked.points.tobytes() == plain.points.tobytes()
 
+    @pytest.mark.parametrize("text, label_column, message", [
+        # A parse error before an arity error, and the reverse.
+        ("1,2\n3,x\n5\n", None, "row 2: cannot parse 'x' as a number"),
+        ("1,2\n3\n5,x\n", None, "row 2 has 1 cells, expected 2"),
+        # A NaN label before a parse error, and after one.
+        ("1,2,0\n3,4,nan\n5,x,1\n", 2, "row 2: label 'nan' is NaN"),
+        ("1,2,0\n3,y,1\n5,6, NaN \n", 2, "row 2: cannot parse 'y' as a number"),
+        # An inf cell before an arity error, and after one.
+        ("1,2\n3, inf\n5,6,7\n", None, "row 2: cannot parse 'inf' as a number"),
+        ("1,2\n3,4,5\n-inf,6\n", None, "row 2 has 3 cells, expected 2"),
+        # Within a row, cells are read left to right.
+        ("1,2,0\nx,4,nan\n", 2, "row 2: cannot parse 'x' as a number"),
+        ("1,2,0\n3,4,nan\n", 0, "row 2: cannot parse 'nan' as a number"),
+    ])
+    def test_first_of_two_faults_is_named(self, tmp_path, text, label_column, message):
+        path = write(tmp_path, text)
+        with pytest.raises(InputError) as info:
+            load_csv(path, label_column=label_column)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_row_numbers_under_other_line_endings(self, tmp_path, newline):
+        # Blank lines count, as with \n endings.
+        text = newline.join(["1,2", "", "3,4", "5,x", ""])
+        path = tmp_path / "points.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(InputError, match="row 4: cannot parse 'x'"):
+            load_csv(path)
+        path.write_bytes(text.replace("x", "6").encode("utf-8"))
+        assert load_csv(path).points.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+    def test_cells_float_does_not_strip(self, tmp_path):
+        # str.strip() removes the separators \x1c-\x1f, float() does not:
+        # such a cell still parses, as float(cell.strip()) always did.
+        ps = load_csv(write(tmp_path, "\x1c1, 2\t\n3,\u20034\x1f\n"))
+        assert ps.points.tolist() == [[1, 2], [3, 4]]
+        assert ps.points.flags.c_contiguous
+
     def test_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(3)
         ps = PointSet(rng.normal(size=(20, 4)) * 1e3,

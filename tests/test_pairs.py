@@ -12,7 +12,7 @@ from conftest import tie_heavy_tables
 from edgeprune import (InputError, PairSet, PointSet, build_knn, export_pairs,
                        gen_synthetic, load_graph, mutualize, reduce_graph, save_pairs)
 from edgeprune.data import spawn_rng
-from edgeprune.pairs import _BLOCK
+from edgeprune.pairs import _BLOCK, _farthest_first
 
 
 def pair_array(pairs):
@@ -261,6 +261,44 @@ class TestExportPairs:
             export_pairs(g, build_knn(other, 5), seed=0)
 
 
+@st.composite
+def duplicate_heavy_tables(draw):
+    """k-NN table of a few grid points each repeated up to 40 times in a
+    row, as the `pairs` benchmark input is: rows of long zero runs."""
+    distinct = draw(st.integers(1, 5))
+    grid = draw(st.lists(st.integers(0, 3), min_size=2 * distinct, max_size=2 * distinct))
+    copies = draw(st.integers(2, 40))
+    points = np.repeat(np.asarray(grid, dtype=np.float64).reshape(distinct, 2), copies, axis=0)
+    n = len(points)
+    return build_knn(PointSet(points), draw(st.integers(1, min(n - 1, 50))))
+
+
+class TestFarthestFirst:
+    """The one-key order against the two-key lexsort it replaces."""
+
+    @staticmethod
+    def assert_equals_lexsort(nt, seed):
+        tie_rank = spawn_rng(seed, 0).permutation(nt.n)
+        order = np.lexsort((tie_rank[nt.indices], -nt.distances), axis=1)
+        want = np.take_along_axis(nt.indices, order, axis=1)
+        got = _farthest_first(nt, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @given(tie_heavy_tables(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_tables(self, nt, seed):
+        self.assert_equals_lexsort(nt, seed)
+
+    @given(duplicate_heavy_tables(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_heavy_rows(self, nt, seed):
+        self.assert_equals_lexsort(nt, seed)
+
+    def test_fixture(self, dataset_b):
+        self.assert_equals_lexsort(build_knn(dataset_b, 30), seed=3)
+
+
 class TestExportPairsMatchesLoop:
     """The whole-array export against the per-point reference loop."""
 
@@ -392,3 +430,45 @@ class TestSavePairs:
         path = tmp_path / "pairs.jsonl"
         save_pairs(PairSet(positives=pair_array([]), negatives=pair_array([])), path)
         assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("digits", range(1, 20))
+    def test_bytes_equal_json_dumps_at_digit_edges(self, tmp_path, digits):
+        # Ids on both sides of every power of ten up to 2**63 - 1, among as
+        # many small ids, so some sit inside the table of strings and
+        # some beyond it.
+        edges = [10**digits - 1, 10**digits, 2**63 - 1]
+        ids = [i for i in edges + [0, 1, 9, 10] if i < 2**63]
+        positives = [(p, q) for p in ids for q in ids if p < q]
+        negatives = [(q, p) for p, q in positives]
+        path = tmp_path / "pairs.jsonl"
+        save_pairs(PairSet(positives=pair_array(positives), negatives=pair_array(negatives)),
+                   path)
+        assert path.read_bytes() == json_lines(positives, negatives).encode("utf-8")
+
+    def test_bytes_equal_json_dumps_with_ids_beyond_the_table(self, tmp_path):
+        # 300 records of dense ids below 200 and a few ids at, around and
+        # far beyond the table's bound, min(max id + 1, records) = 300.
+        rng = np.random.default_rng(5)
+        ids = rng.integers(0, 200, size=(300, 2))
+        ids[[3, 50, 151, 299], [0, 1, 0, 1]] = [299, 300, 301, 10**12]
+        ids[7] = [2**63 - 1, 2**40]
+        path = tmp_path / "pairs.jsonl"
+        save_pairs(PairSet(positives=ids[:120], negatives=ids[120:]), path)
+        assert path.read_bytes() == json_lines(ids[:120].tolist(),
+                                               ids[120:].tolist()).encode("utf-8")
+
+    def test_memory_follows_the_records_not_the_largest_id(self, tmp_path):
+        # Ten records with ids near 2**62: a table of strings up to the
+        # largest id could never be built, one up to the record count is
+        # ten strings.
+        ids = 2**62 + np.arange(20, dtype=np.int64).reshape(10, 2)
+        path = tmp_path / "pairs.jsonl"
+        tracemalloc.start()
+        try:
+            save_pairs(PairSet(positives=ids[:4], negatives=ids[4:]), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == json_lines(ids[:4].tolist(),
+                                               ids[4:].tolist()).encode("utf-8")
+        assert peak <= 64 * 2**10, f"save_pairs peaked at {peak / 2**10:.1f} KiB"

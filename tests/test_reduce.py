@@ -353,6 +353,18 @@ class TestMutualize:
         with pytest.raises(InputError):
             mutualize(2, [0], [5], [0.5])
 
+    @pytest.mark.parametrize("n", [2**32, 3_037_000_500])
+    def test_vertex_count_whose_keys_wrap_rejected(self, n):
+        # Keys p * n + q would wrap at n * n >= 2**63: at 2**32 the edges
+        # came back with src [2**31, 0], out of order.
+        with pytest.raises(InputError, match="2\\*\\*63"):
+            mutualize(n, [2**31, 0], [0, 2**31], [1.0, 2.0])
+
+    def test_largest_vertex_count_accepted(self):
+        n = 3_037_000_499  # n * n < 2**63
+        g = mutualize(n, [n - 1, 0], [0, n - 1], [1.0, 2.0])
+        assert g.src.tolist() == [0, n - 1] and g.dst.tolist() == [n - 1, 0]
+
     def test_directed_survivors_retained(self):
         g = graph_from_pairs(3, [(0, 1), (1, 0), (0, 2)])
         directed = set(zip(g.directed_src.tolist(), g.directed_dst.tolist()))

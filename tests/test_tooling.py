@@ -1,6 +1,7 @@
 """Checks on the test configuration and on the names the benchmark relies on."""
 
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -52,6 +53,31 @@ def load_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_run(monkeypatch):
+    """perfbench/run.py, loaded by path; it imports spans as a top-level module."""
+    monkeypatch.setitem(sys.modules, "spans", load_spans())
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_workload_writes_its_recorded_bytes(tmp_path, monkeypatch):
+    # The benchmark checks each dup-pairs-1.2k op's pairs.jsonl against
+    # the SHA-256 recorded in references.json; a change to the pairs path
+    # that moves a byte fails here before it fails every benchmark op.
+    run = load_run(monkeypatch)
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    cases = [("toy", seed) for seed in (0, 7, 14, 21, 28)] + [("full", 5), ("full", 26)]
+    for size, seed in cases:
+        inputs = run.make_inputs("dup-pairs-1.2k", seed, size, tmp_path / "in")
+        out = tmp_path / f"{size}-{seed}"
+        assert main([*inputs.argv, "--out", str(out)]) == 0
+        sha = hashlib.sha256((out / "pairs.jsonl").read_bytes()).hexdigest()
+        assert sha == references[size]["dup-pairs-1.2k"][str(seed)]["pairs_sha256"], (size, seed)
 
 
 def test_benchmark_traced_names_exist():
