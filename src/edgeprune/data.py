@@ -21,8 +21,8 @@ from .errors import InputError
 # A seed is a plain unsigned 64-bit integer. All randomized steps derive
 # their generators from it through `spawn_rng`, or, where many keyed
 # generators would each draw a few samples, take those same draws from
-# `_spawn_choices` at once; so equal seeds give bit-identical results
-# everywhere downstream.
+# `_spawn_choices`, which computes most of them at once; so equal seeds
+# give bit-identical results everywhere downstream.
 Seed = int
 
 # Seeds lie in [0, SEED_RANGE); derived seeds wrap around at it.
@@ -41,8 +41,8 @@ def spawn_rng(seed: Seed, *stream: int) -> np.random.Generator:
     """Deterministic generator for `seed`, optionally keyed by a sub-stream.
 
     `_spawn_choices(seed, stream, keys, ...)` gives, bit for bit, what
-    `spawn_rng(seed, stream, key).choice(...)` draws for each key, without
-    building the generators.
+    `spawn_rng(seed, stream, key).choice(...)` draws for each key; it
+    builds a key's generator only for the rare lanes it does not compute.
     """
     return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *stream]))
 
@@ -172,99 +172,77 @@ def _pcg64_outputs(start: np.ndarray, index: np.ndarray,
 
 def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
     """For each lane i, `spawn_rng(seed, stream, keys[i]).choice(sizes[i],
-    size=counts[i], replace=False)`, concatenated lane by lane, computed
-    for all lanes at once without a Generator (checked against numpy 2.4.6).
+    size=counts[i], replace=False)`, concatenated lane by lane (checked
+    against numpy 2.4.6); keys below 2**32, sizes below 2**31.
 
-    Keys must be below 2**32 and sizes below 2**31: numpy draws 32-bit
-    bounded integers below 2**32, and a lane's sort keys pack a position
-    and a draw into one int64. Each lane's stream is numpy's:
-      * seeding: `_seed_words` (SeedSequence), `_pcg64_start` and
-        `_pcg64_outputs` (PCG64); a 32-bit draw takes an output's low
-        half, then its high half;
-      * bounded(r), uniform on [0, r]: Lemire's method, m = u * (r + 1)
-        redrawn while m mod 2**32 < (2**32 - r - 1) mod (r + 1), result
-        m >> 32; bounded(0) draws nothing;
-      * a size above 10,000 with a count above size // 50: a tail shuffle
-        of arange(size), swapping i with bounded(i) for i = size - 1 down
-        to max(size - count, 1), keeping the last count;
-      * otherwise Floyd's algorithm: for j in [size - count, size), v =
-        bounded(j), taking j if v is already taken, else v; then a
-        Fisher-Yates pass on the count values, swapping i with bounded(i)
-        for i = count - 1 down to 1.
-    Lanes run in blocks of at most 2 * `_CHOICE_DRAWS` draws; a lane with
-    more runs alone.
+    A lane that numpy samples by its tail shuffle (size above 10,000, count
+    above size // 50) is drawn by its own generator. The others follow its
+    Floyd branch on numpy's streams: v = bounded(j) for j in [size - count,
+    size), taking j if v is taken already, else v; then Fisher-Yates,
+    swapping i with bounded(i) for i = count - 1 down to 1. bounded(r) is
+    Lemire's method: m = u * (r + 1) for a 32-bit word u (an output's low
+    half, then its high half), redrawn while m mod 2**32 < (2**32 - r - 1)
+    mod (r + 1), result m >> 32. The words are read in blocks of at most 2 *
+    `_CHOICE_DRAWS` draws (a lane with more runs alone), which bound the
+    scratch, as if none were redrawn; a lane where one is (each draw with
+    probability below size / 2**32) goes to its own generator too.
     """
     keys, sizes, counts = (np.asarray(a, dtype=np.int64) for a in (keys, sizes, counts))
     if (keys >= 2**32).any() or (sizes >= 2**31).any():
         raise ValueError("keys must be below 2**32 and sizes below 2**31")
-    start = _pcg64_start(_seed_words(seed, stream, keys))
     tail = (sizes > 10_000) & (counts > sizes // 50)
-    low = np.where(tail, np.maximum(sizes - counts, 1), 1)
-    top = np.where(tail, sizes, counts)             # positions the swaps run over
-    pre = np.where(tail, 0, counts)                 # Floyd's draws
-    draws = pre + np.maximum(top - low, 0)
-    # 32-bit words a lane reads without rejections: one a draw, but none
-    # for bounded(0), Floyd's first draw when the count is the size.
-    words = draws - (pre == sizes) * (pre > 0)
-    jumps = _lcg_jumps(int(words.max(initial=0)) // 2 + 3)
+    floyd = np.where(tail, 0, counts)
+    draws = np.maximum(2 * floyd - 1, 0)
     big = np.flatnonzero(draws > _CHOICE_DRAWS)
     cuts = np.unique(np.concatenate((
         [0, keys.size], big, big + 1,
         1 + np.flatnonzero(np.diff(np.cumsum(draws) // _CHOICE_DRAWS)))))
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [
-        _choice_block(start[:, a:b], jumps, sizes[a:b], counts[a:b], tail[a:b], low[a:b],
-                      top[a:b], pre[a:b], draws[a:b], words[a:b])
-        for a, b in zip(cuts[:-1], cuts[1:])])
+    start = _pcg64_start(_seed_words(seed, stream, keys))
+    jumps = _lcg_jumps(int(draws.max(initial=0)) // 2 + 3)
+    out = np.empty(int(counts.sum()), dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    swaps = np.maximum(floyd - 1, 0)
+    edge = np.concatenate(([0], np.cumsum(swaps)))   # each lane's first swap target
+    target = np.empty(edge[-1], dtype=np.int64)
+    own = [np.flatnonzero(tail)] + [
+        a + _floyd_block(out, target[edge[a]:edge[b]], first[a:b], start[:, a:b], jumps,
+                         sizes[a:b], floyd[a:b])
+        for a, b in zip(cuts[:-1], cuts[1:])]
+    # Swap u of every lane with more than u swaps at once: sorted, they lead.
+    lane = np.argsort(-swaps)
+    top, base, at = (first + swaps)[lane], first[lane], edge[lane]
+    for u, n in enumerate(np.searchsorted(-swaps[lane], -np.arange(swaps.max(initial=0))).tolist()):
+        i, j = top[:n] - u, base[:n] + target[at[:n] + u]
+        out[i], out[j] = out[j], out[i]
+    for i in np.concatenate(own).tolist():
+        out[first[i]:first[i] + counts[i]] = spawn_rng(seed, stream, keys[i]).choice(
+            sizes[i], size=counts[i], replace=False)
+    return out
 
 
-def _choice_block(start, jumps, sizes, counts, tail, low, top, pre, draws, words):
-    """`_spawn_choices` on one block of lanes; the lane arrays as set there.
-    Each lane draws in its stream's order: Floyd's draws, then the swaps'."""
+def _floyd_block(out, target, first, start, jumps, sizes, counts):
+    """Floyd's picks of a block of lanes into out[first:first + count], and
+    their swap targets bounded(count - 1), ..., bounded(1) into `target`;
+    returns the lanes where Lemire's method redraws a word. bounded(0) (a
+    first pick when count = size) reads a word numpy skips, giving 0 too."""
+    draws = np.maximum(2 * counts - 1, 0)   # words, in count 64-bit outputs
     t = np.arange(draws.sum()) - np.repeat(np.cumsum(draws) - draws, draws)
-    floyd = t < np.repeat(pre, draws)
-    # Bounds: Floyd's j = size - count + t, then the swaps' i, descending.
-    bound = np.where(floyd, t + np.repeat(sizes - counts, draws),
-                     np.repeat(top - 1 + pre, draws) - t)
-    del t
-    value = _bounded(start, jumps, bound, draws, words)
-    taken = _floyd(value[floyd], sizes - counts, pre)
-    # The swaps map each kept position to the position it started at; a
-    # Floyd lane's positions hold its taken values, a tail lane's their own.
-    source = _swap_sources(value[~floyd], top, low, counts)
-    from_floyd = np.repeat(~tail, counts)
-    source[from_floyd] = taken[(source + np.repeat(np.cumsum(pre) - pre, counts))[from_floyd]]
-    return source
-
-
-def _bounded(start, jumps, bound, draws, words):
-    """bounded(bound) for every draw of each lane's PCG64 in `start`, in
-    order, reading `words` 32-bit words per lane when nothing rejects."""
-    drawn = bound > 0
-    word = np.cumsum(drawn) - drawn - np.repeat(np.cumsum(words) - words, draws)
+    c = np.repeat(counts, draws)
+    pick = t < c
+    bound = np.where(pick, t + np.repeat(sizes, draws) - c, 2 * c - 1 - t)
+    at = np.cumsum(counts) - counts
+    k = np.arange(counts.sum()) - np.repeat(at, counts)   # a lane's outputs, and its picks
+    raw = _pcg64_outputs(np.repeat(start, counts, axis=1), k, jumps)
+    word = 2 * np.repeat(at, draws) + np.maximum(t - np.repeat(counts == sizes, draws), 0)
     span = (bound + 1).astype(np.uint64)
-    outputs = words // 2 + 1
-    first = np.cumsum(outputs) - outputs
-    out = _pcg64_outputs(np.repeat(start, outputs, axis=1),
-                         np.arange(outputs.sum()) - np.repeat(first, outputs), jumps)
-    m = (out[np.repeat(first, draws) + (word >> 1)] >> (32 * (word & 1)).astype(np.uint64)) & _M32
-    m *= span
-    # A lane whose draw rejects reads every later draw one word on. The
-    # test m mod 2**32 < (2**32 - span) mod span can only hold below span.
-    at = np.arange(bound.size)
-    end, lane = np.cumsum(draws), np.repeat(np.arange(draws.size), draws)
-    while True:
-        low = at[(m[at] & _M32) < span[at]]
-        reject = low[(m[low] & _M32) < (2**32 - span[low]) % span[low]]
-        if not reject.size:
-            return (m >> 32).astype(np.int64)
-        lead = reject[np.diff(lane[reject], prepend=-1) != 0]
-        shift = np.zeros(bound.size + 1, dtype=np.int64)
-        shift[lead] += 1
-        shift[end[lane[lead]]] -= 1
-        at = np.flatnonzero(np.cumsum(shift[:-1]))
-        word[at] += 1
-        out = _pcg64_outputs(start[:, lane[at]], word[at] >> 1, jumps)
-        m[at] = ((out >> (32 * (word[at] & 1)).astype(np.uint64)) & _M32) * span[at]
+    m = raw.astype("<u8", copy=False).view("<u4")[word] * span   # low halves first
+    # m mod 2**32 < (2**32 - span) mod span can only hold below span.
+    low = np.flatnonzero((m & _M32) < span)
+    reject = low[(m[low] & _M32) < (2**32 - span[low]) % span[low]]
+    value = (m >> 32).astype(np.int64)
+    out[np.repeat(first, counts) + k] = _floyd(value[pick], sizes - counts, counts)
+    target[:] = value[~pick]
+    return np.unique(np.repeat(np.arange(counts.size), draws)[reject])
 
 
 def _floyd(v, offset, pre):
@@ -286,56 +264,6 @@ def _floyd(v, offset, pre):
     while not np.array_equal(repeat, nxt := dup | (earlier & repeat[at_s])):
         repeat = nxt
     return np.where(repeat, t + np.repeat(offset, pre), v)
-
-
-def _swap_sources(target, top, low, counts):
-    """Where each kept value started, after each lane's swaps.
-
-    Lane l swaps position i with target(i) <= i for i = top[l] - 1 down to
-    low[l]; `target` lists them lane by lane in that order. Returns, for
-    the positions [top - count, top) of each lane in order (count <= top -
-    low + 1), the position whose starting value ends there.
-
-    Just before swap i, position p holds what the first swap after it
-    with target p moved there (the least i' > i with target(i') = p),
-    which is what i' held just before its own swap; without such a swap,
-    p's starting value. Pointer jumping follows these links for all at
-    once.
-    """
-    # Hot positions [low - 1, top) of each lane, numbered lane by lane;
-    # a target below them gets a number of its own past the hot ones.
-    swaps, hot_n = np.maximum(top - low, 0), np.maximum(top - low + 1, 0)
-    hot_first = np.cumsum(hot_n) - hot_n
-    hot = int(hot_n.sum())
-    hot_pos = np.arange(hot) - np.repeat(hot_first - low + 1, hot_n)
-    # Swap u of a lane is at position top - 1 - u, hot number hot_first + hot_n - 1 - u.
-    at = np.repeat(hot_first + hot_n - 1 + np.cumsum(swaps) - swaps, swaps) - np.arange(target.size)
-    onto = np.where(target >= np.repeat(low - 1, swaps),
-                    target + np.repeat(hot_first - low + 1, swaps),
-                    target + np.repeat(np.cumsum(low - 1) - (low - 1) + hot, swaps))
-    target_of = np.zeros(hot, dtype=np.int64)
-    target_of[at] = target
-    # Swaps sorted by (target, position): each target's swaps in a run.
-    bits = hot.bit_length()
-    key = np.sort((onto << bits) | at)
-    at, onto = key & ((1 << bits) - 1), key >> bits
-    same = np.append(onto[1:] == onto[:-1], False)   # the next swap has this one's target
-    later = np.full(hot, -1)
-    later[at] = np.where(same, np.append(at[1:], -1), -1)
-    # A hot target's first swap after itself: its run's first, or the
-    # second when the first is the swap at the target itself.
-    run = np.flatnonzero(np.diff(onto, prepend=-1) != 0)
-    run = run[onto[run] < hot]
-    follow = np.full(hot, -1)
-    follow[onto[run]] = np.where(at[run] > onto[run], at[run], later[at[run]])
-    root = np.where(follow < 0, np.arange(hot), follow)
-    while not np.array_equal(root, jumped := root[root]):
-        root = jumped
-    began = hot_pos[root]
-
-    kept = np.arange(counts.sum()) + np.repeat(hot_first + hot_n - np.cumsum(counts), counts)
-    return np.where(hot_pos[kept] < np.repeat(low, counts), began[kept],
-                    np.where(later[kept] >= 0, began[later[kept]], target_of[kept]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,9 +324,9 @@ def _parse_number(cell: str) -> float | None:
         return None
 
 
-def _encode_labels(raw: list[str]) -> np.ndarray:
-    """Map raw label cells to contiguous ids 0..C-1 in sorted value order."""
-    numeric = [_parse_number(c) for c in raw]
+def _encode_labels(raw: list[str], numeric: list[float | None]) -> np.ndarray:
+    """Map raw label cells to contiguous ids 0..C-1 in sorted value order;
+    `numeric` holds each cell's `_parse_number`."""
     if all(v is not None for v in numeric):
         keys: list = numeric  # type: ignore[assignment]
     else:
@@ -440,26 +368,28 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
     if label_column is not None and not 0 <= label_column < arity:
         raise InputError(f"label column {label_column} out of range for {arity} columns")
 
-    coords, raw_labels = (_parse_columns(rows, arity, label_column)
-                          or _parse_rows(path, rows, arity, label_column))
+    coords, raw_labels, label_values = (_parse_columns(rows, arity, label_column)
+                                        or _parse_rows(path, rows, arity, label_column))
     if len(coords) < 2:
         raise InputError(f"{path}: need at least 2 data rows, got {len(coords)}")
-    labels = _encode_labels(raw_labels) if label_column is not None else None
+    labels = _encode_labels(raw_labels, label_values) if label_column is not None else None
     return PointSet(np.array(coords, dtype=np.float64), labels,
                     name=os.path.basename(str(path)))
 
 
 def _parse_columns(rows, arity, label_column):
-    """(coordinates, raw labels) of `rows`, parsed by column; None when
-    some row is bad, for `_parse_rows` to name."""
+    """(coordinates, raw labels, their `_parse_number`s) of `rows`, parsed
+    by column; None when some row is bad, for `_parse_rows` to name."""
     split = [line.split(",") for _, line in rows]
     if any(len(cells) != arity for cells in split):
         return None
     columns = list(zip(*split))
     raw_labels: list[str] = []
+    label_values: list[float | None] = []
     if label_column is not None:
         raw_labels = [cell.strip() for cell in columns.pop(label_column)]
-        if any(math.isnan(_parse_number(cell) or 0.0) for cell in raw_labels):
+        label_values = [_parse_number(cell) for cell in raw_labels]
+        if any(math.isnan(v or 0.0) for v in label_values):
             return None
     coords = np.empty((len(rows), len(columns)), dtype=np.float64)
     try:
@@ -467,14 +397,15 @@ def _parse_columns(rows, arity, label_column):
             coords[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=len(rows))
     except ValueError:
         return None
-    return (coords, raw_labels) if np.isfinite(coords).all() else None
+    return (coords, raw_labels, label_values) if np.isfinite(coords).all() else None
 
 
 def _parse_rows(path, rows, arity, label_column):
-    """(coordinates, raw labels) of `rows`, parsed one row at a time; the
-    first bad row raises InputError naming it."""
+    """(coordinates, raw labels, their `_parse_number`s) of `rows`, parsed
+    one row at a time; the first bad row raises InputError naming it."""
     coords: list[list[float]] = []
     raw_labels: list[str] = []
+    label_values: list[float | None] = []
     for rownum, line in rows:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != arity:
@@ -485,7 +416,8 @@ def _parse_rows(path, rows, arity, label_column):
         for j, cell in enumerate(cells):
             if j == label_column:
                 # NaN equals no value, itself included, so it names no class.
-                if math.isnan(_parse_number(cell) or 0.0):
+                label_values.append(_parse_number(cell))
+                if math.isnan(label_values[-1] or 0.0):
                     raise InputError(f"{path}: row {rownum}: label {cell!r} is NaN")
                 raw_labels.append(cell)
                 continue
@@ -494,7 +426,7 @@ def _parse_rows(path, rows, arity, label_column):
                 raise InputError(f"{path}: row {rownum}: cannot parse {cell!r} as a number")
             vec.append(value)
         coords.append(vec)
-    return coords, raw_labels
+    return coords, raw_labels, label_values
 
 
 def save_csv(ps: PointSet, path) -> None:

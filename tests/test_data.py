@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +55,15 @@ class TestLoadCsv:
     def test_string_labels(self, tmp_path):
         ps = load_csv(write(tmp_path, "0,b\n1,a\n2,b\n"), label_column=1)
         assert np.array_equal(ps.labels, [1, 0, 1])
+
+    # "\x1c0" parses only stripped, so that file is read by row.
+    @pytest.mark.parametrize("first", ["0", "\x1c0"], ids=["by-column", "by-row"])
+    def test_numeric_labels_ordered_by_value(self, tmp_path, first):
+        # Labels that all parse are one class per value, in value order:
+        # "10" after "2", and "1", "1.0" and " 1e0" alike.
+        text = f"{first},10\n1,2\n2,1.0\n3,1\n4, 1e0\n5,-inf\n"
+        ps = load_csv(write(tmp_path, text), label_column=1)
+        assert ps.labels.tolist() == [3, 2, 1, 1, 1, 0]
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan"])
     def test_nan_label_rejected_naming_its_row(self, tmp_path, cell):
@@ -326,6 +337,11 @@ class TestSpawnChoices:
     @example(2**64 - 1, [(4, 10_001, 10_001), (5, 12_000, 241), (6, 12_000, 240)])
     @example(3, [(7, 10_001, 9_000), (8, 300, 300), (9, 10_200, 5_000)])  # several blocks
     @example(0, [(5664, 10**6, 3)])  # a Lemire rejection, see below
+    # numpy's own lanes (the rejecting one, a tail one) in each of two
+    # blocks, among Floyd lanes of counts 49, 8, 2500, 0 and the size.
+    @example(0, [(10, 5_000, 49), (5664, 10**6, 3), (11, 1_170, 8), (12, 12_000, 241),
+                 (13, 300, 0), (14, 300, 300), (15, 9_000, 2_500), (16, 9_000, 2_500),
+                 (17, 5_000, 49), (18, 12_000, 241), (5664, 10**6, 3), (19, 1_170, 8)])
     def test_matches_one_generator_per_lane(self, seed, lanes):
         keys, sizes, counts = np.array(lanes, dtype=np.int64).reshape(-1, 3).T
         got = _spawn_choices(seed, 1, keys, sizes, counts)
@@ -342,6 +358,22 @@ class TestSpawnChoices:
         assert (int(raw[0]) & 0xFFFFFFFF) * span % 2**32 < (2**32 - span) % span
         assert np.array_equal(_spawn_choices(0, 1, [5664], [10**6], [3]),
                               choices_loop(0, [(5664, 10**6, 3)]))
+
+    def test_lane_blocks_bound_the_scratch(self):
+        # 10,000 lanes of 20 draws from 99,000 (numpy's Floyd branch): with
+        # the words read in blocks of `_CHOICE_DRAWS` draws the call peaks
+        # near 4.5 MiB, about 3 MiB of it the output and the swap targets;
+        # with all lanes in one block it took 40.6 MiB.
+        lanes = [(key, 99_000, 20) for key in range(10_000)]
+        keys, sizes, counts = np.array(lanes, dtype=np.int64).T
+        tracemalloc.start()
+        try:
+            got = _spawn_choices(7, 1, keys, sizes, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"_spawn_choices peaked at {peak / 2**20:.2f} MiB"
+        assert np.array_equal(got[-40:], choices_loop(7, lanes[-2:]))
 
     def test_keys_and_sizes_in_range(self):
         with pytest.raises(ValueError):
