@@ -21,8 +21,9 @@ from .errors import InputError
 # A seed is a plain unsigned 64-bit integer. All randomized steps derive
 # their generators from it through `spawn_rng`, or, where many keyed
 # generators would each draw a few samples, take those same draws from
-# `_spawn_choices`, which computes most of them at once; so equal seeds
-# give bit-identical results everywhere downstream.
+# `_spawn_choices`, which computes at once the lanes that draw no more
+# than there are lanes; so equal seeds give bit-identical results
+# everywhere downstream.
 Seed = int
 
 # Seeds lie in [0, SEED_RANGE); derived seeds wrap around at it.
@@ -42,7 +43,7 @@ def spawn_rng(seed: Seed, *stream: int) -> np.random.Generator:
 
     `_spawn_choices(seed, stream, keys, ...)` gives, bit for bit, what
     `spawn_rng(seed, stream, key).choice(...)` draws for each key; it
-    builds a key's generator only for the rare lanes it does not compute.
+    builds a key's generator only for the lanes it does not compute.
     """
     return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *stream]))
 
@@ -55,7 +56,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (O'Neill 2014).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Draws per block of lanes in `_spawn_choices`, which bounds its scratch
-# (under 100 bytes a draw).
+# (under 100 bytes a draw); half of it bounds a batched lane's count.
 _CHOICE_DRAWS = 2**13
 
 
@@ -175,46 +176,47 @@ def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
     size=counts[i], replace=False)`, concatenated lane by lane (checked
     against numpy 2.4.6); keys below 2**32, sizes below 2**31.
 
-    A lane that numpy samples by its tail shuffle (size above 10,000, count
-    above size // 50) is drawn by its own generator. The others follow its
-    Floyd branch on numpy's streams: v = bounded(j) for j in [size - count,
-    size), taking j if v is taken already, else v; then Fisher-Yates,
-    swapping i with bounded(i) for i = count - 1 down to 1. bounded(r) is
-    Lemire's method: m = u * (r + 1) for a 32-bit word u (an output's low
-    half, then its high half), redrawn while m mod 2**32 < (2**32 - r - 1)
-    mod (r + 1), result m >> 32. The words are read in blocks of at most 2 *
-    `_CHOICE_DRAWS` draws (a lane with more runs alone), which bound the
-    scratch, as if none were redrawn; a lane where one is (each draw with
+    A lane goes to its own generator when numpy samples it by its tail
+    shuffle (size above 10,000, count above size // 50) or its count
+    exceeds min(lanes, `_CHOICE_DRAWS` // 2), as the shuffle below takes a
+    step per swap index. The others, the batch, follow numpy's Floyd branch
+    on its streams: v = bounded(j) for j in [size - count, size), taking j
+    if v is taken already, else v; then Fisher-Yates, swapping i with
+    bounded(i) for i = count - 1 down to 1, each step for all lanes at
+    once. bounded(r) is Lemire's method: m = u * (r + 1) for a 32-bit word
+    u (an output's low half, then its high half), redrawn while m mod 2**32
+    < (2**32 - r - 1) mod (r + 1), result m >> 32. The words are read in
+    blocks of at most 2 * `_CHOICE_DRAWS` draws, which bound the scratch,
+    as if none were redrawn; a lane where one is (each draw with
     probability below size / 2**32) goes to its own generator too.
     """
     keys, sizes, counts = (np.asarray(a, dtype=np.int64) for a in (keys, sizes, counts))
     if (keys >= 2**32).any() or (sizes >= 2**31).any():
         raise ValueError("keys must be below 2**32 and sizes below 2**31")
-    tail = (sizes > 10_000) & (counts > sizes // 50)
-    floyd = np.where(tail, 0, counts)
-    draws = np.maximum(2 * floyd - 1, 0)
-    big = np.flatnonzero(draws > _CHOICE_DRAWS)
-    cuts = np.unique(np.concatenate((
-        [0, keys.size], big, big + 1,
-        1 + np.flatnonzero(np.diff(np.cumsum(draws) // _CHOICE_DRAWS)))))
-    start = _pcg64_start(_seed_words(seed, stream, keys))
-    jumps = _lcg_jumps(int(draws.max(initial=0)) // 2 + 3)
+    own = ((sizes > 10_000) & (counts > sizes // 50)) | (
+        counts > min(keys.size, _CHOICE_DRAWS // 2))
+    floyd = np.where(own, 0, counts)
     out = np.empty(int(counts.sum()), dtype=np.int64)
     first = np.cumsum(counts) - counts
-    swaps = np.maximum(floyd - 1, 0)
-    edge = np.concatenate(([0], np.cumsum(swaps)))   # each lane's first swap target
-    target = np.empty(edge[-1], dtype=np.int64)
-    own = [np.flatnonzero(tail)] + [
-        a + _floyd_block(out, target[edge[a]:edge[b]], first[a:b], start[:, a:b], jumps,
-                         sizes[a:b], floyd[a:b])
-        for a, b in zip(cuts[:-1], cuts[1:])]
-    # Swap u of every lane with more than u swaps at once: sorted, they lead.
-    lane = np.argsort(-swaps)
-    top, base, at = (first + swaps)[lane], first[lane], edge[lane]
-    for u, n in enumerate(np.searchsorted(-swaps[lane], -np.arange(swaps.max(initial=0))).tolist()):
-        i, j = top[:n] - u, base[:n] + target[at[:n] + u]
-        out[i], out[j] = out[j], out[i]
-    for i in np.concatenate(own).tolist():
+    if floyd.any():
+        draws = np.maximum(2 * floyd - 1, 0)
+        ends = np.flatnonzero(np.diff(np.cumsum(draws) // _CHOICE_DRAWS))   # a block's last lane
+        cuts = [0, *(ends + 1).tolist(), keys.size]
+        start = _pcg64_start(_seed_words(seed, stream, keys))
+        jumps = _lcg_jumps(int(draws.max()) // 2 + 3)
+        swaps = np.maximum(floyd - 1, 0)
+        edge = np.concatenate(([0], np.cumsum(swaps)))   # each lane's first swap target
+        target = np.empty(edge[-1], dtype=np.int64)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            own[a + _floyd_block(out, target[edge[a]:edge[b]], first[a:b], start[:, a:b],
+                                 jumps, sizes[a:b], floyd[a:b])] = True
+        # Swap u of every lane with more than u swaps at once: sorted, they lead.
+        lane = np.argsort(-swaps)
+        top, base, at = (first + swaps)[lane], first[lane], edge[lane]
+        for u, n in enumerate(np.searchsorted(-swaps[lane], -np.arange(swaps.max())).tolist()):
+            i, j = top[:n] - u, base[:n] + target[at[:n] + u]
+            out[i], out[j] = out[j], out[i]
+    for i in np.flatnonzero(own).tolist():
         out[first[i]:first[i] + counts[i]] = spawn_rng(seed, stream, keys[i]).choice(
             sizes[i], size=counts[i], replace=False)
     return out
@@ -347,10 +349,12 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
 
     Cells are parsed a column at a time: every line is split once, and
     each numeric column is one `map(float, ...)`, which strips the
-    whitespace of its cells as `float(cell.strip())` does. Only when that
-    fails (a row of the wrong arity, a cell that is not a number, a
-    non-finite value or a NaN label) do the rows run one at a time, to
-    name the first offending row.
+    whitespace of its cells as `float(cell.strip())` does, save the
+    separators U+001C-U+001F; a column where that fails is parsed again
+    as `float(cell.strip())`. Only when a column still fails (a row of
+    the wrong arity, a cell that is not a number, a non-finite value or
+    a NaN label) does one pass over the rows name the first offending
+    row.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")  # universal newlines: every line ends in \n
@@ -369,64 +373,52 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
         raise InputError(f"label column {label_column} out of range for {arity} columns")
 
     coords, raw_labels, label_values = (_parse_columns(rows, arity, label_column)
-                                        or _parse_rows(path, rows, arity, label_column))
+                                        or _name_fault(path, rows, arity, label_column))
     if len(coords) < 2:
         raise InputError(f"{path}: need at least 2 data rows, got {len(coords)}")
     labels = _encode_labels(raw_labels, label_values) if label_column is not None else None
-    return PointSet(np.array(coords, dtype=np.float64), labels,
-                    name=os.path.basename(str(path)))
+    return PointSet(coords, labels, name=os.path.basename(str(path)))
 
 
 def _parse_columns(rows, arity, label_column):
     """(coordinates, raw labels, their `_parse_number`s) of `rows`, parsed
-    by column; None when some row is bad, for `_parse_rows` to name."""
+    by column; None when some row is bad, for `_name_fault` to name."""
     split = [line.split(",") for _, line in rows]
     if any(len(cells) != arity for cells in split):
         return None
     columns = list(zip(*split))
-    raw_labels: list[str] = []
-    label_values: list[float | None] = []
+    raw_labels, label_values = [], []
     if label_column is not None:
         raw_labels = [cell.strip() for cell in columns.pop(label_column)]
         label_values = [_parse_number(cell) for cell in raw_labels]
         if any(math.isnan(v or 0.0) for v in label_values):
             return None
     coords = np.empty((len(rows), len(columns)), dtype=np.float64)
-    try:
-        for j, column in enumerate(columns):
+    for j, column in enumerate(columns):
+        try:
             coords[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=len(rows))
-    except ValueError:
-        return None
+        except ValueError:
+            try:  # float() keeps the separators \x1c-\x1f that strip() removes
+                coords[:, j] = [float(cell.strip()) for cell in column]
+            except ValueError:
+                return None
     return (coords, raw_labels, label_values) if np.isfinite(coords).all() else None
 
 
-def _parse_rows(path, rows, arity, label_column):
-    """(coordinates, raw labels, their `_parse_number`s) of `rows`, parsed
-    one row at a time; the first bad row raises InputError naming it."""
-    coords: list[list[float]] = []
-    raw_labels: list[str] = []
-    label_values: list[float | None] = []
+def _name_fault(path, rows, arity, label_column):
+    """Raise InputError naming the first bad row of `rows`, and in it the
+    first bad cell from the left; `_parse_columns` found one."""
     for rownum, line in rows:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != arity:
-            raise InputError(
-                f"{path}: row {rownum} has {len(cells)} cells, expected {arity}"
-            )
-        vec = []
+            raise InputError(f"{path}: row {rownum} has {len(cells)} cells, expected {arity}")
         for j, cell in enumerate(cells):
-            if j == label_column:
-                # NaN equals no value, itself included, so it names no class.
-                label_values.append(_parse_number(cell))
-                if math.isnan(label_values[-1] or 0.0):
-                    raise InputError(f"{path}: row {rownum}: label {cell!r} is NaN")
-                raw_labels.append(cell)
-                continue
             value = _parse_number(cell)
-            if value is None or not math.isfinite(value):
+            # NaN equals no value, itself included, so it names no class.
+            if j == label_column and math.isnan(value or 0.0):
+                raise InputError(f"{path}: row {rownum}: label {cell!r} is NaN")
+            if j != label_column and (value is None or not math.isfinite(value)):
                 raise InputError(f"{path}: row {rownum}: cannot parse {cell!r} as a number")
-            vec.append(value)
-        coords.append(vec)
-    return coords, raw_labels, label_values
 
 
 def save_csv(ps: PointSet, path) -> None:

@@ -66,9 +66,10 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     which it then indexes, so the sample is the same. Point p's ranks are
     `spawn_rng(seed, 1, p).choice(pool size, size=count, replace=False)`,
     computed for all short points at once by `data._spawn_choices`, which
-    hands a point to that generator only where numpy takes its tail
-    shuffle (a pool above 10,000 and a count above pool // 50) or
-    Lemire's method redraws a word (checked on numpy 2.4.6).
+    hands a point to that generator where numpy takes its tail shuffle
+    (a pool above 10,000 and a count above pool // 50), where its count
+    is above the number of short points or 4096, or where Lemire's
+    method redraws a word (checked on numpy 2.4.6).
 
     At DEBUG, one line gives the points with edges, the points that fell
     back, the ranks drawn and the points left short of negatives.
@@ -151,8 +152,8 @@ def _fallback(g, degrees, short, cand, non_edge, in_row, seed):
     slice of `g.dst`, as the edges are sorted by (src, dst). One
     `_spawn_choices` call draws every point's ranks: for point p they
     equal `spawn_rng(seed, 1, p).choice(pool, size=extra, replace=False)`
-    bit for bit (checked on numpy 2.4.6; that generator is built only for
-    the points that `_spawn_choices` does not compute).
+    bit for bit (checked on numpy 2.4.6; that generator is built for the
+    points that `_spawn_choices` does not compute, as `export_pairs` says).
     """
     n = g.n
     need = degrees[short]

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeprune import InputError, PointSet, gen_synthetic, load_csv, save_csv
+from edgeprune import data
 from edgeprune.data import _spawn_choices, check_seed, spawn_rng
 
 
@@ -56,7 +57,7 @@ class TestLoadCsv:
         ps = load_csv(write(tmp_path, "0,b\n1,a\n2,b\n"), label_column=1)
         assert np.array_equal(ps.labels, [1, 0, 1])
 
-    # "\x1c0" parses only stripped, so that file is read by row.
+    # "\x1c0" parses only stripped, so its column is parsed a second time.
     @pytest.mark.parametrize("first", ["0", "\x1c0"], ids=["by-column", "by-row"])
     def test_numeric_labels_ordered_by_value(self, tmp_path, first):
         # Labels that all parse are one class per value, in value order:
@@ -125,6 +126,29 @@ class TestLoadCsv:
         ps = load_csv(write(tmp_path, "\x1c1, 2\t\n3,\u20034\x1f\n"))
         assert ps.points.tolist() == [[1, 2], [3, 4]]
         assert ps.points.flags.c_contiguous
+
+    def test_padded_cells_need_no_fault_pass(self, tmp_path, monkeypatch):
+        # Cells padded with \x1c-\x1f fail float() but not float(cell.strip()):
+        # their columns are parsed again, stripped, and no row is named.
+        def unused(*args):
+            raise AssertionError("the fault pass ran on a valid file")
+        monkeypatch.setattr(data, "_name_fault", unused)
+        plain = load_csv(write(tmp_path, "1.5,2,a\n-3,4e2,b\n5,6,a\n"), label_column=2)
+        text = "\x1c1.5,2\x1d,a\n-3\x1e,\x1f4e2 ,\x1cb\n 5,\x1f\x1c6,a\x1d\n"
+        padded = load_csv(write(tmp_path, text, name="padded.csv"), label_column=2)
+        assert padded.points.tobytes() == plain.points.tobytes()
+        assert padded.labels.tolist() == plain.labels.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("\x1c1,2\n3,4\nx,6\n", "row 3: cannot parse 'x' as a number"),   # same column
+        ("\x1c1,2\n3,4\n5,x\n", "row 3: cannot parse 'x' as a number"),   # a later column
+        ("1,\x1f2\n3, inf\x1e\n", "row 2: cannot parse 'inf' as a number"),
+    ])
+    def test_fault_after_a_padded_cell_is_named(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(InputError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -317,15 +341,40 @@ def choices_loop(seed, lanes):
 
 @st.composite
 def choice_lanes(draw):
-    """(key, size, count) lanes: Floyd's sizes, and sizes above 10,000 where
-    numpy takes its tail shuffle once the count passes size // 50; counts
-    run from 0 to the size."""
+    """(key, size, count) lanes, most of them batched: counts run from 0 to
+    the size and to the number of lanes, count = size included. Some
+    counts pass the lanes, and sizes above 10,000 take numpy's tail
+    shuffle once the count passes size // 50; numpy draws those lanes."""
     lanes = []
-    for _ in range(draw(st.integers(0, 5))):
-        size = draw(st.one_of(st.integers(1, 300), st.integers(10_001, 10_400)))
-        count = draw(st.one_of(st.just(0), st.just(size), st.integers(0, min(size, 600))))
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, 140)))
+    for _ in range(n):
+        size = draw(st.one_of(st.integers(1, n), st.integers(1, 300),
+                              st.integers(10_001, 10_400)))
+        most = min(size, n)
+        count = draw(st.one_of(st.just(0), st.just(most), st.integers(0, most),
+                               st.integers(0, min(size, 600))))
         lanes.append((draw(st.integers(0, 2**32 - 1)), size, count))
     return lanes
+
+
+# Two blocks of batched lanes (the first 258 lanes, then 14), each with
+# two lanes that numpy draws itself, the pinned rejecting lane (5664,
+# 10**6, 3) and a tail lane, beside Floyd lanes of counts 49, 8, 0 and
+# the size.
+BLOCK_LANES = [(10, 5_000, 49), (5664, 10**6, 3), (11, 1_170, 8), (12, 12_000, 241),
+               (13, 300, 0), (14, 130, 130)]
+TWO_BLOCKS = BLOCK_LANES + [(k, 9_000, 16) for k in range(20, 280)] + BLOCK_LANES
+
+
+def counted_spawn_rng(monkeypatch):
+    """The streams `_spawn_choices` builds generators for, in call order."""
+    streams = []
+
+    def counted(seed, *stream):
+        streams.append(tuple(int(s) for s in stream))
+        return spawn_rng(seed, *stream)
+    monkeypatch.setattr(data, "spawn_rng", counted)
+    return streams
 
 
 class TestSpawnChoices:
@@ -333,31 +382,49 @@ class TestSpawnChoices:
 
     @given(st.integers(0, 2**64 - 1), choice_lanes())
     @settings(max_examples=200, deadline=None)
-    @example(0, [(0, 1, 1), (1, 1, 0), (2, 7, 7), (3, 7, 0)])
-    @example(2**64 - 1, [(4, 10_001, 10_001), (5, 12_000, 241), (6, 12_000, 240)])
-    @example(3, [(7, 10_001, 9_000), (8, 300, 300), (9, 10_200, 5_000)])  # several blocks
-    @example(0, [(5664, 10**6, 3)])  # a Lemire rejection, see below
-    # numpy's own lanes (the rejecting one, a tail one) in each of two
-    # blocks, among Floyd lanes of counts 49, 8, 2500, 0 and the size.
-    @example(0, [(10, 5_000, 49), (5664, 10**6, 3), (11, 1_170, 8), (12, 12_000, 241),
-                 (13, 300, 0), (14, 300, 300), (15, 9_000, 2_500), (16, 9_000, 2_500),
-                 (17, 5_000, 49), (18, 12_000, 241), (5664, 10**6, 3), (19, 1_170, 8)])
+    # bounded(0): a count equal to the size skips a word.
+    @example(0, [(0, 1, 1), (1, 1, 0), (2, 7, 7), (3, 7, 0), (4, 5, 5), (5, 9, 2), (6, 300, 7)])
+    # Batched counts 240 of 12,000 beside tail lanes of 241.
+    @example(2**64 - 1, [(k, 12_000, 241 - k % 2) for k in range(250)] + [(4, 10_001, 10_001)])
+    @example(3, [(k, 10_200, 100) for k in range(130)] + [(8, 130, 130)])  # four blocks
+    @example(0, [(5664, 10**6, 3), (1, 10**6, 3), (2, 50, 3)])  # a Lemire rejection
+    @example(0, TWO_BLOCKS)
     def test_matches_one_generator_per_lane(self, seed, lanes):
         keys, sizes, counts = np.array(lanes, dtype=np.int64).reshape(-1, 3).T
         got = _spawn_choices(seed, 1, keys, sizes, counts)
         assert got.dtype == np.int64
         assert np.array_equal(got, choices_loop(seed, lanes))
 
-    def test_pinned_lane_rejects_a_draw(self):
+    def test_pinned_lane_rejects_a_draw(self, monkeypatch):
         # Seed 0, key 5664, size 10**6, count 3: Floyd's first draw is
         # bounded(999_997), and Lemire's method rejects the stream's first
         # 32-bit word (m mod 2**32 below (2**32 - span) mod span), which
-        # happens with probability about 2e-4 at this bound.
+        # happens with probability about 2e-4 at this bound. With two
+        # companions the lane is batched, and only its rejection hands it
+        # to numpy.
         raw = np.random.PCG64(np.random.SeedSequence([0, 1, 5664])).random_raw(1)
         span = 10**6 - 3 + 1
         assert (int(raw[0]) & 0xFFFFFFFF) * span % 2**32 < (2**32 - span) % span
-        assert np.array_equal(_spawn_choices(0, 1, [5664], [10**6], [3]),
-                              choices_loop(0, [(5664, 10**6, 3)]))
+        lanes = [(1, 10**6, 3), (5664, 10**6, 3), (2, 50, 3)]
+        streams = counted_spawn_rng(monkeypatch)
+        got = _spawn_choices(0, 1, *np.array(lanes).T)
+        assert streams == [(1, 5664)]
+        assert np.array_equal(got, choices_loop(0, lanes))
+
+    @pytest.mark.parametrize("lanes", [
+        [(3, 10_000, 10_000)],                       # a count above the lanes
+        [(0, 200, 5), (1, 200, 5), (2, 200, 0)],     # counts above the lanes, and 0
+    ])
+    def test_lanes_past_the_batch_go_to_numpy(self, monkeypatch, lanes):
+        # A call that leaves no draw to the batch does not seed streams by hand.
+        streams = counted_spawn_rng(monkeypatch)
+
+        def unused(*args):
+            raise AssertionError("a lane was batched")
+        monkeypatch.setattr(data, "_seed_words", unused)
+        got = _spawn_choices(0, 1, *np.array(lanes).T)
+        assert streams == [(1, key) for key, _, count in lanes if count]
+        assert np.array_equal(got, choices_loop(0, lanes))
 
     def test_lane_blocks_bound_the_scratch(self):
         # 10,000 lanes of 20 draws from 99,000 (numpy's Floyd branch): with

@@ -202,9 +202,14 @@ def test_batched_draws_follow_numpy_layer_by_layer():
         want = np.concatenate([np.random.PCG64(s).random_raw(40) for s in sequences])
         assert np.array_equal(got, want), \
             f"PCG64.random_raw moved (seed {seed}) under numpy {np.__version__}"
-        sizes, counts = np.array([5, 1170, 12_000, 12_000]), np.array([5, 8, 240, 241])
-        got = data._spawn_choices(seed, 1, keys, sizes, counts)
-        want = np.concatenate([np.random.default_rng(s).choice(k, size=e, replace=False)
-                               for s, k, e in zip(sequences, sizes, counts)])
+        # 248 lanes, so that counts up to 248 are batched: 5 of 5, 8 of
+        # 1170 and 240 of 12,000; 241 of 12,000 takes numpy's tail shuffle.
+        lanes = np.append(np.arange(247), keys[-1])
+        sizes = np.resize([5, 1170, 12_000, 12_000], 248)
+        counts = np.resize([5, 8, 240, 241], 248)
+        got = data._spawn_choices(seed, 1, lanes, sizes, counts)
+        want = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence([seed, 1, int(key)])).choice(
+                k, size=e, replace=False) for key, k, e in zip(lanes, sizes, counts)])
         assert np.array_equal(got, want), \
             f"Generator.choice moved (seed {seed}) under numpy {np.__version__}"
