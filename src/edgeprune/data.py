@@ -348,13 +348,11 @@ def load_csv(path, label_column: int | None = None) -> PointSet:
     Excel writes, is skipped.
 
     Cells are parsed a column at a time: every line is split once, and
-    each numeric column is one `map(float, ...)`, which strips the
-    whitespace of its cells as `float(cell.strip())` does, save the
-    separators U+001C-U+001F; a column where that fails is parsed again
-    as `float(cell.strip())`. Only when a column still fails (a row of
-    the wrong arity, a cell that is not a number, a non-finite value or
-    a NaN label) does one pass over the rows name the first offending
-    row.
+    each numeric column is one pass of `float(cell.strip())`, which also
+    takes cells padded with the separators U+001C-U+001F that `float`
+    alone refuses. Only when a column fails (a row of the wrong arity, a
+    cell that is not a number, a non-finite value or a NaN label) does
+    one pass over the rows name the first offending row.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")  # universal newlines: every line ends in \n
@@ -396,18 +394,18 @@ def _parse_columns(rows, arity, label_column):
     coords = np.empty((len(rows), len(columns)), dtype=np.float64)
     for j, column in enumerate(columns):
         try:
-            coords[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=len(rows))
+            coords[:, j] = np.fromiter(map(float, map(str.strip, column)), dtype=np.float64,
+                                       count=len(rows))
         except ValueError:
-            try:  # float() keeps the separators \x1c-\x1f that strip() removes
-                coords[:, j] = [float(cell.strip()) for cell in column]
-            except ValueError:
-                return None
+            return None
     return (coords, raw_labels, label_values) if np.isfinite(coords).all() else None
 
 
 def _name_fault(path, rows, arity, label_column):
     """Raise InputError naming the first bad row of `rows`, and in it the
-    first bad cell from the left; `_parse_columns` found one."""
+    first bad cell from the left. It checks what `_parse_columns` checks,
+    so it finds a bad row wherever that returned None; if it finds none,
+    the two checks disagree and it raises AssertionError."""
     for rownum, line in rows:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != arity:
@@ -419,6 +417,7 @@ def _name_fault(path, rows, arity, label_column):
                 raise InputError(f"{path}: row {rownum}: label {cell!r} is NaN")
             if j != label_column and (value is None or not math.isfinite(value)):
                 raise InputError(f"{path}: row {rownum}: cannot parse {cell!r} as a number")
+    raise AssertionError(f"{path}: the column parse refused rows the fault pass accepts")
 
 
 def save_csv(ps: PointSet, path) -> None:

@@ -57,7 +57,8 @@ class TestLoadCsv:
         ps = load_csv(write(tmp_path, "0,b\n1,a\n2,b\n"), label_column=1)
         assert np.array_equal(ps.labels, [1, 0, 1])
 
-    # "\x1c0" parses only stripped, so its column is parsed a second time.
+    # "\x1c0" parses only once stripped, as every cell is (this column was
+    # once parsed by rows, hence the id).
     @pytest.mark.parametrize("first", ["0", "\x1c0"], ids=["by-column", "by-row"])
     def test_numeric_labels_ordered_by_value(self, tmp_path, first):
         # Labels that all parse are one class per value, in value order:
@@ -128,8 +129,8 @@ class TestLoadCsv:
         assert ps.points.flags.c_contiguous
 
     def test_padded_cells_need_no_fault_pass(self, tmp_path, monkeypatch):
-        # Cells padded with \x1c-\x1f fail float() but not float(cell.strip()):
-        # their columns are parsed again, stripped, and no row is named.
+        # Cells padded with \x1c-\x1f fail float() but not float(cell.strip()),
+        # the column parse's rule, so no row is named.
         def unused(*args):
             raise AssertionError("the fault pass ran on a valid file")
         monkeypatch.setattr(data, "_name_fault", unused)
@@ -138,6 +139,13 @@ class TestLoadCsv:
         padded = load_csv(write(tmp_path, text, name="padded.csv"), label_column=2)
         assert padded.points.tobytes() == plain.points.tobytes()
         assert padded.labels.tolist() == plain.labels.tolist() == [0, 1, 0]
+
+    def test_fault_pass_that_finds_no_fault_says_so(self, tmp_path, monkeypatch):
+        # Should the column parse refuse a file the fault pass accepts, the
+        # call stops there, rather than unpacking None.
+        monkeypatch.setattr(data, "_parse_columns", lambda *args: None)
+        with pytest.raises(AssertionError, match="the fault pass accepts"):
+            load_csv(write(tmp_path, "1,2\n3,4\n"))
 
     @pytest.mark.parametrize("text, message", [
         ("\x1c1,2\n3,4\nx,6\n", "row 3: cannot parse 'x' as a number"),   # same column
@@ -389,6 +397,8 @@ class TestSpawnChoices:
     @example(3, [(k, 10_200, 100) for k in range(130)] + [(8, 130, 130)])  # four blocks
     @example(0, [(5664, 10**6, 3), (1, 10**6, 3), (2, 50, 3)])  # a Lemire rejection
     @example(0, TWO_BLOCKS)
+    # 600 batched lanes of counts 400 to 600: long swap loops across lanes.
+    @example(5, [(k, 5_000, 400 + k % 201) for k in range(600)])
     def test_matches_one_generator_per_lane(self, seed, lanes):
         keys, sizes, counts = np.array(lanes, dtype=np.int64).reshape(-1, 3).T
         got = _spawn_choices(seed, 1, keys, sizes, counts)
