@@ -7,6 +7,10 @@ ARI is computed from the four pair-agreement counts: pairs grouped
 together in both labelings (n11), separated in both (n00), and the two
 mixed cases. E% measures graph economy as surviving ordered pairs over
 the full graph size N*N, diagonal included.
+
+`acc` imports scipy when first called: `scipy.sparse` and its csgraph
+take about 0.25 s to import, and `pairs`, `reduce` and the metrics
+other than ACC need neither.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import InputError
 from .reduce import ReducedGraph
@@ -82,6 +84,9 @@ def acc(truth, pred) -> float:
     min(rows, cols) to every full matching's total, so the maximizer is
     unchanged.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     m = contingency(truth, pred)
     rows, cols = min_weight_full_bipartite_matching(csr_matrix(m + 1.0), maximize=True)
     return float(m[rows, cols].sum()) / float(m.sum())

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .data import PointSet
 from .errors import InputError
@@ -91,14 +90,23 @@ class ReducedGraph:
         return csr_matrix((self.weight, (self.src, self.dst)), shape=(self.n, self.n))
 
 
-def _scaled_exp(d, sigma_p, sigma_q):
+def _scaled_exp(d: np.ndarray, sigma_p, sigma_q: np.ndarray) -> np.ndarray:
     """exp(-d^2 / s) with s = sigma_p * sigma_q, elementwise, or InputError
-    when some product s is not a normal float64 (finite, >= tiny = 2**-1022)."""
+    when some product s is not a normal float64 (finite, >= tiny = 2**-1022).
+
+    s is formed over sigma_q, a fresh array of d's shape, and d^2 in one more
+    buffer, which is divided, negated and exponentiated in place. Negating the
+    quotient, not d^2, keeps the bits of exp(-(d * d) / s): rounding is
+    symmetric in the sign.
+    """
     with np.errstate(over="ignore"):  # products refused below; ratios give exp(-inf) = 0
-        s = sigma_p * sigma_q
+        s = np.multiply(sigma_q, sigma_p, out=sigma_q)
         if not (s.min() >= np.finfo(np.float64).tiny and np.isfinite(s.max())):
             raise InputError("scale products sigma_p * sigma_q leave float64's normal range")
-        return np.exp(-(d * d) / s)
+        r = np.multiply(d, d)
+        np.divide(r, s, out=r)
+        np.negative(r, out=r)
+        return np.exp(r, out=r)
 
 
 def affinity(d: float, sigma_p: float, sigma_q: float) -> float:
@@ -109,7 +117,8 @@ def affinity(d: float, sigma_p: float, sigma_q: float) -> float:
         raise InputError("affinity: distance must be finite")
     if sigma_p <= 0 or sigma_q <= 0:
         raise InputError(f"affinity: scales must be positive, got {sigma_p}, {sigma_q}")
-    return float(_scaled_exp(np.float64(d), np.float64(sigma_p), np.float64(sigma_q)))
+    return float(_scaled_exp(np.array([d], dtype=np.float64), np.float64(sigma_p),
+                             np.array([sigma_q], dtype=np.float64))[0])
 
 
 def affinity_rows(nt: NeighborTable, ls: LocalScales) -> np.ndarray:
@@ -225,6 +234,13 @@ def reduce_graph(ps: PointSet, k_max: int | None = None,
     defaults to `default_k_max(N)`, and `seventh_neighbor` picks the scales."""
     nt = build_knn(ps, default_k_max(ps.n) if k_max is None else k_max)
     return graph_from_table(nt, seventh_neighbor)
+
+
+def connected_components(*args, **kwargs):
+    """scipy's `connected_components`, imported on first call."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(*args, **kwargs)
 
 
 def component_labels(g: ReducedGraph) -> np.ndarray:

@@ -43,6 +43,11 @@ the distinct rows keep x's memory order, so they are summed as x's rows
 are. Everything that depends on the number of copies of a row stays
 N-long: the seeding's draw probabilities and their sum, the cluster
 means, the empty-cluster reseed and the inertia.
+
+scipy is imported inside the functions that call it, at first use:
+`scipy.sparse` and its csgraph take about 0.25 s to import, and the
+commands that never cluster (`reduce`, `pairs`) import this module but
+call none of them.
 """
 
 from __future__ import annotations
@@ -53,10 +58,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
@@ -104,6 +105,8 @@ def laplacian(g: ReducedGraph) -> scipy.sparse.csr_matrix:
     d_p * d_q, identical in both orders. Repeated ordered pairs add up in
     the CSR matrix as they do in the degrees.
     """
+    import scipy.sparse
+
     deg = np.bincount(g.src, weights=g.weight, minlength=g.n)
     inv_sqrt = np.zeros(g.n, dtype=np.float64)
     nz = deg > 0
@@ -122,6 +125,8 @@ def embed(lap, n_clusters: int) -> Embedding:
     vertices it is solved densely, above it by LOBPCG; any residual
     |Lv - lambda v| above 1e-6 is a NumericError.
     """
+    import scipy.sparse
+
     lap = scipy.sparse.csr_matrix(lap)
     n = lap.shape[0]
     if not 2 <= n_clusters <= n:
@@ -153,6 +158,8 @@ def _dense_smallest(lap, k: int):
     for all pairs, at about twice the time, and the k smallest are kept.
     If that fails too, the solve is a NumericError.
     """
+    import scipy.linalg
+
     # In Fortran order eigh works on the array itself rather than on a
     # hidden copy, so no second N x N copy is made unless this solve fails.
     try:
@@ -176,6 +183,8 @@ def _iterative_smallest(lap, k: int):
     starting block is drawn from a fixed seed, so results are
     reproducible.
     """
+    import scipy.sparse.linalg
+
     n = lap.shape[0]
     x0 = np.random.default_rng(np.random.SeedSequence(0x5EED)).standard_normal((n, k))
     with warnings.catch_warnings():
@@ -371,6 +380,9 @@ def _component_partition(g: ReducedGraph, n_clusters: int):
     between two rooted trees closes a cycle through m and is skipped.
     Without m, a tree's cluster is the rank of its root, if it has one.
     """
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+
     m = n_components(g)
     if m < n_clusters:
         return None, m, 0

@@ -627,6 +627,53 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sp
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv, path", [
+    (None, None),
+    (["reduce"], None),
+    (["reduce", "--similarity-histogram"], None),
+    (["pairs"], None),
+    (["pairs", "--input"], None),
+    (["cluster", "--clusters", "3"], "components"),
+    (["cluster", "--clusters", "4"], "eigensolver"),
+], ids=["import", "reduce", "reduce-histogram", "pairs", "pairs-csv", "cluster-components",
+        "cluster-eigensolver"])
+def test_only_the_commands_that_use_scipy_import_it(tmp_path, argv, path):
+    # scipy.sparse and its csgraph cost about 0.25 s of a process's start,
+    # and the package, `reduce` and `pairs` use no scipy routine. Each case
+    # runs in a fresh interpreter, so no command's imports hide another's.
+    # `cluster` must still find scipy where it calls it, on both back-end
+    # paths, each named by its DEBUG line.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = """
+import logging, sys
+logging.basicConfig(level=logging.DEBUG, format="%(message)s")
+import edgeprune
+code = 0
+if len(sys.argv) > 1:
+    from edgeprune.cli import main
+    code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3])
+"""
+    if argv is None:
+        argv = []
+    elif argv[-1] == "--input":
+        save_csv(gen_synthetic("blobs", {"clusters": 3, "size": 40, "separation": 15},
+                               seed=1), tmp_path / "points.csv")
+        argv = [*argv, str(tmp_path / "points.csv"), "--out", str(tmp_path / "out")]
+    else:
+        argv = [*argv, "--synthetic", BLOBS, "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, _, loaded = proc.stdout.splitlines()[-1].partition(" ")
+    assert code == "0", proc.stderr
+    if path is None:
+        assert loaded == "[]"
+    else:
+        assert f"C={argv[2]}, {path} path" in proc.stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.parametrize("argv", [["reduce", "--similarity-histogram"], ["pairs"],
                                   ["cluster", "--repeats", "2"]])

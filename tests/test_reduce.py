@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,36 @@ class TestAffinityRows:
         nt, ls = self._table(seed=3)
         a = affinity_rows(nt, ls)
         assert np.all((a > 0) & (a <= 1))
+
+    @given(tie_heavy_tables(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_the_bits_of_the_formula(self, nt, data):
+        # In place, the quotient is negated rather than d^2: the same bits,
+        # also where d^2 / s overflows and the affinity is 0.
+        sigma = np.array(data.draw(st.lists(st.floats(2.0**-500, 2.0**500),
+                                            min_size=nt.n, max_size=nt.n)))
+        with np.errstate(over="ignore"):
+            s = sigma[:, None] * sigma[nt.indices]
+            expected = np.exp(-(nt.distances * nt.distances) / s)
+        a = affinity_rows(nt, LocalScales(sigma=sigma, kth=np.ones(nt.n, np.int64)))
+        assert a.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_peak_memory_is_two_tables(self, n):
+        # The scale products and d^2 are the only table-sized buffers; out of
+        # place, the gather, the products, d^2 and its negation peaked at 4
+        # times the table's distance bytes at either size.
+        rng = np.random.default_rng(n)
+        nt = NeighborTable(distances=np.sort(rng.uniform(0.0, 1.0, (n, 50)), axis=1),
+                           indices=rng.integers(0, n, (n, 50)))
+        ls = LocalScales(sigma=rng.uniform(0.1, 1.0, n), kth=np.ones(n, np.int64))
+        tracemalloc.start()
+        try:
+            affinity_rows(nt, ls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * nt.distances.nbytes
 
 
 class TestThresholdRow:
