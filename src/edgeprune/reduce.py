@@ -14,11 +14,16 @@ its endpoints.
 The graph reads only ratios: scaling every coordinate by a power of 2
 leaves it invariant, or refused where a distance or a scale product leaves
 float64's normal range (bar a subnormal square in a normal distance sum).
+
+A graph's connected components are labelled in numpy, by hooking and
+pointer jumping, and numbered as scipy's `connected_components` numbers
+them; only `ReducedGraph.to_sparse` imports scipy.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -28,6 +33,8 @@ from .data import PointSet
 from .errors import InputError
 from .knn import NeighborTable, build_knn
 from .scale import LocalScales, compute_scales, seventh_neighbor_scales
+
+log = logging.getLogger(__name__)
 
 DEFAULT_K_MAX = 50
 
@@ -236,16 +243,48 @@ def reduce_graph(ps: PointSet, k_max: int | None = None,
     return graph_from_table(nt, seventh_neighbor)
 
 
-def connected_components(*args, **kwargs):
-    """scipy's `connected_components`, imported on first call."""
-    from scipy.sparse.csgraph import connected_components
+def connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of each of n vertices under the undirected edges (src, dst).
 
-    return connected_components(*args, **kwargs)
+    Components are numbered 0, 1, ... in the order of their lowest vertex,
+    as scipy's `connected_components` numbers them, and the labels are
+    int32, as scipy's are. Self-loops and repeated edges change nothing.
+
+    Every vertex points to a parent with a lower id, so each tree's root
+    is its lowest vertex. A round hooks every root that an edge leaves to
+    the lowest root across those edges, then jumps pointers until each
+    vertex points at its root. Each edge is carried as the roots of its
+    ends, and dropped once they are one.
+    """
+    parent, a, b = np.arange(n), src, dst
+    while a.size:
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        parent = _roots(parent)
+        a, b = parent[a], parent[b]
+        cross = np.flatnonzero(a != b)
+        a, b = a[cross], b[cross]
+    return (np.cumsum(parent == np.arange(n), dtype=np.int32) - 1)[parent]
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Each vertex's root in a forest given by parent pointers (roots point at themselves)."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
 
 
 def component_labels(g: ReducedGraph) -> np.ndarray:
     """Connected-component label per vertex; isolated vertices get their own."""
-    return connected_components(g.to_sparse(), directed=False)[1]
+    forward = g.src < g.dst  # each edge once; self-loops join nothing
+    labels = connected_components(g.n, g.src[forward], g.dst[forward])
+    if log.isEnabledFor(logging.DEBUG):  # the counts cost a pass over the edges
+        sizes = np.bincount(labels)
+        log.debug("component_labels: N=%d, m=%d components, largest %d vertices, "
+                  "%d isolated vertices", g.n, sizes.size, sizes.max(initial=0),
+                  g.n - np.count_nonzero(g.degrees()))
+    return labels
 
 
 def n_components(g: ReducedGraph) -> int:

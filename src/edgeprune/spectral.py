@@ -9,12 +9,12 @@ returns changes with the BLAS thread count. `spectral_cluster` therefore
 looks at the components first:
 
   * the C largest components are the roots (largest first, ties to the
-    lower component label), and every component in a root's tree of
-    scipy's minimum spanning tree over a super-root takes the root's
-    cluster (see `_component_partition`). Edges rank in (smallest
-    distance in the graph's k-NN table, lower component, higher
-    component) order, and one that would join two rooted trees is
-    skipped. When m = C, the roots alone are the answer;
+    lower component label), and every component in a root's tree of the
+    forest Kruskal grows from the roots takes the root's cluster (see
+    `_component_partition`). Edges rank in (smallest distance in the
+    graph's k-NN table, lower component, higher component) order, and
+    one that would join two rooted trees is skipped. When m = C, the
+    roots alone are the answer;
   * when m < C, or when some component reaches no root (as with any
     graph without a table and m > C), it falls back to NJW: Laplacian,
     eigenvectors of the smallest C eigenvalues with row normalization
@@ -44,10 +44,10 @@ are. Everything that depends on the number of copies of a row stays
 N-long: the seeding's draw probabilities and their sum, the cluster
 means, the empty-cluster reseed and the inertia.
 
-scipy is imported inside the functions that call it, at first use:
-`scipy.sparse` and its csgraph take about 0.25 s to import, and the
-commands that never cluster (`reduce`, `pairs`) import this module but
-call none of them.
+Only the NJW path uses scipy: `laplacian`, `embed` and its two solvers
+import it when called. `scipy.sparse` and, through its csgraph,
+`scipy.linalg` take about 0.3 s and 30 MB to import, and the component
+path, like `reduce` and `pairs`, needs none of it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from .data import Seed, spawn_rng
 from .errors import InputError, NumericError
 from .knn import _product, _screen_slack
-from .reduce import ReducedGraph, n_components
+from .reduce import ReducedGraph, _roots, n_components
 
 log = logging.getLogger(__name__)
 
@@ -370,42 +370,48 @@ def _component_partition(g: ReducedGraph, n_clusters: int):
     largest root), or None when the eigensolver has to decide; m the
     component count; unlinked the components that reach no root.
 
-    Each pair of components the table links gets an edge weighing its
-    rank + 1 in (smallest distance, lower id, higher id) order. A
-    super-root, vertex m, is tied to each of the C roots at weight 0.5.
-    Each (m, root) edge is lighter than every other edge on any cycle
-    through it, so it lies on every spanning tree; the other weights are
-    distinct, so the minimum spanning tree is unique. It is therefore the
-    forest Kruskal grows from the roots in that order, where an edge
-    between two rooted trees closes a cycle through m and is skipped.
-    Without m, a tree's cluster is the rank of its root, if it has one.
+    Each pair of components the table links gets an edge, ranked in
+    (smallest distance, lower id, higher id) order. Kruskal grows a forest
+    from the C roots over the edges in that order, and skips an edge that
+    would close a cycle or join two rooted trees. This is the minimum
+    spanning tree of the graph with a super-root tied to each root by an
+    edge lighter than all others, less the super-root; the ranks are
+    distinct, so that tree is unique. A tree's cluster is the rank of its
+    root, if it has one. The forest is whole once m - C components have
+    joined a tree; the edges left are not read.
     """
-    import scipy.sparse
-    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
-
     m = n_components(g)
     if m < n_clusters:
         return None, m, 0
     roots = np.argsort(-np.bincount(g.components), kind="stable")[:n_clusters]
-    pair = rank = np.empty(0, dtype=np.int64)
-    if g.table is not None:
+    cluster = np.full(m, -1, dtype=np.int64)
+    cluster[roots] = np.arange(n_clusters)
+    pair = np.empty(0, dtype=np.int64)
+    if g.table is not None and m > n_clusters:
         a, b = np.repeat(g.components, g.table.k_max), g.components[g.table.indices.ravel()]
         cross = np.flatnonzero(a != b)
         a, b = a[cross], b[cross]
         pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
         # A pair's first position in (distance, pair) order is its rank.
-        by_key = np.lexsort((pair, g.table.distances.ravel()[cross]))
-        pair, rank = np.unique(pair[by_key], return_index=True)
-    lo, hi = np.divmod(pair, m)
-    edges = scipy.sparse.csr_matrix(
-        (np.concatenate([rank + 1.0, np.full(n_clusters, 0.5)]),
-         (np.concatenate([lo, np.full(n_clusters, m)]), np.concatenate([hi, roots]))),
-        shape=(m + 1, m + 1))
-    forest = minimum_spanning_tree(edges)[:m, :m]
-    tree = connected_components(forest, directed=False)[1]
-    cluster = np.full(m, -1, dtype=np.int64)
-    cluster[tree[roots]] = np.arange(n_clusters)
-    cluster = cluster[tree]
+        pair = pair[np.lexsort((pair, g.table.distances.ravel()[cross]))]
+        pair = pair[np.sort(np.unique(pair, return_index=True)[1])]
+    # Union-find with path halving. A root component never goes under another
+    # vertex, so a tree holds one exactly when the tree's own root is one.
+    parent, rooted = list(range(m)), (cluster >= 0).tolist()
+    joins = m - n_clusters
+    for a, b in zip(*(side.tolist() for side in np.divmod(pair, m))):
+        if not joins:
+            break
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b and not (rooted[a] and rooted[b]):
+            if rooted[a]:
+                a, b = b, a
+            parent[a] = b
+            joins -= 1
+    cluster = cluster[_roots(np.array(parent))]
     unlinked = int((cluster < 0).sum())
     return (None if unlinked else cluster[g.components]), m, unlinked
 

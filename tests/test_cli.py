@@ -634,15 +634,17 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sp
     (["pairs"], None),
     (["pairs", "--input"], None),
     (["cluster", "--clusters", "3"], "components"),
+    (["sweep", "--clusters", "3", "--param", "baseline-k", "--grid", "4,10"], "components"),
+    (["baseline-knn", "--clusters", "3", "--baseline-k", "10"], "components"),
     (["cluster", "--clusters", "4"], "eigensolver"),
 ], ids=["import", "reduce", "reduce-histogram", "pairs", "pairs-csv", "cluster-components",
-        "cluster-eigensolver"])
+        "sweep-baseline-k", "baseline-knn", "cluster-eigensolver"])
 def test_only_the_commands_that_use_scipy_import_it(tmp_path, argv, path):
-    # scipy.sparse and its csgraph cost about 0.25 s of a process's start,
-    # and the package, `reduce` and `pairs` use no scipy routine. Each case
-    # runs in a fresh interpreter, so no command's imports hide another's.
-    # `cluster` must still find scipy where it calls it, on both back-end
-    # paths, each named by its DEBUG line.
+    # scipy.sparse and its csgraph cost about 0.3 s of a process's start.
+    # The package, `reduce`, `pairs` and the back end's components path
+    # (the sweep's 4-NN foil takes the merged path) use no scipy routine;
+    # the eigensolver path does. Each case runs in a fresh interpreter, so
+    # no command's imports hide another's; each path is named by its DEBUG line.
     src = Path(__file__).resolve().parents[1] / "src"
     script = """
 import logging, sys
@@ -668,10 +670,12 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3])
     assert proc.returncode == 0, proc.stderr
     code, _, loaded = proc.stdout.splitlines()[-1].partition(" ")
     assert code == "0", proc.stderr
-    if path is None:
-        assert loaded == "[]"
-    else:
+    if path is not None:
         assert f"C={argv[2]}, {path} path" in proc.stderr
+    if path == "eigensolver":
+        assert loaded.startswith("['scipy'")
+    else:
+        assert loaded == "[]"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from edgeprune import (InputError, PairCounts, acc, ari, edge_percentage, load_graph,
                        mutualize)
@@ -23,6 +25,14 @@ def acc_exhaustive(truth, pred):
         mapped = np.array([perm[v] for v in pred])
         best = max(best, float(np.mean(mapped == truth)))
     return best
+
+
+def acc_scipy(truth, pred):
+    """Best-mapping accuracy from scipy's LAPJVsp on the contingency matrix plus 1,
+    where every cell is an edge, so a full matching of the smaller side exists."""
+    m = contingency(truth, pred)
+    rows, cols = min_weight_full_bipartite_matching(csr_matrix(m + 1.0), maximize=True)
+    return float(m[rows, cols].sum()) / float(m.sum())
 
 
 def pair_counts_enumerated(truth, pred):
@@ -131,6 +141,20 @@ class TestAcc:
         assert acc(one, labels) == acc_exhaustive(one, labels)
         assert acc(labels, one) == acc_exhaustive(labels, one)
         assert acc(one, labels) == np.bincount(labels).max() / 25
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 20),
+           st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_matching_up_to_60_by_60(self, rows, cols, most, density, seed):
+        # Counts from 0 to `most` on a random share of the cells: few
+        # distinct counts tie often, many rarely. Empty rows and columns
+        # leave the contingency matrix, which stays rectangular.
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, most + 1, (rows, cols)) * (rng.random((rows, cols)) < density)
+        counts[rng.integers(rows), rng.integers(cols)] += 1
+        truth = np.repeat(np.arange(rows * cols) // cols, counts.ravel())
+        pred = np.repeat(np.arange(rows * cols) % cols, counts.ravel())
+        assert acc(truth, pred) == acc_scipy(truth, pred)
 
     def test_sparse_ids_match_compacted_relabelling(self):
         # The table has a row and a column per id that occurs; counting up

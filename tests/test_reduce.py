@@ -1,10 +1,13 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 from conftest import copies_beside_simplex, tie_heavy_points, tie_heavy_tables
 from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affinity,
@@ -12,7 +15,8 @@ from edgeprune import (InputError, NeighborTable, NumericError, PointSet, affini
                        export_pairs, fd_bin_width, gen_synthetic, graph_from_table, kmeans,
                        laplacian, load_graph, mutual_knn_graph, mutualize, n_components,
                        reduce_graph, save_graph, threshold_row)
-from edgeprune.reduce import component_labels, default_k_max, threshold_survivors
+from edgeprune.reduce import (component_labels, connected_components, default_k_max,
+                              threshold_survivors)
 from edgeprune.scale import LocalScales, seventh_neighbor_scales
 
 
@@ -514,6 +518,22 @@ class TestScaleInvariance:
                 assert np.array_equal(getattr(scaled, attr), getattr(base, attr)), attr
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, src, dst): up to 40 vertices and 3n random undirected edges."""
+    n = draw(st.integers(0, 40))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return n, src, dst
+
+
+def scipy_labels(n, src, dst):
+    """scipy's component labels of the undirected edges (src, dst)."""
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    return scipy_components(graph, directed=False)[1]
+
+
 class TestComponents:
     def test_component_labels(self):
         g = graph_from_pairs(5, [(0, 1), (1, 0), (2, 3), (3, 2)])
@@ -533,6 +553,35 @@ class TestComponents:
         assert labels.shape == (n,)
         assert same_partition(labels, union_find_labels(n, pairs))
         assert n_components(g) == len(set(union_find_labels(n, pairs).tolist()))
+
+    @given(edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_labels_equal_scipy(self, edges):
+        # Self-loops, repeated pairs, isolated vertices and n = 0 included.
+        n, src, dst = edges
+        labels = connected_components(n, src, dst)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, scipy_labels(n, src, dst))
+
+    def test_labels_equal_scipy_on_a_shuffled_path(self):
+        # One component whose lowest vertex sits anywhere on the path: the
+        # labels take several hooking rounds and long pointer jumps.
+        order = np.random.default_rng(0).permutation(100_000)
+        labels = connected_components(order.size, order[:-1], order[1:])
+        assert not labels.any()
+        assert np.array_equal(labels, scipy_labels(order.size, order[:-1], order[1:]))
+
+    def test_logs_sizes_at_debug_only(self, caplog):
+        g = graph_from_pairs(6, [(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)])
+        caplog.set_level(logging.WARNING)
+        component_labels(g)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="edgeprune.reduce")
+        labels = component_labels(g)
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message == ("component_labels: N=6, m=3 components, largest 3 vertices, "
+                           "1 isolated vertices")
+        assert labels.tolist() == [0, 0, 0, 1, 1, 2]
 
 
 def union_find_labels(n, pairs):
