@@ -225,8 +225,9 @@ def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
 def _floyd_block(out, target, first, start, jumps, sizes, counts):
     """Floyd's picks of a block of lanes into out[first:first + count], and
     their swap targets bounded(count - 1), ..., bounded(1) into `target`;
-    returns the lanes where Lemire's method redraws a word. bounded(0) (a
-    first pick when count = size) reads a word numpy skips, giving 0 too."""
+    returns the lanes where Lemire's method redraws a word, once a word.
+    bounded(0) (a first pick when count = size) reads a word numpy skips,
+    giving 0 too."""
     draws = np.maximum(2 * counts - 1, 0)   # words, in count 64-bit outputs
     t = np.arange(draws.sum()) - np.repeat(np.cumsum(draws) - draws, draws)
     c = np.repeat(counts, draws)
@@ -244,7 +245,7 @@ def _floyd_block(out, target, first, start, jumps, sizes, counts):
     value = (m >> 32).astype(np.int64)
     out[np.repeat(first, counts) + k] = _floyd(value[pick], sizes - counts, counts)
     target[:] = value[~pick]
-    return np.unique(np.repeat(np.arange(counts.size), draws)[reject])
+    return np.repeat(np.arange(counts.size), draws)[reject]
 
 
 def _floyd(v, offset, pre):
@@ -298,8 +299,8 @@ class PointSet:
                 raise InputError(
                     f"labels length {lab.shape} does not match point count {n}"
                 )
-            ids = np.unique(lab)
-            if ids[0] != 0 or ids[-1] != len(ids) - 1:
+            # The range first, so that no count is sized by a stray large id.
+            if not (lab.min() == 0 and lab.max() < n and np.bincount(lab).all()):
                 raise InputError("label ids must form a contiguous range from 0")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)

@@ -363,6 +363,18 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: Seed) -> ClusterResult:
     return ClusterResult(labels=best_labels, inertia=best_inertia, collapsed=collapsed)
 
 
+def _rank_pairs(pair: np.ndarray, distance: np.ndarray) -> np.ndarray:
+    """The distinct values of `pair` (non-negative) in (smallest distance,
+    pair) order, which is the order of their first entries in a sort of all
+    entries by (distance, pair). The entries are sorted by pair, each pair
+    takes its group's minimum, and only the distinct pairs are sorted by it."""
+    by_pair = np.argsort(pair)
+    pair = pair[by_pair]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    nearest = np.minimum.reduceat(distance[by_pair], first)
+    return pair[first[np.argsort(nearest, kind="stable")]]
+
+
 def _component_partition(g: ReducedGraph, n_clusters: int):
     """The partition the graph's components decide, if they decide one.
 
@@ -392,9 +404,7 @@ def _component_partition(g: ReducedGraph, n_clusters: int):
         cross = np.flatnonzero(a != b)
         a, b = a[cross], b[cross]
         pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
-        # A pair's first position in (distance, pair) order is its rank.
-        pair = pair[np.lexsort((pair, g.table.distances.ravel()[cross]))]
-        pair = pair[np.sort(np.unique(pair, return_index=True)[1])]
+        pair = _rank_pairs(pair, g.table.distances.ravel()[cross])
     # Union-find with path halving. A root component never goes under another
     # vertex, so a tree holds one exactly when the tree's own root is one.
     parent, rooted = list(range(m)), (cluster >= 0).tolist()

@@ -643,7 +643,9 @@ def test_only_the_commands_that_use_scipy_import_it(tmp_path, argv, path):
     # scipy.sparse and its csgraph cost about 0.3 s of a process's start.
     # The package, `reduce`, `pairs` and the back end's components path
     # (the sweep's 4-NN foil takes the merged path) use no scipy routine;
-    # the eigensolver path does. Each case runs in a fresh interpreter, so
+    # the eigensolver path does. numpy.ma (about 8 ms and 1.3 MB) is loaded
+    # by a plain `np.unique` or `np.quantile`, and by scipy, so only the
+    # eigensolver path may load it. Each case runs in a fresh interpreter, so
     # no command's imports hide another's; each path is named by its DEBUG line.
     src = Path(__file__).resolve().parents[1] / "src"
     script = """
@@ -654,7 +656,8 @@ code = 0
 if len(sys.argv) > 1:
     from edgeprune.cli import main
     code = main(sys.argv[1:])
-print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3])
+print(code, "numpy.ma" in sys.modules,
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3])
 """
     if argv is None:
         argv = []
@@ -668,14 +671,16 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3])
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, _, loaded = proc.stdout.splitlines()[-1].partition(" ")
+    code, masked, loaded = proc.stdout.splitlines()[-1].split(" ", 2)
     assert code == "0", proc.stderr
     if path is not None:
         assert f"C={argv[2]}, {path} path" in proc.stderr
     if path == "eigensolver":
         assert loaded.startswith("['scipy'")
+        assert masked == "True"
     else:
         assert loaded == "[]"
+        assert masked == "False"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")

@@ -182,6 +182,13 @@ class TestPointSet:
         with pytest.raises(InputError):
             PointSet(np.zeros((3, 2)), labels=[0, 2, 2])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2**40], [-1, 0, 1]], ids=["huge", "negative"])
+    def test_label_range_is_checked_before_counting(self, labels):
+        # Ids are counted only once they lie in [0, N): a count sized by
+        # 2**40 would need 8 TiB.
+        with pytest.raises(InputError, match="label ids must form a contiguous range from 0"):
+            PointSet(np.zeros((3, 2)), labels=labels)
+
     @pytest.mark.parametrize("points, message", [
         (np.zeros(3), "points must be a 2-D array, got ndim=1"),
         (np.zeros((3, 0)), "points must have at least one coordinate"),

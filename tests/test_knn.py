@@ -279,6 +279,55 @@ def test_scratch_memory_at_32_dimensions(monkeypatch):
     assert peak <= 10.5 * 2**20
 
 
+def test_rerank_slices_keep_the_32_dimension_peak_below_9_mib(monkeypatch):
+    # The shape above: with one 1.6-MiB re-rank slice per 128-row group,
+    # the peak was 9.85 MiB; slices of at most `_RERANK_BYTES` = 512 KiB
+    # bring it to about 8.2-8.6 MiB.
+    ps = gen_synthetic("blobs", {"clusters": 2, "size": 1000, "separation": 10, "dim": 32},
+                       seed=1)
+    monkeypatch.setattr(knn, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        build_knn(ps, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, f"build_knn peaked at {peak / 2**20:.2f} MiB"
+
+
+class _SubtractSpy:
+    """numpy, as `knn` sees it, recording the bytes of every 3-D `np.subtract` output."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, a, b, out=None, **kwargs):
+        if out is not None and out.ndim == 3:
+            self.sizes.append(out.nbytes)
+        return np.subtract(a, b, out=out, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [32, 700, 1024])
+def test_rerank_slices_stay_within_budget(monkeypatch, dim):
+    # At 1024-D one candidate column of a 128-row group is 1 MiB, twice the
+    # budget, so rows are sliced too; at 700-D a slice of 93 rows fits.
+    # Slicing moves no bit: one slice per group gives the same table.
+    ps = PointSet(np.random.default_rng(dim).standard_normal((300, dim)))
+    spy = _SubtractSpy()
+    monkeypatch.setattr(knn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(knn, "np", spy)
+    nt = build_knn(ps, 40)
+    assert spy.sizes and max(spy.sizes) <= knn._RERANK_BYTES
+    monkeypatch.setattr(knn, "np", np)
+    monkeypatch.setattr(knn, "_RERANK_BYTES", 2**40)
+    whole = build_knn(ps, 40)
+    assert nt.indices.tobytes() == whole.indices.tobytes()
+    assert nt.distances.tobytes() == whole.distances.tobytes()
+
+
 def test_rerank_memory_at_1024_dimensions(monkeypatch):
     # One re-rank group of 128 rows with up to 127 candidates each: as one
     # (rows x candidates x d) difference tensor that peaked at 54 MiB. In

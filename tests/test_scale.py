@@ -44,7 +44,64 @@ def assert_matches_rows(nt):
             assert ls.sigma[p] == sigma, p
 
 
+def quantile_width(values) -> float:
+    """`fd_bin_width`'s rule with numpy's own quartiles: the oracle."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.min() == v.max():
+        return 1.0
+    q25, q75 = np.quantile(v, [0.25, 0.75])
+    iqr = float(q75 - q25)
+    if iqr == 0.0:
+        return (float(v.max()) - float(v.min())) / math.ceil(math.sqrt(v.size))
+    return 2.0 * iqr * v.size ** (-1.0 / 3.0)
+
+
+def assert_width_is_numpys(values):
+    ours, numpys = np.array([fd_bin_width(values)]), np.array([quantile_width(values)])
+    assert np.array_equal(ours, numpys), \
+        f"np.quantile of numpy {np.__version__} gives width {numpys[0]!r}, not {ours[0]!r}"
+
+
+@st.composite
+def zero_iqr_values(draw):
+    """One value n times, with up to n / 5 larger values: its quartiles are equal."""
+    n = draw(st.integers(1, 500))
+    base = draw(st.floats(-1e6, 1e6))
+    out = draw(st.lists(st.floats(1e6, 1e7), max_size=n // 5))
+    return [base] * (n - len(out)) + out
+
+
+def duplicate_points():
+    """40 points of 5 blobs, each written 30 times in a row, as the pair-export benchmark has."""
+    rng = np.random.default_rng(1)
+    angle = 2.0 * np.pi * (np.arange(40) % 5) / 5
+    points = 10.0 * np.column_stack([np.cos(angle), np.sin(angle)]) + rng.normal(0, 1, (40, 2))
+    return PointSet(np.repeat(points, 30, axis=0))
+
+
 class TestFdBinWidth:
+    @given(st.one_of(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=500),
+        st.lists(st.integers(-16, 16).map(lambda i: i / 4), min_size=1, max_size=500),
+        st.builds(lambda x, n: [x] * n, st.floats(-1e300, 1e300), st.integers(1, 500)),
+        zero_iqr_values()))
+    @settings(max_examples=400, deadline=None)
+    def test_quartiles_are_numpys(self, values):
+        # The quartiles are selected by hand; numpy's default np.quantile
+        # is the reference, bit for bit, over ties, equal values and zero IQRs.
+        assert_width_is_numpys(values)
+
+    @pytest.mark.parametrize("points", [
+        duplicate_points,
+        lambda: gen_synthetic("blobs", {"clusters": 40, "size": 50, "separation": 60}, seed=1),
+        lambda: gen_synthetic("blobs", {"clusters": 2, "size": 1000, "separation": 10,
+                                        "dim": 32}, seed=1),
+        lambda: gen_synthetic("blobs", {"clusters": 3, "size": 100, "separation": 20.0,
+                                        "spread": 1.0}, seed=11),
+    ], ids=["dup-pairs", "manyclust", "blobs32d", "300-points"])
+    def test_quartiles_are_numpys_on_benchmark_tables(self, points):
+        assert_width_is_numpys(build_knn(points(), 50).distances)
+
     def test_all_equal_unit_fallback(self):
         assert fd_bin_width([5.0, 5.0, 5.0]) == 1.0
 
