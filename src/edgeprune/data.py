@@ -22,8 +22,8 @@ from .errors import InputError
 # their generators from it through `spawn_rng`, or, where many keyed
 # generators would each draw a few samples, take those same draws from
 # `_spawn_choices`, which computes at once the lanes that draw no more
-# than there are lanes; so equal seeds give bit-identical results
-# everywhere downstream.
+# than there are lanes and no more than its cap; so equal seeds give
+# bit-identical results everywhere downstream.
 Seed = int
 
 # Seeds lie in [0, SEED_RANGE); derived seeds wrap around at it.
@@ -43,7 +43,7 @@ def spawn_rng(seed: Seed, *stream: int) -> np.random.Generator:
 
     `_spawn_choices(seed, stream, keys, ...)` gives, bit for bit, what
     `spawn_rng(seed, stream, key).choice(...)` draws for each key; it
-    builds a key's generator only for the lanes it does not compute.
+    builds a key's generator only for the lanes it does not batch.
     """
     return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *stream]))
 
@@ -56,8 +56,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (O'Neill 2014).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Draws per block of lanes in `_spawn_choices`, which bounds its scratch
-# (under 100 bytes a draw); half of it bounds a batched lane's count.
-_CHOICE_DRAWS = 2**13
+# (under 100 bytes a draw), and the largest count it batches (see there).
+_CHOICE_DRAWS, _BATCH_COUNT = 2**13, 192
 
 
 def _words32(value: int) -> list[int]:
@@ -92,22 +92,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _seed_words(seed: Seed, stream: int, keys: np.ndarray) -> np.ndarray:
     """`SeedSequence([seed, stream, key]).generate_state(4, np.uint64)` for
-    every key below 2**32, as a (4, lanes) uint64 array.
+    a stream and every key below 2**32, as a (4, lanes) uint64 array.
 
-    The pool of 4 words runs as one (4, lanes) uint32 array; numpy wraps
+    The seed's one or two words, the stream's and the key's fill at most
+    the pool of 4, which runs as one (4, lanes) uint32 array; numpy wraps
     uint32 array arithmetic mod 2**32 without a warning.
     """
-    prefix = [*_words32(check_seed(seed)), *_words32(stream)]
-    entropy = np.zeros((max(len(prefix) + 1, 4), keys.size), dtype=np.uint32)  # 0-padded
+    prefix = [*_words32(check_seed(seed)), stream]
+    entropy = np.zeros((4, keys.size), dtype=np.uint32)  # 0-padded
     entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
     entropy[len(prefix)] = keys
-    consts = _hashes(_MULT_A, _INIT_A, 4 + 12 + 4 * (entropy.shape[0] - 4))
-    pool = _hash(entropy[:4], consts[:, :4])
+    consts = _hashes(_MULT_A, _INIT_A, 16)
+    pool = _hash(entropy, consts[:, :4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         pool[dst] = _mix(pool[dst], _hash(pool[src], consts[:, 4 + 3 * src:7 + 3 * src]))
-    for i, word in enumerate(entropy[4:]):
-        pool = _mix(pool, _hash(word, consts[:, 16 + 4 * i:20 + 4 * i]))
     state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hashes(_MULT_B, _INIT_B, 8)).astype(np.uint64)
     return state[0::2] | (state[1::2] << 32)
 
@@ -133,6 +132,9 @@ def _lcg_jumps(steps: int) -> np.ndarray:
     return np.array(out, dtype=np.uint64).reshape(-1, 4).T
 
 
+_JUMPS = _lcg_jumps(_BATCH_COUNT + 2)   # read at t + 2 for a batched lane's output t
+
+
 def _pcg64_start(words: np.ndarray) -> np.ndarray:
     """The PCG64s that (4, lanes) uint64 `words` seed, one per column, as
     SeedSequence's `generate_state(4, np.uint64)` gives them: (4, lanes)
@@ -148,21 +150,17 @@ def _pcg64_start(words: np.ndarray) -> np.ndarray:
     return np.array([w0 + inc_hi + (s_lo < w1), s_lo, inc_hi, inc_lo])
 
 
-def _pcg64_outputs(start: np.ndarray, index: np.ndarray,
-                   jumps: np.ndarray | None = None) -> np.ndarray:
+def _pcg64_outputs(start: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Output `index` (from 0) of each PCG64 in `start` ((4, M) words of
     `_pcg64_start`, one column per index): `random_raw(index + 1)[index]`.
 
     Every output steps the state first, so output t reads state A s + C inc
-    with (A, C) = `_lcg_jumps` at t + 2 (`jumps`, built here when it is too
-    short), the same factors for every generator; the output is XSL-RR.
+    with (A, C) = `_JUMPS` at t + 2 (t below `_BATCH_COUNT`), the same
+    factors for every generator; the output is XSL-RR.
     """
-    steps = int(index.max(initial=0)) + 3
-    if jumps is None or jumps.shape[1] < steps:
-        jumps = _lcg_jumps(steps)
     index = index + 2
-    hi, lo = _mul128(jumps[0].take(index), jumps[1].take(index), start[0], start[1])
-    hi2, lo2 = _mul128(jumps[2].take(index), jumps[3].take(index), start[2], start[3])
+    hi, lo = _mul128(_JUMPS[0].take(index), _JUMPS[1].take(index), start[0], start[1])
+    hi2, lo2 = _mul128(_JUMPS[2].take(index), _JUMPS[3].take(index), start[2], start[3])
     lo += lo2
     hi += hi2
     hi += lo < lo2
@@ -174,27 +172,29 @@ def _pcg64_outputs(start: np.ndarray, index: np.ndarray,
 def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
     """For each lane i, `spawn_rng(seed, stream, keys[i]).choice(sizes[i],
     size=counts[i], replace=False)`, concatenated lane by lane (checked
-    against numpy 2.4.6); keys below 2**32, sizes below 2**31.
+    against numpy 2.4.6); the stream and keys below 2**32, sizes below 2**31.
 
     A lane goes to its own generator when numpy samples it by its tail
-    shuffle (size above 10,000, count above size // 50) or its count
-    exceeds min(lanes, `_CHOICE_DRAWS` // 2), as the shuffle below takes a
-    step per swap index. The others, the batch, follow numpy's Floyd branch
-    on its streams: v = bounded(j) for j in [size - count, size), taking j
-    if v is taken already, else v; then Fisher-Yates, swapping i with
-    bounded(i) for i = count - 1 down to 1, each step for all lanes at
-    once. bounded(r) is Lemire's method: m = u * (r + 1) for a 32-bit word
-    u (an output's low half, then its high half), redrawn while m mod 2**32
-    < (2**32 - r - 1) mod (r + 1), result m >> 32. The words are read in
-    blocks of at most 2 * `_CHOICE_DRAWS` draws, which bound the scratch,
-    as if none were redrawn; a lane where one is (each draw with
-    probability below size / 2**32) goes to its own generator too.
+    shuffle (size above 10,000, count above size // 50) or its count exceeds
+    the number of lanes, as the shuffle below takes a step per swap index,
+    or the cap `_BATCH_COUNT` = 192, past which numpy is faster (2000 lanes
+    from 5000: even at a count of 192, numpy 25% ahead at 256; numpy 2.4.6,
+    2-core VM). The others, the batch, follow numpy's Floyd branch on its
+    streams: v = bounded(j) for j in [size - count, size), taking j if v is
+    taken already, else v; then Fisher-Yates, swapping i with bounded(i) for
+    i = count - 1 down to 1, each step for all lanes at once. bounded(r) is
+    Lemire's method: m = u * (r + 1) for a 32-bit word u (an output's low
+    half, then its high half), redrawn while m mod 2**32 < (2**32 - r - 1)
+    mod (r + 1), result m >> 32. The words are read in blocks of under
+    `_CHOICE_DRAWS` + 2 * `_BATCH_COUNT` draws, which bound the scratch, as
+    if none were redrawn; a lane where one is (each draw with probability
+    below size / 2**32) goes to its own generator too.
     """
     keys, sizes, counts = (np.asarray(a, dtype=np.int64) for a in (keys, sizes, counts))
-    if (keys >= 2**32).any() or (sizes >= 2**31).any():
-        raise ValueError("keys must be below 2**32 and sizes below 2**31")
+    if not 0 <= stream < 2**32 or (keys >= 2**32).any() or (sizes >= 2**31).any():
+        raise ValueError("the stream and keys must be below 2**32 and sizes below 2**31")
     own = ((sizes > 10_000) & (counts > sizes // 50)) | (
-        counts > min(keys.size, _CHOICE_DRAWS // 2))
+        counts > min(keys.size, _BATCH_COUNT))
     floyd = np.where(own, 0, counts)
     out = np.empty(int(counts.sum()), dtype=np.int64)
     first = np.cumsum(counts) - counts
@@ -203,13 +203,12 @@ def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
         ends = np.flatnonzero(np.diff(np.cumsum(draws) // _CHOICE_DRAWS))   # a block's last lane
         cuts = [0, *(ends + 1).tolist(), keys.size]
         start = _pcg64_start(_seed_words(seed, stream, keys))
-        jumps = _lcg_jumps(int(draws.max()) // 2 + 3)
         swaps = np.maximum(floyd - 1, 0)
         edge = np.concatenate(([0], np.cumsum(swaps)))   # each lane's first swap target
         target = np.empty(edge[-1], dtype=np.int64)
         for a, b in zip(cuts[:-1], cuts[1:]):
             own[a + _floyd_block(out, target[edge[a]:edge[b]], first[a:b], start[:, a:b],
-                                 jumps, sizes[a:b], floyd[a:b])] = True
+                                 sizes[a:b], floyd[a:b])] = True
         # Swap u of every lane with more than u swaps at once: sorted, they lead.
         lane = np.argsort(-swaps)
         top, base, at = (first + swaps)[lane], first[lane], edge[lane]
@@ -222,12 +221,12 @@ def _spawn_choices(seed: Seed, stream: int, keys, sizes, counts) -> np.ndarray:
     return out
 
 
-def _floyd_block(out, target, first, start, jumps, sizes, counts):
-    """Floyd's picks of a block of lanes into out[first:first + count], and
-    their swap targets bounded(count - 1), ..., bounded(1) into `target`;
-    returns the lanes where Lemire's method redraws a word, once a word.
-    bounded(0) (a first pick when count = size) reads a word numpy skips,
-    giving 0 too."""
+def _floyd_block(out, target, first, start, sizes, counts):
+    """Floyd's picks of a block of lanes (counts up to `_BATCH_COUNT`) into
+    out[first:first + count], and their swap targets bounded(count - 1),
+    ..., bounded(1) into `target`; returns the lanes where Lemire's method
+    redraws a word, once a word. bounded(0) (a first pick when count =
+    size) reads a word numpy skips, giving 0 too."""
     draws = np.maximum(2 * counts - 1, 0)   # words, in count 64-bit outputs
     t = np.arange(draws.sum()) - np.repeat(np.cumsum(draws) - draws, draws)
     c = np.repeat(counts, draws)
@@ -235,7 +234,7 @@ def _floyd_block(out, target, first, start, jumps, sizes, counts):
     bound = np.where(pick, t + np.repeat(sizes, draws) - c, 2 * c - 1 - t)
     at = np.cumsum(counts) - counts
     k = np.arange(counts.sum()) - np.repeat(at, counts)   # a lane's outputs, and its picks
-    raw = _pcg64_outputs(np.repeat(start, counts, axis=1), k, jumps)
+    raw = _pcg64_outputs(np.repeat(start, counts, axis=1), k)
     word = 2 * np.repeat(at, draws) + np.maximum(t - np.repeat(counts == sizes, draws), 0)
     span = (bound + 1).astype(np.uint64)
     m = raw.astype("<u8", copy=False).view("<u4")[word] * span   # low halves first
@@ -294,7 +293,7 @@ class PointSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
+            lab = _label_ids(self.labels)
             if lab.shape != (n,):
                 raise InputError(
                     f"labels length {lab.shape} does not match point count {n}"
@@ -435,12 +434,35 @@ def save_csv(ps: PointSet, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _is_whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+
+
 def _whole(value, what: str) -> int:
     """`value` as an int; `what` names it when it is not a whole number."""
-    if isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+    if _is_whole(value):
         return int(value)
     raise InputError(f"{what} must be a whole number, got {value!r}")
+
+
+def _label_ids(labels) -> np.ndarray:
+    """`labels` as an int64 array, refusing (InputError, naming the first)
+    a label that is not a whole number within int64, which a cast would
+    truncate, or refuse with some other error. Bools and whole floats pass."""
+    raw = np.asarray(labels)
+    flat = raw.ravel()
+    if raw.dtype.kind == "f":  # NaN and infinities fail every comparison
+        bad = ~((np.floor(flat) == flat) & (flat >= -2.0**63) & (flat < 2.0**63))
+    elif raw.dtype.kind in "biu":
+        bad = flat > np.iinfo(np.int64).max  # only uint64 can be
+    else:  # objects (as ints past int64 give), strings, complex
+        bad = np.array([not (_is_whole(v) and -2**63 <= v < 2**63) for v in flat.tolist()],
+                       dtype=bool)
+    if bad.any():
+        raise InputError("labels must be whole numbers within int64, got "
+                         f"{flat.tolist()[np.argmax(bad)]!r}")
+    return raw.astype(np.int64, copy=False)
 
 
 def _as_counts(size, groups: int, what: str) -> list[int]:

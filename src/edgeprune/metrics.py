@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _label_ids
 from .errors import InputError
 from .reduce import ReducedGraph
 
 
 def _check_labels(truth, pred) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(truth, dtype=np.int64).ravel()
-    p = np.asarray(pred, dtype=np.int64).ravel()
+    t, p = _label_ids(truth).ravel(), _label_ids(pred).ravel()
     if t.size == 0 or p.size == 0:
         raise InputError("labelings must be non-empty")
     if t.size != p.size:

@@ -68,8 +68,8 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     computed for all short points at once by `data._spawn_choices`, which
     hands a point to that generator where numpy takes its tail shuffle
     (a pool above 10,000 and a count above pool // 50), where its count
-    is above the number of short points or 4096, or where Lemire's
-    method redraws a word (checked on numpy 2.4.6).
+    is above the number of short points or `_spawn_choices`' cap, or
+    where Lemire's method redraws a word (checked on numpy 2.4.6).
 
     At DEBUG, one line gives the points with edges, the points that fell
     back, the ranks drawn and the points left short of negatives.

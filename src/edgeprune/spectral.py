@@ -11,10 +11,10 @@ looks at the components first:
   * the C largest components are the roots (largest first, ties to the
     lower component label), and every component in a root's tree of the
     forest Kruskal grows from the roots takes the root's cluster (see
-    `_component_partition`). Edges rank in (smallest distance in the
-    graph's k-NN table, lower component, higher component) order, and
-    one that would join two rooted trees is skipped. When m = C, the
-    roots alone are the answer;
+    `_component_partition`, which grows it in Boruvka rounds). Edges rank
+    in (smallest distance in the graph's k-NN table, lower component,
+    higher component) order, and one that would join two rooted trees is
+    skipped. When m = C, the roots alone are the answer;
   * when m < C, or when some component reaches no root (as with any
     graph without a table and m > C), it falls back to NJW: Laplacian,
     eigenvectors of the smallest C eigenvalues with row normalization
@@ -383,14 +383,17 @@ def _component_partition(g: ReducedGraph, n_clusters: int):
     component count; unlinked the components that reach no root.
 
     Each pair of components the table links gets an edge, ranked in
-    (smallest distance, lower id, higher id) order. Kruskal grows a forest
-    from the C roots over the edges in that order, and skips an edge that
-    would close a cycle or join two rooted trees. This is the minimum
-    spanning tree of the graph with a super-root tied to each root by an
-    edge lighter than all others, less the super-root; the ranks are
-    distinct, so that tree is unique. A tree's cluster is the rank of its
-    root, if it has one. The forest is whole once m - C components have
-    joined a tree; the edges left are not read.
+    (smallest distance, lower id, higher id) order. The forest is the
+    minimum spanning tree of the graph with a super-root tied to each root
+    by an edge lighter than all others, less the super-root: Kruskal's from
+    the C roots, never joining two rooted trees. Ranks are distinct, so the
+    tree is unique and holds every unrooted tree's lowest-ranked outgoing
+    edge (the cut property). So it grows in Boruvka rounds: each unrooted
+    tree hooks along that edge (the higher-numbered of two that share it),
+    pointers jump to the roots, and edges within a tree or between rooted
+    trees go; the rest keep their order, so an index is a rank. A round
+    joins each unrooted tree with an edge to another, so it at least halves
+    them: at most (m - C).bit_length() rounds. A tree takes its root's rank.
     """
     m = n_components(g)
     if m < n_clusters:
@@ -398,30 +401,27 @@ def _component_partition(g: ReducedGraph, n_clusters: int):
     roots = np.argsort(-np.bincount(g.components), kind="stable")[:n_clusters]
     cluster = np.full(m, -1, dtype=np.int64)
     cluster[roots] = np.arange(n_clusters)
-    pair = np.empty(0, dtype=np.int64)
+    parent = np.arange(m)
     if g.table is not None and m > n_clusters:
         a, b = np.repeat(g.components, g.table.k_max), g.components[g.table.indices.ravel()]
         cross = np.flatnonzero(a != b)
         a, b = a[cross], b[cross]
         pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
-        pair = _rank_pairs(pair, g.table.distances.ravel()[cross])
-    # Union-find with path halving. A root component never goes under another
-    # vertex, so a tree holds one exactly when the tree's own root is one.
-    parent, rooted = list(range(m)), (cluster >= 0).tolist()
-    joins = m - n_clusters
-    for a, b in zip(*(side.tolist() for side in np.divmod(pair, m))):
-        if not joins:
-            break
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b and not (rooted[a] and rooted[b]):
-            if rooted[a]:
-                a, b = b, a
-            parent[a] = b
-            joins -= 1
-    cluster = cluster[_roots(np.array(parent))]
+        a, b = np.divmod(_rank_pairs(pair, g.table.distances.ravel()[cross]), m)
+        while a.size:
+            lowest = np.full(m, a.size)
+            np.minimum.at(lowest, a, np.arange(a.size))
+            np.minimum.at(lowest, b, np.arange(a.size))
+            tree = np.flatnonzero((cluster < 0) & (lowest < a.size))
+            edge = lowest[tree]
+            other = a[edge] + b[edge] - tree
+            hook = (cluster[other] >= 0) | (lowest[other] != edge) | (tree > other)
+            parent[tree[hook]] = other[hook]
+            parent = _roots(parent)
+            a, b = parent[a], parent[b]
+            keep = (a != b) & ((cluster[a] < 0) | (cluster[b] < 0))
+            a, b = a[keep], b[keep]
+    cluster = cluster[parent]
     unlinked = int((cluster < 0).sum())
     return (None if unlinked else cluster[g.components]), m, unlinked
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from edgeprune import InputError, PointSet, gen_synthetic, load_csv, save_csv
 from edgeprune import data
-from edgeprune.data import _spawn_choices, check_seed, spawn_rng
+from edgeprune.data import _BATCH_COUNT, _spawn_choices, check_seed, spawn_rng
 
 
 def write(tmp_path, text, name="points.csv"):
@@ -189,6 +190,29 @@ class TestPointSet:
         with pytest.raises(InputError, match="label ids must form a contiguous range from 0"):
             PointSet(np.zeros((3, 2)), labels=labels)
 
+    @pytest.mark.parametrize("labels, shown", [
+        ([0.9, 1.5, 0.2], "0.9"),                  # a cast would give [0, 1, 0]
+        ([0, 1, 1.5], "1.5"),
+        (["a", "b", "a"], "'a'"),
+        ([0, 1, 2**70], str(2**70)),               # an OverflowError, cast
+        (np.array([0, 2**63, 1], dtype=np.uint64), str(2**63)),
+        ([0.0, np.nan, 1.0], "nan"),
+        ([0.0, 1.0, np.inf], "inf"),
+        ([0, 1, 1 + 1j], "0j"),                    # no complex label is a whole number
+    ], ids=["fractions", "one-fraction", "strings", "past-int64", "uint64", "nan", "inf",
+            "complex"])
+    def test_labels_that_are_not_whole_int64_rejected(self, labels, shown):
+        with pytest.raises(InputError, match=r"^labels must be whole numbers within int64, "
+                                             rf"got {re.escape(shown)}$"):
+            PointSet(np.zeros((3, 2)), labels=labels)
+
+    @pytest.mark.parametrize("labels", [[1.0, 0.0, 1.0], np.array([True, False, True]),
+                                        np.array([1, 0, 1], dtype=np.uint8)],
+                             ids=["whole-floats", "bools", "uint8"])
+    def test_whole_labels_of_any_number_type_accepted(self, labels):
+        ps = PointSet(np.zeros((3, 2)), labels=labels)
+        assert ps.labels.dtype == np.int64 and ps.labels.tolist() == [1, 0, 1]
+
     @pytest.mark.parametrize("points, message", [
         (np.zeros(3), "points must be a 2-D array, got ndim=1"),
         (np.zeros((3, 0)), "points must have at least one coordinate"),
@@ -358,8 +382,9 @@ def choices_loop(seed, lanes):
 def choice_lanes(draw):
     """(key, size, count) lanes, most of them batched: counts run from 0 to
     the size and to the number of lanes, count = size included. Some
-    counts pass the lanes, and sizes above 10,000 take numpy's tail
-    shuffle once the count passes size // 50; numpy draws those lanes."""
+    counts pass the lanes (up to the batch cap), and sizes above 10,000
+    take numpy's tail shuffle once the count passes size // 50; numpy
+    draws those lanes."""
     lanes = []
     n = draw(st.one_of(st.integers(0, 8), st.integers(0, 140)))
     for _ in range(n):
@@ -367,7 +392,7 @@ def choice_lanes(draw):
                               st.integers(10_001, 10_400)))
         most = min(size, n)
         count = draw(st.one_of(st.just(0), st.just(most), st.integers(0, most),
-                               st.integers(0, min(size, 600))))
+                               st.integers(0, min(size, _BATCH_COUNT))))
         lanes.append((draw(st.integers(0, 2**32 - 1)), size, count))
     return lanes
 
@@ -404,8 +429,8 @@ class TestSpawnChoices:
     @example(3, [(k, 10_200, 100) for k in range(130)] + [(8, 130, 130)])  # four blocks
     @example(0, [(5664, 10**6, 3), (1, 10**6, 3), (2, 50, 3)])  # a Lemire rejection
     @example(0, TWO_BLOCKS)
-    # 600 batched lanes of counts 400 to 600: long swap loops across lanes.
-    @example(5, [(k, 5_000, 400 + k % 201) for k in range(600)])
+    # 600 batched lanes of counts 64 to the cap: long swap loops across lanes.
+    @example(5, [(k, 5_000, _BATCH_COUNT - k % 129) for k in range(600)])
     def test_matches_one_generator_per_lane(self, seed, lanes):
         keys, sizes, counts = np.array(lanes, dtype=np.int64).reshape(-1, 3).T
         got = _spawn_choices(seed, 1, keys, sizes, counts)
@@ -431,6 +456,7 @@ class TestSpawnChoices:
     @pytest.mark.parametrize("lanes", [
         [(3, 10_000, 10_000)],                       # a count above the lanes
         [(0, 200, 5), (1, 200, 5), (2, 200, 0)],     # counts above the lanes, and 0
+        [(k, 1_000, _BATCH_COUNT + 1) for k in range(_BATCH_COUNT + 2)],  # above the cap
     ])
     def test_lanes_past_the_batch_go_to_numpy(self, monkeypatch, lanes):
         # A call that leaves no draw to the batch does not seed streams by hand.
@@ -464,3 +490,5 @@ class TestSpawnChoices:
             _spawn_choices(0, 1, [2**32], [5], [1])
         with pytest.raises(ValueError):
             _spawn_choices(0, 1, [0], [2**31], [1])
+        with pytest.raises(ValueError):
+            _spawn_choices(0, 2**32, [0], [5], [1])

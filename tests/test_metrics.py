@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,27 @@ def ari_contingency_oracle(truth, pred):
 def test_contingency_rejects_negative_labels(truth, pred):
     with pytest.raises(InputError, match="^label ids must be non-negative$"):
         contingency(truth, pred)
+
+
+@pytest.mark.parametrize("metric", [acc, ari, contingency])
+@pytest.mark.parametrize("truth, pred, shown", [
+    ([0, 1, 1], [0.7, 1.2, 1.9], "0.7"),           # a cast would score ACC 1.0
+    ([0.2, 0.9, 1.1, 1.7], [0, 0, 1, 1], "0.2"),   # and ARI 1.0
+    ([0, 1, 1], ["a", "b", "b"], "'a'"),
+    ([0, 1, 2**70], [0, 1, 1], str(2**70)),
+    ([0, 1, 1], [0.0, np.nan, 1.0], "nan"),
+], ids=["pred-fractions", "truth-fractions", "strings", "past-int64", "nan"])
+def test_labels_that_are_not_whole_int64_rejected(metric, truth, pred, shown):
+    with pytest.raises(InputError, match=r"^labels must be whole numbers within int64, "
+                                         rf"got {re.escape(shown)}$"):
+        metric(truth, pred)
+
+
+@pytest.mark.parametrize("pred", [[0.0, 1.0, 1.0], np.array([False, True, True])],
+                         ids=["whole-floats", "bools"])
+def test_whole_labels_of_any_number_type_score_as_ints(pred):
+    assert acc([0, 1, 1], pred) == ari([0, 1, 1], pred) == 1.0
+    assert contingency([0, 1, 1], pred).tolist() == [[1, 0], [0, 2]]
 
 
 class TestAcc:

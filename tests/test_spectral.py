@@ -404,6 +404,42 @@ def lexsort_ranking(pair, dist):
     return pair[np.sort(np.unique(pair, return_index=True)[1])]
 
 
+def kruskal_partition(g, n_clusters):
+    """Reference for the forest: `_component_partition` as it was, Kruskal
+    with a scalar union-find (path halving) over the same ranked pairs,
+    one pair at a time. Returns (labels, m, unlinked)."""
+    m = n_components(g)
+    if m < n_clusters:
+        return None, m, 0
+    roots = np.argsort(-np.bincount(g.components), kind="stable")[:n_clusters]
+    cluster = np.full(m, -1, dtype=np.int64)
+    cluster[roots] = np.arange(n_clusters)
+    pair = np.empty(0, dtype=np.int64)
+    if g.table is not None and m > n_clusters:
+        a, b = np.repeat(g.components, g.table.k_max), g.components[g.table.indices.ravel()]
+        cross = np.flatnonzero(a != b)
+        a, b = a[cross], b[cross]
+        pair = np.minimum(a, b).astype(np.int64) * m + np.maximum(a, b)
+        pair = _rank_pairs(pair, g.table.distances.ravel()[cross])
+    # A root component never goes under another, so a tree holds one
+    # exactly when the tree's own root is one.
+    parent, rooted = list(range(m)), (cluster >= 0).tolist()
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+    for a, b in zip(*(side.tolist() for side in np.divmod(pair, m))):
+        a, b = find(a), find(b)
+        if a != b and not (rooted[a] and rooted[b]):
+            if rooted[a]:
+                a, b = b, a
+            parent[a] = b
+    cluster = cluster[[find(v) for v in range(m)]]
+    unlinked = int((cluster < 0).sum())
+    return (None if unlinked else cluster[g.components]), m, unlinked
+
+
 @st.composite
 def block_graphs(draw):
     """Disjoint connected blocks on shuffled vertex ids, some of one vertex
@@ -447,6 +483,21 @@ def tabled_graphs(draw):
     return g, draw(st.integers(2, nt.n))
 
 
+@st.composite
+def grid_graphs(draw):
+    """The mutual k-NN graph (k_max 1 to 3) of 200 to 600 integer-grid
+    points, over its own table: hundreds of components and exact distance
+    ties, with C at 2, m - 1, m or m + 1. On the coarse grids a point has
+    more copies than k_max, so its row links only its copies, and such
+    components reach no other."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.sampled_from([6, 20, 60]))
+    points = rng.integers(0, side, (draw(st.integers(200, 600)), 2)).astype(np.float64)
+    g = mutual_knn_graph(build_knn(PointSet(points), draw(st.integers(1, 3))))
+    m = n_components(g)
+    return g, draw(st.sampled_from([2, max(m - 1, 2), m, m + 1]))
+
+
 def complete_blocks_on_a_line(blocks, k_max=None):
     """`complete_block_graph` on 1-D points: blocks are lists of positions,
     vertex ids run through them in order; the table has k_max columns."""
@@ -484,6 +535,36 @@ class TestComponentPath:
         else:
             assert labels is not None and unlinked == 0
             assert labels.tolist() == expected.tolist()
+
+    @given(st.one_of(tabled_graphs(), grid_graphs()))
+    @settings(max_examples=200, deadline=None)
+    def test_rounds_build_the_kruskal_forest(self, case):
+        g, n_clusters = case
+        labels, m, unlinked = _component_partition(g, n_clusters)
+        expected = kruskal_partition(g, n_clusters)
+        assert (m, unlinked) == expected[1:]
+        assert (labels is None) == (expected[0] is None)
+        if labels is not None:
+            assert labels.tolist() == expected[0].tolist()
+
+    def test_rounds_at_least_halve_the_unrooted_trees(self, monkeypatch):
+        # A chain of 64 singletons between two roots, the gap after
+        # singleton i 10 plus the trailing zeros of i + 1: each round pairs
+        # the chain's trees, six rounds join it and the seventh hooks it to
+        # a root, the (m - C).bit_length() rounds the docstring allows. One
+        # hook per round would take 64.
+        chain = np.concatenate(([0], np.cumsum([10 + ((i + 1) & -(i + 1)).bit_length() - 1
+                                                for i in range(63)])))
+        g = complete_blocks_on_a_line([[-21, -20, -19], *([x] for x in chain),
+                                       [chain[-1] + 19, chain[-1] + 20, chain[-1] + 21]],
+                                      k_max=2)
+        rounds = []
+        monkeypatch.setattr(spectral, "_roots",
+                            lambda parent: rounds.append(1) or reduce._roots(parent))
+        labels, m, unlinked = _component_partition(g, 2)
+        assert (m, unlinked) == (66, 0)
+        assert len(rounds) <= (m - 2).bit_length() == 7
+        assert labels.tolist() == kruskal_partition(g, 2)[0].tolist()
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6).map(lambda i: i / 4)),
                     max_size=200))
