@@ -13,11 +13,9 @@ from .errors import InputError, NumericError
 from .knn import NeighborTable, build_knn
 from .metrics import PairCounts, acc, ari, edge_percentage
 from .pairs import PairSet, export_pairs, save_pairs
-from .reduce import (ReducedGraph, affinity, affinity_rows, graph_from_table,
-                     load_graph, mutual_knn_graph, mutualize, n_components,
-                     reduce_graph, save_graph, threshold_row)
-from .scale import (Histogram, LocalScales, build_histogram, compute_scales,
-                    fd_bin_width, local_scale_row, mwa_smooth)
+from .reduce import (ReducedGraph, affinity_rows, graph_from_table, load_graph,
+                     mutual_knn_graph, mutualize, n_components, reduce_graph, save_graph)
+from .scale import Histogram, LocalScales, build_histogram, compute_scales, fd_bin_width
 from .spectral import (ClusterResult, Embedding, embed, kmeans, laplacian,
                        spectral_cluster)
 
@@ -25,10 +23,8 @@ __all__ = [
     "PointSet", "Seed", "gen_synthetic", "load_csv", "save_csv",
     "InputError", "NumericError",
     "NeighborTable", "build_knn",
-    "Histogram", "LocalScales", "fd_bin_width", "build_histogram",
-    "mwa_smooth", "local_scale_row", "compute_scales",
-    "ReducedGraph", "affinity", "affinity_rows",
-    "threshold_row", "mutualize", "graph_from_table", "reduce_graph",
+    "Histogram", "LocalScales", "fd_bin_width", "build_histogram", "compute_scales",
+    "ReducedGraph", "affinity_rows", "mutualize", "graph_from_table", "reduce_graph",
     "mutual_knn_graph", "n_components",
     "save_graph", "load_graph",
     "Embedding", "ClusterResult", "laplacian", "embed", "kmeans",

@@ -273,6 +273,8 @@ class PointSet:
     """N points in R^d with optional ground-truth labels.
 
     Labels, when present, are class ids forming a contiguous range 0..C-1.
+    The set keeps read-only copies of both, so the caller's arrays stay
+    writeable and a write to them does not reach the set.
     """
 
     points: np.ndarray
@@ -280,7 +282,7 @@ class PointSet:
     name: str = ""
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise InputError(f"points must be a 2-D array, got ndim={pts.ndim}")
         n, d = pts.shape
@@ -293,7 +295,7 @@ class PointSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = _label_ids(self.labels)
+            lab = np.array(_label_ids(self.labels))
             if lab.shape != (n,):
                 raise InputError(
                     f"labels length {lab.shape} does not match point count {n}"

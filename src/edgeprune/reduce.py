@@ -73,9 +73,6 @@ class ReducedGraph:
         """Number of ordered surviving pairs (mutual edges count twice)."""
         return int(self.src.shape[0])
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.src.tolist(), self.dst.tolist()))
-
     def pairs(self) -> np.ndarray:
         """Unordered mutual edges, each once, as (P, 2) int64 rows p < q, in edge order."""
         mask = self.src < self.dst
@@ -97,39 +94,9 @@ class ReducedGraph:
         return csr_matrix((self.weight, (self.src, self.dst)), shape=(self.n, self.n))
 
 
-def _scaled_exp(d: np.ndarray, sigma_p, sigma_q: np.ndarray) -> np.ndarray:
-    """exp(-d^2 / s) with s = sigma_p * sigma_q, elementwise, or InputError
-    when some product s is not a normal float64 (finite, >= tiny = 2**-1022).
-
-    s is formed over sigma_q, a fresh array of d's shape, and d^2 in one more
-    buffer, which is divided, negated and exponentiated in place. Negating the
-    quotient, not d^2, keeps the bits of exp(-(d * d) / s): rounding is
-    symmetric in the sign.
-    """
-    with np.errstate(over="ignore"):  # products refused below; ratios give exp(-inf) = 0
-        s = np.multiply(sigma_q, sigma_p, out=sigma_q)
-        if not (s.min() >= np.finfo(np.float64).tiny and np.isfinite(s.max())):
-            raise InputError("scale products sigma_p * sigma_q leave float64's normal range")
-        r = np.multiply(d, d)
-        np.divide(r, s, out=r)
-        np.negative(r, out=r)
-        return np.exp(r, out=r)
-
-
-def affinity(d: float, sigma_p: float, sigma_q: float) -> float:
-    """Similarity of two points: exp(-d^2 / (sigma_p * sigma_q)), in [0, 1].
-
-    The scalar reference for `affinity_rows`, with its range rule."""
-    if not np.isfinite(d):
-        raise InputError("affinity: distance must be finite")
-    if sigma_p <= 0 or sigma_q <= 0:
-        raise InputError(f"affinity: scales must be positive, got {sigma_p}, {sigma_q}")
-    return float(_scaled_exp(np.array([d], dtype=np.float64), np.float64(sigma_p),
-                             np.array([sigma_q], dtype=np.float64))[0])
-
-
 def affinity_rows(nt: NeighborTable, ls: LocalScales) -> np.ndarray:
-    """Affinity of every (point, neighbor) cell of the table, shape (N, k_max).
+    """Affinity exp(-d^2 / (sigma_p * sigma_q)), in [0, 1], of every
+    (point, neighbor) cell of the table, shape (N, k_max).
 
     Each scale product s = sigma_p * sigma_q is formed once and must be a
     normal float64 (finite, >= tiny = 2**-1022), or the input is refused.
@@ -137,29 +104,25 @@ def affinity_rows(nt: NeighborTable, ls: LocalScales) -> np.ndarray:
     2**e then keeps the bits of r = d^2 / s. A subnormal s is off by up to
     eps tiny (eps = 2**-53), and where d > 0, d^2 >= tiny > s: r and exp(-r)
     are off by up to eps r^2 relative, 5.6e5 eps where exp(-r) > 0 (r < 745).
+
+    s is formed in place over the gathered sigma_q, and d^2 in one more
+    table-sized buffer, which is divided, negated and exponentiated in
+    place. Negating the quotient, not d^2, keeps the bits of
+    exp(-(d * d) / s): rounding is symmetric in the sign.
     """
     if ls.sigma.shape[0] != nt.n:
         raise InputError("affinity_rows: scales and table disagree on N")
     if np.any(ls.sigma <= 0):
         raise InputError("affinity_rows: scales must be positive")
-    return _scaled_exp(nt.distances, ls.sigma[:, None], ls.sigma[nt.indices])
-
-
-def threshold_row(row) -> tuple[np.ndarray, float]:
-    """Indices of surviving entries of one affinity row, and the cutoff t.
-
-    With mu and sd the row's mean and population std, t is mu + sd when
-    max > mu + sd (strictly), otherwise mu - sd; entries >= t survive, so
-    the kept set is never empty. This is the per-row reference that
-    `threshold_survivors` reproduces on every row of an affinity table.
-    """
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if row.size == 0:
-        raise InputError("threshold_row: empty row")
-    mu = float(row.mean())
-    sd = float(row.std())
-    t = mu + sd if float(row.max()) > mu + sd else mu - sd
-    return np.nonzero(row >= t)[0], t
+    s = ls.sigma[nt.indices]
+    with np.errstate(over="ignore"):  # products refused below; ratios give exp(-inf) = 0
+        np.multiply(s, ls.sigma[:, None], out=s)
+        if not (s.min() >= np.finfo(np.float64).tiny and np.isfinite(s.max())):
+            raise InputError("scale products sigma_p * sigma_q leave float64's normal range")
+        r = np.multiply(nt.distances, nt.distances)
+        np.divide(r, s, out=r)
+        np.negative(r, out=r)
+        return np.exp(r, out=r)
 
 
 def mutualize(n: int, src, dst, weight) -> ReducedGraph:
@@ -196,10 +159,12 @@ def mutualize(n: int, src, dst, weight) -> ReducedGraph:
 def threshold_survivors(affinities: np.ndarray, nt: NeighborTable):
     """Directed survivor arrays (src, dst, weight) from per-row thresholding.
 
-    All rows are thresholded at once; the survivors of row p are those
-    `threshold_row(affinities[p])` keeps, in row order, with rows in
-    ascending order. The rows are read in C order, as `threshold_row`
-    reads each one: their sums then add the same terms in the same order.
+    All rows are thresholded at once. With mu and sd a row's mean and
+    population std, its cutoff t is mu + sd when max > mu + sd (strictly),
+    otherwise mu - sd; entries >= t survive, so no row is left empty. The
+    survivors come in row order, with rows in ascending order. The rows are
+    read in C order, as a single row is: each row's sums then add the same
+    terms in the same order as the per-row rule in `tests/reference.py`.
     """
     affinities = np.ascontiguousarray(affinities)
     mu = affinities.mean(axis=1)
@@ -215,10 +180,11 @@ def graph_from_table(nt: NeighborTable, seventh_neighbor: bool = False) -> Reduc
 
     The scales are `compute_scales`, or with `seventh_neighbor` the fixed
     `seventh_neighbor_scales` of comparison runs; the graph keeps them and the table.
+    The affinity table is freed before `mutualize` runs.
     """
     ls = seventh_neighbor_scales(nt) if seventh_neighbor else compute_scales(nt)
-    a = affinity_rows(nt, ls)
-    return replace(mutualize(nt.n, *threshold_survivors(a, nt)), table=nt, scales=ls)
+    survivors = threshold_survivors(affinity_rows(nt, ls), nt)
+    return replace(mutualize(nt.n, *survivors), table=nt, scales=ls)
 
 
 def mutual_knn_graph(nt: NeighborTable) -> ReducedGraph:

@@ -12,11 +12,15 @@ points. Its quartiles are numpy's default linear rule (Hyndman & Fan
 
 The density break is detected by smoothing the histogram with a moving
 weighted average that divides the usual 3-bin window sum by the window's
-bin ranks, which discounts far bins. The first bin whose raw count
-strictly exceeds its own smoothed value is read as a spike of neighbors
-with different surrounding density; only neighbors in earlier bins enter
-sigma_p. When no spike exists, or when it sits in the very first bin (so
-no earlier neighbors exist), the whole row is used.
+bin ranks, which discounts far bins: with counts v_i and 1-based ranks
+r_i = i, MWA_i = (v_{i-1} + v_i + v_{i+1}) / (r_{i-1} + r_i + r_{i+1}),
+where a missing neighbor drops out of both sums. The first bin whose raw
+count strictly exceeds its own smoothed value is read as a spike of
+neighbors with different surrounding density; only neighbors in earlier
+bins enter sigma_p. When no spike exists, or when it sits in the very
+first bin (so no earlier neighbors exist), the whole row is used. A zero
+mean (duplicate points) falls back to the row's smallest positive
+distance, or to the bin width when every distance is zero.
 
 `compute_scales` finds every row's K without building a histogram. Its
 bins come from one true division by the width, divided again with
@@ -130,58 +134,6 @@ def build_histogram(values, bin_width: float) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
-def mwa_smooth(h: Histogram) -> np.ndarray:
-    """Rank-weighted moving average of bin counts.
-
-    MWA_i = (v_{i-1} + v_i + v_{i+1}) / (r_{i-1} + r_i + r_{i+1}) with the
-    1-based bin ranks r_i = i; at the boundaries the missing neighbor
-    terms drop out of both sums.
-    """
-    v = np.asarray(h.counts, dtype=np.float64)
-    r = np.arange(1, v.size + 1, dtype=np.float64)
-    num = v.copy()
-    den = r.copy()
-    num[1:] += v[:-1]
-    den[1:] += r[:-1]
-    num[:-1] += v[1:]
-    den[:-1] += r[1:]
-    return num / den
-
-
-def local_scale_row(row_distances, bin_width: float) -> tuple[float, int]:
-    """Scale and neighbor cutoff for one point's ascending distance row.
-
-    Returns (sigma_p, K). K counts the neighbors that fall before the
-    first histogram bin whose raw count strictly exceeds its smoothed
-    value; if there is no such bin, if it is the first bin, or if no
-    neighbor precedes it, K falls back to the full row. A zero mean
-    (duplicate points) falls back to the smallest positive distance in
-    the row, or to the bin width when every distance is zero.
-
-    This is the per-row reference that `compute_scales` reproduces
-    bit-for-bit on every row of a table. A row that would need more than
-    MAX_BINS bins raises NumericError here.
-    """
-    row = np.asarray(row_distances, dtype=np.float64).ravel()
-    if row.size == 0:
-        raise InputError("local_scale_row: empty row")
-    k_max = row.size
-    hist = build_histogram(row, bin_width)
-    mwa = mwa_smooth(hist)
-    spikes = np.nonzero(hist.counts > mwa)[0]
-    if spikes.size == 0 or spikes[0] == 0:
-        k = k_max
-    else:
-        k = int(hist.counts[: spikes[0]].sum())
-        if k == 0:
-            k = k_max
-    sigma = float(row[:k].mean())
-    if sigma == 0.0:
-        positive = row[row > 0]
-        sigma = float(positive.min()) if positive.size else float(bin_width)
-    return sigma, k
-
-
 def compute_scales(nt: NeighborTable) -> LocalScales:
     """Local scales for every point of a neighbor table, all rows at once.
 
@@ -196,11 +148,11 @@ def compute_scales(nt: NeighborTable) -> LocalScales:
     its non-negative smoothed value, so only runs are tested for a
     spike. Each row's runs are scanned from its start, and a row leaves
     the scan at its first spiking run; at k_max <= 81 no row visits more
-    than 3 runs (`_first_spikes` derives the bound). The result equals
-    `local_scale_row(nt.distances[p], width)` for every row p that the
-    reference can histogram; no histogram is allocated here, so rows
-    above MAX_BINS bins are scaled too. A row whose bin count does not fit in
-    int64 (a width below 2**-63 of the row maximum) raises NumericError.
+    than 3 runs (`_first_spikes` derives the bound). Each row equals, bit
+    for bit, `local_scale_row` of `tests/reference.py`, which builds the
+    row's histogram, wherever that has at most MAX_BINS bins; rows above
+    that are scaled here too. A row whose bin count does not fit in int64
+    (a width below 2**-63 of the row maximum) raises NumericError.
 
     At DEBUG, one line gives the width, the rows with K < k_max, the
     runs the deepest row's scan visited and the cells the floor fix-up

@@ -41,6 +41,11 @@ def random_labels(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
     return labels
 
 
+def edge_set(g) -> set[tuple[int, int]]:
+    """The graph's ordered edges (p, q), both directions of each mutual edge."""
+    return set(zip(g.src.tolist(), g.dst.tolist()))
+
+
 @st.composite
 def tie_heavy_points(draw, max_n=40):
     """A point set where exact distance ties are common.

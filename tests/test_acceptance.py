@@ -18,7 +18,7 @@ from edgeprune import (PointSet, acc, ari, build_knn, edge_percentage,
 from edgeprune.cli import RunConfig, cmd_cluster
 from edgeprune.spectral import embed
 
-from conftest import random_labels
+from conftest import edge_set, random_labels
 from test_metrics import acc_exhaustive, ari_contingency_oracle
 
 SEED_MOD = 2 ** 64
@@ -56,7 +56,7 @@ def test_c01_metric_oracle_equivalence():
 
 
 def test_c02_knn_oracle_equivalence():
-    from test_knn import allpairs_oracle
+    from reference import allpairs_oracle
 
     start = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -98,17 +98,17 @@ def test_c04_mutuality_invariant():
         n = int(rng.integers(10, 81))
         ps = PointSet(rng.normal(size=(n, 2)) * rng.uniform(0.01, 100))
         graph = reduce_graph(ps, min(n - 1, int(rng.integers(3, 25))))
-        edges = graph.edge_set()
+        edges = edge_set(graph)
         assert edges == {(q, p) for p, q in edges}
     pass_line(4, "edge set equals its transpose on 100 fuzzed point sets")
 
 
 def test_c05_scale_invariance(dataset_a, dataset_b, dataset_c):
     for ps in (dataset_a, dataset_b, dataset_c):
-        reference = reduce_graph(ps).edge_set()
+        reference = edge_set(reduce_graph(ps))
         for c in (0.01, 1.0, 100.0):
             scaled = PointSet(ps.points * c, ps.labels, ps.name)
-            assert reduce_graph(scaled).edge_set() == reference
+            assert edge_set(reduce_graph(scaled)) == reference
     pass_line(5, "surviving edge set identical under coordinate scaling "
                  "c in {0.01, 1, 100}")
 
@@ -201,7 +201,7 @@ def test_c10_pair_export(dataset_b):
     for p, _ in pairs.negatives.tolist():
         per_point[p] += 1
     non_edges_in_row = np.array([
-        sum((int(q) not in {b for a, b in graph.edge_set() if a == p})
+        sum((int(q) not in {b for a, b in edge_set(graph) if a == p})
             for q in table.indices[p])
         for p in range(graph.n)])
     exhausted = non_edges_in_row < degrees

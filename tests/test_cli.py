@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from conftest import copies_beside_simplex
+from conftest import copies_beside_simplex, edge_set
 from edgeprune import (InputError, PointSet, __version__, acc, affinity_rows, ari,
                        build_histogram, build_knn, compute_scales, fd_bin_width,
                        gen_synthetic, mutual_knn_graph, n_components, save_csv,
@@ -312,7 +312,7 @@ class TestBaselineCommand:
 
     def test_mutual_graph_construction(self, dataset_c):
         g = mutual_knn_graph(build_knn(dataset_c, 2))
-        edges = g.edge_set()
+        edges = edge_set(g)
         assert edges == {(q, p) for p, q in edges}
         assert np.all(g.weight == 1.0)
 
@@ -726,8 +726,10 @@ FIXTURE_C = ("mixed-density:size-dense=200,size-sparse=100,spread-dense=0.3,"
     ("baseline-knn", FIXTURE_C, ["--repeats", "3", "--baseline-k", "6"],
      "baseline_metrics.csv"),
     # At 32-D the k-NN screen's BLAS products are split into column tiles.
-    ("reduce", "blobs:clusters=2,size=500,separation=10,dim=32", [], "graph.txt")],
-    ids=["cluster", "baseline-knn", "reduce-32d"])
+    ("reduce", "blobs:clusters=2,size=500,separation=10,dim=32", [], "graph.txt"),
+    # One component for 3 clusters (m < C): the dense eigensolver runs.
+    ("cluster", "blobs:clusters=3,size=40,separation=2", ["--repeats", "3"], "metrics.csv")],
+    ids=["cluster", "baseline-knn", "reduce-32d", "cluster-eigensolver"])
 def test_metrics_do_not_depend_on_blas_threads(tmp_path, command, spec, extra, name):
     src = Path(__file__).resolve().parents[1] / "src"
     outs = []

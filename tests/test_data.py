@@ -179,6 +179,15 @@ class TestPointSet:
         with pytest.raises(InputError):
             PointSet(np.zeros((3, 2)), labels=[0, 1])
 
+    def test_callers_arrays_stay_writeable(self):
+        # Already float64 points and int64 labels, which np.asarray would
+        # return as they are: the set freezes its own copies, not these.
+        x, lab = np.arange(6.0).reshape(3, 2), np.array([0, 1, 1])
+        ps = PointSet(x, lab)
+        x[0, 0], lab[0] = 9.0, 1
+        assert ps.points[0, 0] == 0.0 and ps.labels.tolist() == [0, 1, 1]
+        assert not (ps.points.flags.writeable or ps.labels.flags.writeable)
+
     def test_labels_must_be_contiguous(self):
         with pytest.raises(InputError):
             PointSet(np.zeros((3, 2)), labels=[0, 2, 2])

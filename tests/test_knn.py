@@ -12,16 +12,7 @@ from hypothesis import strategies as st
 from conftest import cpu_s_after, tie_heavy_points
 from edgeprune import (InputError, NumericError, PointSet, build_knn, export_pairs,
                        gen_synthetic, knn, mutual_knn_graph, reduce_graph, spectral_cluster)
-
-
-def allpairs_oracle(points, k):
-    """Independent k-NN: full distance matrix plus a (distance, index) sort."""
-    n = len(points)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    idx = np.lexsort((np.tile(np.arange(n), (n, 1)), dist), axis=1)[:, :k]
-    return np.take_along_axis(dist, idx, axis=1), idx
+from reference import allpairs_oracle
 
 
 def assert_matches_oracle(ps, k):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import tie_heavy_tables
 from edgeprune import (InputError, NeighborTable, NumericError, PointSet, build_histogram,
-                       build_knn, compute_scales, fd_bin_width, gen_synthetic,
-                       local_scale_row, mwa_smooth)
+                       build_knn, compute_scales, fd_bin_width, gen_synthetic)
 from edgeprune import scale
 from edgeprune.scale import seventh_neighbor_scales
+from reference import local_scale_row, mwa_smooth, quantile_width
 
 
 def assert_matches_rows(nt):
@@ -42,18 +42,6 @@ def assert_matches_rows(nt):
         if ls is not None:
             assert ls.kth[p] == k, p
             assert ls.sigma[p] == sigma, p
-
-
-def quantile_width(values) -> float:
-    """`fd_bin_width`'s rule with numpy's own quartiles: the oracle."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.min() == v.max():
-        return 1.0
-    q25, q75 = np.quantile(v, [0.25, 0.75])
-    iqr = float(q75 - q25)
-    if iqr == 0.0:
-        return (float(v.max()) - float(v.min())) / math.ceil(math.sqrt(v.size))
-    return 2.0 * iqr * v.size ** (-1.0 / 3.0)
 
 
 def assert_width_is_numpys(values):

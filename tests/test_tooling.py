@@ -1,5 +1,6 @@
 """Checks on the test configuration and on the names the benchmark relies on."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -184,6 +185,29 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     for argv in commands:  # results/ lands in tmp_path
         assert main(argv[1:]) == 0, argv
     assert (tmp_path / "results" / "metrics.csv").exists()
+
+
+def test_reference_uses_no_private_name_of_the_package():
+    # tests/reference.py is the spec the stages are checked against; a
+    # private helper it imported would be checked against itself.
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                path = ".".join(filter(None, (getattr(node, "module", None), alias.name)))
+                if path.split(".")[0] == "edgeprune":
+                    bound.add(alias.asname or alias.name.split(".")[0])
+                    if any(part.startswith("_") for part in path.split(".")):
+                        private.append(path)
+    for node in ast.walk(tree):
+        base = node
+        while isinstance(base, ast.Attribute):
+            base = base.value
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(base, ast.Name) and base.id in bound):
+            private.append(ast.unparse(node))
+    assert bound and not private, private
 
 
 def test_batched_draws_follow_numpy_layer_by_layer():
