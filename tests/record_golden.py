@@ -47,6 +47,7 @@ FORMS = {
     "reduce-32d": (["reduce", "--synthetic", "blobs:clusters=2,size=75,separation=10,dim=32",
                     "--seed", "1", "--similarity-histogram"], False),
     "reduce-scaled": (["reduce", "--input", "scaled.csv", "--k-max", "12"], False),
+    "reduce-scaled-tiny": (["reduce", "--input", "tiny.csv", "--k-max", "12"], False),
     # The manyclust-2k spec at a tenth of its size: 10 components for 10
     # clusters. At full size and seed 3 it has 42 components for 40.
     "cluster-components": (["cluster", "--synthetic", "blobs:clusters=10,size=20,separation=60",
@@ -59,9 +60,19 @@ FORMS = {
                               False),
     "cluster-eigensolver": (["cluster", "--synthetic", "blobs:clusters=3,size=40,separation=2",
                              "--repeats", "3"], True),
+    # N = 3200 is above DENSE_EIG_LIMIT, and fewer components than
+    # clusters: LOBPCG solves it.
+    "cluster-lobpcg": (["cluster", "--synthetic", "blobs:clusters=8,size=400,separation=3"],
+                       True),
     "pairs-dup": (["pairs", "--input", "dup.csv", "--label-column", "2", "--seed", "7"],
                   False),
     "pairs-synthetic": (["pairs", "--synthetic", BLOBS, "--k-max", "10", "--seed", "3"], False),
+    "pairs-7th": (["pairs", "--synthetic", MIXED, "--k-max", "12", "--seventh-neighbor-scale"],
+                  False),
+    # Short points that draw 20 (batched) and 198 (past the batch's cap of
+    # 192, so numpy's own generator) negatives each.
+    "pairs-draw-cap": (["pairs", "--input", "groups.csv", "--k-max", "198", "--seed", "5"],
+                       False),
     "sweep-k-max": (["sweep", "--synthetic", MIXED, "--param", "k-max", "--grid", "4,8,16",
                      "--repeats", "2"], False),
     "sweep-baseline-k": (["sweep", "--synthetic", MIXED, "--param", "baseline-k",
@@ -113,6 +124,16 @@ def write_inputs(work: Path) -> None:
                                                       np.repeat([0, 1], [3, 10]))))
     # A near-regular simplex: its affinities ask for about 1e12 histogram bins.
     _write_rows(work / "simplex.csv", np.eye(12) + 1e-12 * rng.standard_normal((12, 12)))
+    # 1e-150-scaled blobs: the squares stay normal, so the graph is built.
+    points = np.repeat([[0.0, 0.0], [6.0, 0.0]], 20, axis=0) + rng.normal(0, 1, (40, 2))
+    _write_rows(work / "tiny.csv", 1e-150 * points)
+    # 200 and 110 copies of two points beside 100 scattered ones. At k_max
+    # 198 the first 199 copies of the first point have 198 edges each and
+    # no non-edge in their rows; those of the second have 109 edges and
+    # 89 non-edges.
+    points = np.vstack([np.repeat(rng.normal(0, 10, (2, 2)), [200, 110], axis=0),
+                        40 + rng.normal(0, 5, (100, 2))])
+    _write_rows(work / "groups.csv", points)
 
 
 def _sha(data: bytes) -> str:
@@ -159,8 +180,11 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as work:
             forms[name] = run_form(name, Path(work))
         print(name, forms[name]["exit"], sorted(forms[name]["files"]))
-    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "forms": forms}, indent=1,
-                                 sort_keys=True) + "\n", encoding="utf-8")
+    import scipy
+
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "scipy": scipy.__version__,
+                                  "forms": forms}, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
     print(f"wrote {GOLDEN}")
 
 

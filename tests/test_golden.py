@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from record_golden import FORMS, GOLDEN, run_form
 
@@ -20,5 +21,6 @@ def test_form_keeps_its_recorded_bytes(name, tmp_path):
     moved = sorted(key for key in ("exit", "stderr") if got[key] != expected[key])
     files = set(got["files"]) | set(expected["files"])
     moved += sorted(f for f in files if got["files"].get(f) != expected["files"].get(f))
-    assert not moved, (f"{name}: {', '.join(moved)} changed (numpy {np.__version__}; "
-                       f"recorded at numpy {RECORDED['numpy']})")
+    assert not moved, (f"{name}: {', '.join(moved)} changed (numpy {np.__version__}, scipy "
+                       f"{scipy.__version__}; recorded at numpy {RECORDED['numpy']}, scipy "
+                       f"{RECORDED['scipy']})")
