@@ -49,18 +49,16 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     sampled uniformly from its non-neighbors; if even those run out the
     point simply gets fewer negatives.
 
-    Farthest first is one sort of one int64 key per cell,
-    (k_max - run) * n + tie_rank[id], where run counts the distinct
-    distances of the row up to the cell: rows ascend, so equal distances
-    share a run. Within a row the keys are distinct, so this is the
-    order of `lexsort((tie_rank[ids], -distances))`. Edges are read from
-    the graph's own arrays, which are sorted by (src, dst): no sparse
-    matrix is built.
+    The table is read in its own order. One search of the graph's keys
+    marks the cells that are edges (`_edge_cells`), and one sort orders
+    each row: its non-edges farthest first, then its edges
+    (`_farthest_first`). A point takes the first min(degree, non-edges)
+    ids of its sorted row. No sparse matrix is built.
 
     A point costs O(degree + k_max) plus its draw, never O(N): its pool
     of non-neighbors is not built. The draw picks ranks in the pool, and
     the sorted blocked ids b (the point, its graph neighbors and its
-    in-row negatives) map rank j to the id j + #{b : b - rank(b) <= j},
+    table row) map rank j to the id j + #{b : b - rank(b) <= j},
     since b - rank(b) counts the pool members below b. numpy's choice
     draws the same ranks from the pool's size as from the pool array,
     which it then indexes, so the sample is the same. Point p's ranks are
@@ -82,19 +80,16 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
         for p in np.flatnonzero(need == 0).tolist():
             log.debug("point %d has no mutual edges; contributes no pairs", p)
 
-    # Only non-edges are candidates, and a point takes as many of them as
-    # its degree.
-    cand = _farthest_first(nt, seed)
-    non_edge = _non_edges(g, cand)
-    in_row = non_edge.sum(axis=1)
-    anchor, col = np.nonzero(non_edge & (np.cumsum(non_edge, axis=1) <= need[:, None]))
-    other = cand[anchor, col]
+    edge = _edge_cells(g, nt)
+    in_row = nt.k_max - np.count_nonzero(edge, axis=1)
+    take = np.minimum(need, in_row)
+    anchor = np.repeat(np.arange(n), take)
+    other = _farthest_first(nt, seed, edge)[np.arange(nt.k_max) < take[:, None]]
 
     short = np.flatnonzero(in_row < need)
     drawn = np.empty(0, dtype=np.int64)
     if short.size:
-        drawn_by, drawn = _fallback(g, need, short, cand[short], non_edge[short],
-                                    in_row[short], seed)
+        drawn_by, drawn = _fallback(g, need, short, nt.indices[short], in_row[short], seed)
         # Each point's sampled negatives go right after its in-row ones.
         at = np.searchsorted(anchor, drawn_by, side="right")
         anchor, other = np.insert(anchor, at, drawn_by), np.insert(other, at, drawn)
@@ -105,13 +100,28 @@ def export_pairs(g: ReducedGraph, nt: NeighborTable, seed: Seed) -> PairSet:
     return PairSet(positives=g.pairs(), negatives=np.column_stack((anchor, other)))
 
 
-def _farthest_first(nt, seed):
-    """Each row's ids, farthest first; equal distances by the seeded rank.
+def _edge_cells(g, nt):
+    """Whether each cell (p, q) of the table is an edge of `g`, shape (N, k_max).
 
-    One sort of the keys (k_max - run) * n + tie_rank[id] per row (see
-    `export_pairs`); they stay below k_max * n, the table's cell count. A
-    key modulo n is tie_rank[id], and tie_rank is a permutation, so the
-    sorted keys give the ids themselves.
+    The graph's keys p * n + q are sorted, since its edges are, so one
+    searchsorted finds every cell; the sentinel n * n tops them all.
+    """
+    n = g.n
+    keys = np.append(g.src * n + g.dst, n * n)
+    query = np.arange(n, dtype=np.int64)[:, None] * n + nt.indices
+    found = np.searchsorted(keys, query)
+    # Every query is below the sentinel, so every position is in range.
+    return keys.take(found, out=found, mode="clip") == query
+
+
+def _farthest_first(nt, seed, edge):
+    """Each row's ids: its non-edges farthest first, then its edges.
+
+    One sort of the keys (k_max - run + k_max * edge) * n + tie_rank[id],
+    where run counts the row's distinct distances up to the cell (rows
+    ascend), so the order is `lexsort((tie_rank[ids], -distances, edge))`.
+    A key modulo n is tie_rank[id], a permutation, so the sorted keys give
+    the ids themselves.
     """
     n, k_max = nt.distances.shape
     tie_rank = spawn_rng(seed, 0).permutation(n)
@@ -119,6 +129,7 @@ def _farthest_first(nt, seed):
     np.not_equal(nt.distances[:, 1:], nt.distances[:, :-1], out=key[:, 1:])
     np.cumsum(key, axis=1, out=key)  # the run of each cell
     np.subtract(k_max, key, out=key)
+    key[edge] += k_max
     key *= n
     key += tie_rank[nt.indices]
     key.sort(axis=1)
@@ -128,45 +139,31 @@ def _farthest_first(nt, seed):
     return ids[key]
 
 
-def _non_edges(g, cand):
-    """Whether each id q in row p of `cand` is not an edge (p, q) of `g`.
-
-    The graph's keys p * n + q are sorted, since its edges are, so one
-    searchsorted finds every query; the sentinel n * n tops them all.
-    """
-    n = g.n
-    keys = np.append(g.src * n + g.dst, n * n)
-    query = np.arange(n, dtype=np.int64)[:, None] * n + cand
-    found = np.searchsorted(keys, query)
-    # Every query is below the sentinel, so every position is in range.
-    return keys.take(found, out=found, mode="clip") != query
-
-
-def _fallback(g, degrees, short, cand, non_edge, in_row, seed):
+def _fallback(g, degrees, short, rows, in_row, seed):
     """Sampled negatives (anchors, ids) of the exhausted points `short`.
 
-    `degrees` are the graph's; the other arguments are the rows of
-    `short`. Each point draws from every point that is neither itself, a
-    graph neighbor nor an in-row negative, and the result is grouped by
-    anchor in the order of `short`. A point's graph neighbors are its
-    slice of `g.dst`, as the edges are sorted by (src, dst). One
-    `_spawn_choices` call draws every point's ranks: for point p they
-    equal `spawn_rng(seed, 1, p).choice(pool, size=extra, replace=False)`
-    bit for bit (checked on numpy 2.4.6; that generator is built for the
-    points that `_spawn_choices` does not compute, as `export_pairs` says).
+    `degrees` are the graph's; `rows` and `in_row` are the table rows of
+    `short` and their non-edge counts. A short point takes all its row's
+    non-edges, so it draws from every point that is neither itself, a
+    graph neighbor nor in its row, grouped by anchor in `short`'s order.
+    A point's graph neighbors are its slice of `g.dst`, as the edges are
+    sorted by (src, dst). One `_spawn_choices` call draws every point's
+    ranks: for point p they equal `spawn_rng(seed, 1, p).choice(pool,
+    size=extra, replace=False)` bit for bit (checked on numpy 2.4.6; that
+    generator is built for the points that `_spawn_choices` does not
+    compute, as `export_pairs` says).
     """
     n = g.n
     need = degrees[short]
     # Blocked ids of every short point s at once, as sorted keys
-    # s * n + id. Dropping repeats absorbs self-loops and repeated edges
-    # (np.unique would hash them first, twenty times slower here).
+    # s * n + id. Dropping repeats absorbs self-loops, repeated edges and
+    # edge cells (np.unique would hash them first, twenty times slower).
     s = np.arange(short.size, dtype=np.int64)
     by = np.repeat(s, need)
     start = (np.cumsum(degrees) - degrees)[short]  # each short point's first edge
     edge = np.arange(by.size) + np.repeat(start - (np.cumsum(need) - need), need)
-    row, col = np.nonzero(non_edge)
     blocked = np.sort(np.concatenate([s * n + short, by * n + g.dst[edge],
-                                      row * n + cand[row, col]]))
+                                      (s[:, None] * n + rows).ravel()]))
     blocked = blocked[np.concatenate(([True], blocked[1:] != blocked[:-1]))]
     first = np.searchsorted(blocked, s * n)
     size = np.diff(first, append=blocked.size)

@@ -16,6 +16,10 @@ checks), so it never shares code with the stages it checks:
 4. Each row's affinities exp(-d^2 / (sigma_p sigma_q)).
 5. `threshold_row`: each row's mean +- std cutoff, then mutual agreement
    over a set of directed survivors.
+6. `prim_partition`: the component path of the spectral back end, one
+   merge at a time; `reference_partition` runs it on the graph of 1-5.
+   It numbers the components with the package's `component_labels`,
+   which `tests/test_reduce.py` checks against scipy's.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import math
 
 import numpy as np
 
-from edgeprune import Histogram, InputError, build_histogram
+from edgeprune import Histogram, InputError, NeighborTable, ReducedGraph, build_histogram
+from edgeprune.reduce import component_labels
 
 
 def allpairs_oracle(points, k):
@@ -168,3 +173,51 @@ def reference_graph(points, k_max: int, seventh_neighbor: bool = False):
     dst = np.array([q for _, q in mutual], dtype=np.int64)
     weight = np.array([directed[e] for e in mutual], dtype=np.float64)
     return src, dst, weight
+
+
+def prim_partition(g, n_clusters):
+    """Reference for the component path: the labels, or None to fall back.
+
+    The C largest components are roots, largest first and ties to the lower
+    label. Then, one step at a time, the table entry with the smallest
+    (distance, lower component, higher component) among all entries between
+    an attached and an unattached component attaches the latter to the
+    former's cluster. Components left unattached mean a fallback.
+    """
+    comp = component_labels(g)
+    m = int(comp.max()) + 1
+    if m < n_clusters:
+        return None
+    sizes = np.bincount(comp)
+    cluster = np.full(m, -1)
+    for rank, c in enumerate(sorted(range(m), key=lambda c: (-sizes[c], c))[:n_clusters]):
+        cluster[c] = rank
+    if m > n_clusters and g.table is not None:
+        nt = g.table
+        a = np.repeat(comp, nt.k_max)
+        b = comp[nt.indices.ravel()]
+        d = nt.distances.ravel()
+        while True:
+            crossing = np.flatnonzero((cluster[a] >= 0) != (cluster[b] >= 0))
+            if crossing.size == 0:
+                break
+            _, _, _, p, q = min((float(d[i]), min(a[i], b[i]), max(a[i], b[i]), a[i], b[i])
+                                for i in crossing)
+            if cluster[p] >= 0:
+                cluster[q] = cluster[p]
+            else:
+                cluster[p] = cluster[q]
+    return None if (cluster < 0).any() else cluster[comp]
+
+
+def reference_partition(points, k_max: int, n_clusters: int, seventh_neighbor: bool = False):
+    """`prim_partition` of `reference_graph`'s edges over the all-pairs table:
+    the labels `spectral_cluster(reduce_graph(PointSet(points), k_max,
+    seventh_neighbor), n_clusters, seeds)` gives every seed, or None where
+    the components do not decide and the eigensolver does."""
+    points = np.asarray(points, dtype=np.float64)
+    src, dst, weight = reference_graph(points, k_max, seventh_neighbor)
+    dist, idx = allpairs_oracle(points, k_max)
+    g = ReducedGraph(len(points), src, dst, weight, src, dst, weight,
+                     table=NeighborTable(distances=dist, indices=idx))
+    return prim_partition(g, n_clusters)

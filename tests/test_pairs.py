@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import re
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tie_heavy_tables
+from conftest import edge_set, tie_heavy_tables
 from edgeprune import (InputError, PairSet, PointSet, build_knn, export_pairs,
                        gen_synthetic, load_graph, mutualize, reduce_graph, save_pairs)
 from edgeprune.data import spawn_rng
-from edgeprune.pairs import _BLOCK, _farthest_first
+from edgeprune.pairs import _BLOCK, _edge_cells, _farthest_first
 
 
 def pair_array(pairs):
@@ -77,6 +78,18 @@ def assert_matches_loop(g, nt, seed):
     return got
 
 
+def with_loops_and_repeats(g, rng):
+    """`g` with self-loops on about a fifth of its vertices and a second
+    copy of about a fifth of its edges, both ways, sorted by (src, dst)
+    as a loaded graph is."""
+    loops = np.flatnonzero(rng.random(g.n) < 0.2)
+    again = np.flatnonzero(rng.random(g.edge_count) < 0.2)
+    src = np.concatenate([g.src, loops, g.src[again], g.dst[again]])
+    dst = np.concatenate([g.dst, loops, g.dst[again], g.src[again]])
+    order = np.lexsort((dst, src))
+    return dataclasses.replace(g, src=src[order], dst=dst[order], weight=np.ones(src.size))
+
+
 @st.composite
 def graphs_on_tables(draw):
     """A table plus a symmetric graph on the same vertices.
@@ -84,18 +97,21 @@ def graphs_on_tables(draw):
     The graph is either the mutual graph of the table's own rows (every
     row exhausted, so every point with edges falls back) or a random
     edge set whose density runs from empty (zero degrees) to complete
-    (fallback pools that run out).
+    (fallback pools that run out). Either may carry self-loops and
+    repeated pairs, as a loaded graph may.
     """
     nt = draw(tie_heavy_tables(max_n=25))
     n = nt.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         src = np.repeat(np.arange(n), nt.k_max)
-        return nt, mutualize(n, src, nt.indices.ravel(), np.ones(src.size))
-    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    upper = np.triu(rng.random((n, n)) < density, k=1)
-    p, q = np.nonzero(upper | upper.T)
-    return nt, mutualize(n, p, q, np.ones(p.size))
+        g = mutualize(n, src, nt.indices.ravel(), np.ones(src.size))
+    else:
+        density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        p, q = np.nonzero(upper | upper.T)
+        g = mutualize(n, p, q, np.ones(p.size))
+    return nt, with_loops_and_repeats(g, rng) if draw(st.booleans()) else g
 
 
 def logged_counts(caplog, g, nt, seed):
@@ -274,14 +290,15 @@ def duplicate_heavy_tables(draw):
 
 
 class TestFarthestFirst:
-    """The one-key order against the two-key lexsort it replaces."""
+    """The one-key order against the lexsorts it replaces."""
 
     @staticmethod
     def assert_equals_lexsort(nt, seed):
+        # An edgeless graph: every cell is a non-edge.
         tie_rank = spawn_rng(seed, 0).permutation(nt.n)
         order = np.lexsort((tie_rank[nt.indices], -nt.distances), axis=1)
         want = np.take_along_axis(nt.indices, order, axis=1)
-        got = _farthest_first(nt, seed)
+        got = _farthest_first(nt, seed, np.zeros(nt.indices.shape, dtype=bool))
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
@@ -297,6 +314,27 @@ class TestFarthestFirst:
 
     def test_fixture(self, dataset_b):
         self.assert_equals_lexsort(build_knn(dataset_b, 30), seed=3)
+
+    @given(st.one_of(tie_heavy_tables(), duplicate_heavy_tables()), st.integers(0, 2**64 - 1),
+           st.sampled_from([0.1, 0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_edges_go_last(self, nt, seed, density, mask_seed):
+        edge = np.random.default_rng(mask_seed).random(nt.indices.shape) < density
+        tie_rank = spawn_rng(seed, 0).permutation(nt.n)
+        order = np.lexsort((tie_rank[nt.indices], -nt.distances, edge), axis=1)
+        want = np.take_along_axis(nt.indices, order, axis=1)
+        assert np.array_equal(_farthest_first(nt, seed, edge), want)
+
+
+@given(graphs_on_tables())
+@settings(max_examples=200, deadline=None)
+def test_edge_cells_are_the_graphs_edges(case):
+    # Per cell, whether (row, id) is an edge; self-loops and repeated
+    # pairs included.
+    nt, g = case
+    edges = edge_set(g)
+    want = [[(p, q) in edges for q in row] for p, row in enumerate(nt.indices.tolist())]
+    assert _edge_cells(g, nt).tolist() == want
 
 
 class TestExportPairsMatchesLoop:
@@ -334,9 +372,8 @@ class TestExportPairsMatchesLoop:
 
 
 class TestExportPairsBeyondTheFuzz:
-    """Cases graphs_on_tables cannot build: it makes every graph with
-    mutualize, which drops self-loops, and stays far below numpy's
-    tail-shuffle size."""
+    """Cases graphs_on_tables cannot build: a graph loaded from a file,
+    and pools at and above numpy's tail-shuffle size."""
 
     @pytest.mark.parametrize("size, draws", [
         (60, 7),              # Floyd's algorithm

@@ -13,6 +13,7 @@ from edgeprune import (InputError, NumericError, PointSet, ReducedGraph, ari, bu
                        embed, gen_synthetic, kmeans, laplacian, mutual_knn_graph, mutualize,
                        n_components, reduce_graph, spectral_cluster)
 from conftest import cpu_s_after, tie_heavy_tables
+from reference import prim_partition, reference_partition
 from edgeprune import knn, reduce, spectral
 from edgeprune.data import spawn_rng
 from edgeprune.reduce import component_labels, load_graph, save_graph
@@ -362,41 +363,6 @@ def canonical(labels):
     return np.argsort(np.argsort(first))[inverse]
 
 
-def prim_partition(g, n_clusters):
-    """Reference for the component path: the labels, or None to fall back.
-
-    The C largest components are roots, largest first and ties to the lower
-    label. Then, one step at a time, the table entry with the smallest
-    (distance, lower component, higher component) among all entries between
-    an attached and an unattached component attaches the latter to the
-    former's cluster. Components left unattached mean a fallback.
-    """
-    comp = component_labels(g)
-    m = int(comp.max()) + 1
-    if m < n_clusters:
-        return None
-    sizes = np.bincount(comp)
-    cluster = np.full(m, -1)
-    for rank, c in enumerate(sorted(range(m), key=lambda c: (-sizes[c], c))[:n_clusters]):
-        cluster[c] = rank
-    if m > n_clusters and g.table is not None:
-        nt = g.table
-        a = np.repeat(comp, nt.k_max)
-        b = comp[nt.indices.ravel()]
-        d = nt.distances.ravel()
-        while True:
-            crossing = np.flatnonzero((cluster[a] >= 0) != (cluster[b] >= 0))
-            if crossing.size == 0:
-                break
-            _, _, _, p, q = min((float(d[i]), min(a[i], b[i]), max(a[i], b[i]), a[i], b[i])
-                                for i in crossing)
-            if cluster[p] >= 0:
-                cluster[q] = cluster[p]
-            else:
-                cluster[p] = cluster[q]
-    return None if (cluster < 0).any() else cluster[comp]
-
-
 def lexsort_ranking(pair, dist):
     """Distinct pairs in the order of their first entries in one
     (distance, pair) sort of every entry: the ranking's reference."""
@@ -498,6 +464,23 @@ def grid_graphs(draw):
     return g, draw(st.sampled_from([2, max(m - 1, 2), m, m + 1]))
 
 
+@st.composite
+def separated_point_sets(draw):
+    """Points in one to four groups 1000 apart, on a small lattice (exact
+    ties and copies) or Gaussian, beside up to three lone points far from
+    every group, with k_max below the smallest group and C from 2 to 8:
+    graphs with several components, and with isolated vertices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(3, 12), min_size=1, max_size=4))
+    lattice = draw(st.booleans())
+    groups = [(rng.integers(0, 4, (size, 2)) if lattice else rng.normal(size=(size, 2)))
+              + [1000.0 * i, 0.0] for i, size in enumerate(sizes)]
+    lone = rng.uniform(0.0, 3000.0, (draw(st.integers(0, 3)), 2)) + [0.0, 2000.0]
+    points = np.vstack([*groups, lone])
+    k_max = draw(st.integers(1, min(sizes) - 1))
+    return points, k_max, draw(st.integers(2, min(len(points), 8)))
+
+
 def complete_blocks_on_a_line(blocks, k_max=None):
     """`complete_block_graph` on 1-D points: blocks are lists of positions,
     vertex ids run through them in order; the table has k_max columns."""
@@ -534,6 +517,22 @@ class TestComponentPath:
             assert unlinked > 0 or m < n_clusters
         else:
             assert labels is not None and unlinked == 0
+            assert labels.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seventh", [False, True], ids=["adaptive", "seventh"])
+    @given(separated_point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_pipeline_partition_equals_the_reference(self, seventh, case):
+        # From points to labels: where the reference's components decide,
+        # the pipeline's do too, with the same labels; elsewhere both
+        # leave the partition to the eigensolver.
+        points, k_max, n_clusters = case
+        g = reduce_graph(PointSet(points), k_max, seventh)
+        expected = reference_partition(points, k_max, n_clusters, seventh)
+        if expected is None:
+            assert _component_partition(g, n_clusters)[0] is None
+        else:
+            labels = next(spectral_cluster(g, n_clusters, [0])).labels
             assert labels.tolist() == expected.tolist()
 
     @given(st.one_of(tabled_graphs(), grid_graphs()))

@@ -187,6 +187,15 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     assert (tmp_path / "results" / "metrics.csv").exists()
 
 
+def test_ci_pins_the_versions_the_corpus_was_recorded_with():
+    # tests/golden.json holds output hashes that numpy and scipy releases
+    # may move; the tier-1 workflow installs the versions it records.
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    golden = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
+    for name in ("numpy", "scipy"):
+        assert f"{name}=={golden[name]}" in workflow, name
+
+
 def test_reference_uses_no_private_name_of_the_package():
     # tests/reference.py is the spec the stages are checked against; a
     # private helper it imported would be checked against itself.
